@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +75,13 @@ DEVIATION_PRESETS = ("theorem1", "prop1", "prop1_doubled", "noiseless")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Primitive description of a loss instance (see build_model)."""
+    """Primitive description of a loss instance (see build_model).
+
+    `build_model` keeps the model it builds in `built`, so one parsed config
+    builds its model, and for Markowitz solves its minimizer, once: every
+    later call, in this process or in a pool worker that receives the
+    pickled config, returns that model.
+    """
 
     kind: str
     mu: tuple[float, ...] | None = None
@@ -87,6 +93,7 @@ class ModelConfig:
     tables: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...] | None = None
     centers: tuple[float, ...] | None = None
     interior_floor: tuple[float, ...] | None = None
+    built: LossModel | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,15 @@ class BoundReport:
 
 
 def build_model(cfg: ModelConfig) -> LossModel:
+    """The loss instance `cfg` describes, built on the first call and kept on `cfg`."""
+    if cfg.built is None:
+        # `built` is a cache, not part of the description, so it is set
+        # past the frozen dataclass's __setattr__
+        object.__setattr__(cfg, "built", _build_model(cfg))
+    return cfg.built
+
+
+def _build_model(cfg: ModelConfig) -> LossModel:
     kind = cfg.kind
     if kind == LINEAR:
         if cfg.mu is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,11 @@ MARKOWITZ = "markowitz"
 SEPARABLE = "separable"
 
 KINDS = (LINEAR, QUADRATIC, EXP_DESIGN, COBB_DOUGLAS, MARKOWITZ, SEPARABLE)
+
+# The exact Markowitz minimizer enumerates all 2^K - 1 supports, so its cost
+# doubles with every action; above this K it is refused rather than left to
+# run for minutes.
+MARKOWITZ_MAX_ACTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,10 @@ class LossModel:
     curvature constant `smoothness_C` and the sup norms are over the whole
     simplex when finite there, otherwise over the interior floor box when
     one was given, otherwise infinite.
+
+    `qp_solution` is the Markowitz minimizer `(p, loss)` that
+    `markowitz_loss` solves for `sup_loss`; `minimizer` reads it instead of
+    solving the same program again.  It is None for every other family.
     """
 
     kind: str
@@ -83,6 +92,9 @@ class LossModel:
     smoothness_C: float = 0.0
     sup_loss: float = 0.0
     sup_grad: float = 0.0
+    qp_solution: tuple[tuple[float, ...], float] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def num_actions(self) -> int:
@@ -217,6 +229,11 @@ def markowitz_loss(
     sig = np.asarray(covariance, dtype=float)
     if sig.shape != (k, k):
         raise ValueError(f"covariance must be {k}x{k}, got {sig.shape}")
+    if k > MARKOWITZ_MAX_ACTIONS:
+        raise ValueError(
+            f"covariance is {k}x{k}, above the limit of {MARKOWITZ_MAX_ACTIONS} actions "
+            "of the exact minimizer, which enumerates 2^K supports"
+        )
     if not np.allclose(sig, sig.T, atol=1e-10):
         raise ValueError("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(sig)
@@ -229,8 +246,8 @@ def markowitz_loss(
     # norms over the simplex are attained at vertices
     vertex_losses = [sig[j, j] - lam * m[j] for j in range(k)]
     grad_at_vertex = [max(abs(2.0 * sig[i, j] - lam * m[i]) for j in range(k)) for i in range(k)]
-    info_loss = _simplex_qp(sig, lam, np.asarray(m))
-    sup_loss = max(max(abs(v) for v in vertex_losses), abs(info_loss[1]))
+    p_star, loss_star = _simplex_qp(sig, lam, np.asarray(m))
+    sup_loss = max(max(abs(v) for v in vertex_losses), abs(loss_star))
     return LossModel(
         kind=MARKOWITZ,
         params=m,
@@ -238,8 +255,9 @@ def markowitz_loss(
         risk_weight=lam,
         strong_convexity=2.0 * max(float(eigs[0]), 0.0),
         smoothness_C=2.0 * float(eigs[-1]),
-        sup_loss=sup_loss,
-        sup_grad=max(grad_at_vertex),
+        sup_loss=float(sup_loss),
+        sup_grad=float(max(grad_at_vertex)),
+        qp_solution=(tuple(float(v) for v in p_star), loss_star),
     )
 
 
@@ -379,46 +397,113 @@ def _vertex_info(model: LossModel, costs: Sequence[float]) -> MinimizerInfo:
     )
 
 
+# Extra tolerance of the batched screen in `_simplex_qp`, relative to the
+# scale of the gradient terms, so that rounding differences between the
+# batched and the per-support arithmetic never drop a support that the
+# exact checks of `_support_candidate` would accept.
+_SCREEN_SLACK = 1e-7
+# Supports per batched solve; bounds the screen's memory at a few MB.
+_SCREEN_BATCH = 256
+
+
+def _support_candidate(
+    sig: np.ndarray, lam: float, mu: np.ndarray, support: list[int]
+) -> tuple[np.ndarray, float] | None:
+    """Solve the QP restricted to `support`; None unless feasible and KKT."""
+    k = len(mu)
+    m = len(support)
+    a = np.zeros((m + 1, m + 1))
+    a[:m, :m] = 2.0 * sig[np.ix_(support, support)]
+    a[:m, m] = 1.0
+    a[m, :m] = 1.0
+    b = np.zeros(m + 1)
+    b[:m] = lam * mu[support]
+    b[m] = 1.0
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        if not np.allclose(a @ x, b, atol=1e-9):
+            return None
+    p_sub = x[:m]
+    if np.any(p_sub < -1e-10):
+        return None
+    p = np.zeros(k)
+    p[support] = np.clip(p_sub, 0.0, None)
+    p /= p.sum()
+    grad = 2.0 * sig @ p - lam * mu
+    nu = -float(np.mean(grad[support]))
+    if any(grad[j] + nu < -1e-8 for j in range(k) if j not in support):
+        return None
+    return p, float(p @ sig @ p - lam * mu @ p)
+
+
+def _screen(sig: np.ndarray, lam: float, mu: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Which supports of one size may pass `_support_candidate`'s checks.
+
+    `supports` holds one support per row as ascending indices.  All of them
+    are solved in one batched call and given the feasibility and KKT tests
+    with `_SCREEN_SLACK` added to each tolerance; a support is dropped only
+    when a test fails by more than that.  A batch holding a singular system
+    keeps every row, so the exact code's least-squares branch still sees
+    them.
+    """
+    n, m = supports.shape
+    a = np.zeros((n, m + 1, m + 1))
+    a[:, :m, :m] = 2.0 * sig[supports[:, :, None], supports[:, None, :]]
+    a[:, :m, m] = 1.0
+    a[:, m, :m] = 1.0
+    b = np.zeros((n, m + 1, 1))
+    b[:, :m, 0] = lam * mu[supports]
+    b[:, m, 0] = 1.0
+    try:
+        p_sub = np.linalg.solve(a, b)[:, :m, 0]
+    except np.linalg.LinAlgError:
+        return np.ones(n, dtype=bool)
+    rows = np.arange(n)[:, None]
+    slack = _SCREEN_SLACK * (1.0 + 2.0 * np.abs(sig).max() + np.abs(lam * mu).max())
+    p = np.zeros((n, len(mu)))
+    p[rows, supports] = np.clip(p_sub, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p /= p.sum(axis=1, keepdims=True)
+        grad = 2.0 * p @ sig.T - lam * mu
+        nu = -grad[rows, supports].mean(axis=1)
+        kkt = grad + nu[:, None]
+    kkt[rows, supports] = 0.0
+    # comparisons with NaN are false, so rows that are not finite survive
+    rejected = (p_sub < -1e-10 - slack).any(axis=1) | (kkt < -1e-8 - slack).any(axis=1)
+    return ~rejected
+
+
 def _simplex_qp(sig: np.ndarray, lam: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize p'Sig p - lam*mu.p over the simplex by active-set enumeration.
 
     Every support set is solved as an equality-constrained QP and kept when
     it is feasible and satisfies the KKT sign conditions; the best candidate
-    wins.  Exact for the small K this library targets.
+    wins, ties going to the lowest support bitmask.  The supports of each
+    size are first screened in batched passes (`_screen`); only those that
+    survive are solved exactly, in ascending bitmask order, so the result is
+    the one a full enumeration gives.  Exact for K up to
+    MARKOWITZ_MAX_ACTIONS.
     """
     k = len(mu)
+    masks = np.arange(1, 1 << k, dtype=np.int32)
+    members = (masks[:, None] >> np.arange(k, dtype=np.int32) & 1).astype(bool)
+    sizes = members.sum(axis=1)
+    survivors: list[int] = []
+    for m in range(1, k + 1):
+        of_size = masks[sizes == m]
+        supports = np.nonzero(members[sizes == m])[1].reshape(-1, m)
+        for start in range(0, len(of_size), _SCREEN_BATCH):
+            batch = slice(start, start + _SCREEN_BATCH)
+            kept = _screen(sig, lam, mu, supports[batch])
+            survivors.extend(of_size[batch][kept].tolist())
     best_loss = math.inf
     best_p: np.ndarray | None = None
-    for mask in range(1, 1 << k):
-        support = [i for i in range(k) if mask >> i & 1]
-        m = len(support)
-        a = np.zeros((m + 1, m + 1))
-        a[:m, :m] = 2.0 * sig[np.ix_(support, support)]
-        a[:m, m] = 1.0
-        a[m, :m] = 1.0
-        b = np.zeros(m + 1)
-        b[:m] = lam * mu[support]
-        b[m] = 1.0
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            x, *_ = np.linalg.lstsq(a, b, rcond=None)
-            if not np.allclose(a @ x, b, atol=1e-9):
-                continue
-        p_sub = x[:m]
-        if np.any(p_sub < -1e-10):
-            continue
-        p = np.zeros(k)
-        p[support] = np.clip(p_sub, 0.0, None)
-        p /= p.sum()
-        grad = 2.0 * sig @ p - lam * mu
-        nu = -float(np.mean(grad[support]))
-        if any(grad[j] + nu < -1e-8 for j in range(k) if j not in support):
-            continue
-        loss = float(p @ sig @ p - lam * mu @ p)
-        if loss < best_loss - 1e-14:
-            best_loss = loss
-            best_p = p
+    for mask in sorted(survivors):
+        found = _support_candidate(sig, lam, mu, [i for i in range(k) if mask >> i & 1])
+        if found is not None and found[1] < best_loss - 1e-14:
+            best_p, best_loss = found
     if best_p is None:
         raise RuntimeError("active-set enumeration found no KKT point")
     return best_p, best_loss
@@ -455,7 +540,8 @@ def minimizer(model: LossModel) -> MinimizerInfo:
     if kind == MARKOWITZ:
         sig = np.asarray(model.covariance)
         mu = np.asarray(model.params)
-        p, loss = _simplex_qp(sig, model.risk_weight, mu)
+        p_star, loss = model.qp_solution
+        p = np.asarray(p_star)
         eigs = np.linalg.eigvalsh(sig)
         unique = bool(eigs[0] > 1e-12)
         info = MinimizerInfo(

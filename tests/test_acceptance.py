@@ -163,6 +163,7 @@ def vertex_run():
     return records, aggregate(records), wall
 
 
+@pytest.mark.slow
 def test_criterion_05_vertex_fast_rate(vertex_run, report):
     records, agg, wall = vertex_run
     rep = bound_check(agg, build_model(VERTEX_CONFIG.model), "prop2", records=records)
@@ -177,6 +178,7 @@ def test_criterion_05_vertex_fast_rate(vertex_run, report):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_11_csv_identical_across_worker_counts(vertex_run, report):
     records8, agg8, _ = vertex_run
     t0 = time.perf_counter()
@@ -192,6 +194,7 @@ def test_criterion_11_csv_identical_across_worker_counts(vertex_run, report):
 # ---------------------------------------------------------------- 6, 7
 
 
+@pytest.mark.slow
 def test_criterion_06_interior_fast_rate(report):
     config = ExperimentConfig(
         experiment="interior_fast_rate",

@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import pickle
 import re
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
 
+from ucbfw import losses
 from ucbfw.cli import (
     CSV_HEADER,
     ConfigError,
@@ -33,6 +37,14 @@ BASIC = {
     "feedback": {"observation": "gaussian", "noise_sd": 1.0},
     "horizons": [100, 300],
     "seeds": {"count": 2, "base": 7},
+}
+
+
+MARKOWITZ_MODEL = {
+    "kind": "markowitz",
+    "covariance": [[1.0, 0.2, 0.0], [0.2, 1.5, 0.1], [0.0, 0.1, 2.0]],
+    "risk_weight": 1.3,
+    "mu": [1.0, 0.5, -0.2],
 }
 
 
@@ -87,6 +99,18 @@ def test_parse_rejects_bad_action_map():
         cfg_from(feedback={"map": [0, 1, 2]})
     with pytest.raises(ConfigError, match="feedback: map entries"):
         cfg_from(feedback={"map": [0, 5]})
+
+
+def test_parse_rejects_markowitz_above_the_action_limit():
+    k = losses.MARKOWITZ_MAX_ACTIONS + 1
+    model = {
+        "kind": "markowitz",
+        "covariance": np.eye(k).tolist(),
+        "risk_weight": 1.0,
+        "mu": [0.0] * k,
+    }
+    with pytest.raises(ConfigError, match=r"^model: covariance is 17x17, above the limit of 16"):
+        cfg_from(model=model)
 
 
 def test_parse_rejects_unknown_policy_and_deviation():
@@ -242,9 +266,53 @@ def test_emit_csv_bound_columns():
 
 
 def test_emit_csv_is_worker_invariant():
-    config, records1, agg1 = small_run(workers=1)
-    _, records2, agg2 = small_run(workers=2)
-    assert emit_csv(config, records1, agg1) == emit_csv(config, records2, agg2)
+    for overrides in ({}, {"model": MARKOWITZ_MODEL}):
+        config, records1, agg1 = small_run(workers=1, **overrides)
+        _, records2, agg2 = small_run(workers=2, **overrides)
+        assert emit_csv(config, records1, agg1) == emit_csv(config, records2, agg2)
+
+
+def test_markowitz_bound_rows_emit_as_json():
+    config, records, agg = small_run(model=MARKOWITZ_MODEL)
+    model = build_model(config.model)
+    report = bound_check(agg, model, "thm1")
+    payload = json.loads(emit_summary(config, agg, bound=report))
+    assert payload["bound"]["selector"] == "thm1"
+    assert payload["bound"]["passed"] is report.passed
+    # the same constants as numpy scalars give the same bound-row bytes
+    as_numpy = dataclasses.replace(
+        model, sup_loss=np.float64(model.sup_loss), sup_grad=np.float64(model.sup_grad)
+    )
+    assert emit_csv(config, records, agg, bound=report) == emit_csv(
+        config, records, agg, bound=bound_check(agg, as_numpy, "thm1")
+    )
+
+
+def test_markowitz_run_solves_its_minimizer_once(tmp_path, monkeypatch):
+    calls = []
+    solve = losses._simplex_qp
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(losses, "_simplex_qp", counted)
+    data = {**BASIC, "model": MARKOWITZ_MODEL, "seeds": {"count": 3, "base": 7}}
+    config = parse_config(write_config(tmp_path, data))
+    records = run_experiment(config, workers=1)
+    agg = aggregate(records)
+    emit_csv(config, records, agg)
+    emit_summary(config, agg)
+    bound_check(agg, build_model(config.model), "thm1", records=records)
+    assert len(calls) == 1
+
+
+def test_pickled_config_carries_its_built_model():
+    config = cfg_from(model=MARKOWITZ_MODEL)
+    clone = pickle.loads(pickle.dumps(config))
+    assert clone == config
+    assert clone.model.built is not None
+    assert clone.model.built == build_model(config.model)
 
 
 def test_emit_summary_payload():

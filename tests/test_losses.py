@@ -221,6 +221,84 @@ def test_markowitz_agrees_with_grid_search():
         assert info.loss_star <= best + 1e-9
 
 
+def _reference_simplex_qp(sig, lam, mu):
+    """The full 2^K enumeration the screened `_simplex_qp` must reproduce bit for bit."""
+    k = len(mu)
+    best_loss = math.inf
+    best_p = None
+    for mask in range(1, 1 << k):
+        support = [i for i in range(k) if mask >> i & 1]
+        m = len(support)
+        a = np.zeros((m + 1, m + 1))
+        a[:m, :m] = 2.0 * sig[np.ix_(support, support)]
+        a[:m, m] = 1.0
+        a[m, :m] = 1.0
+        b = np.zeros(m + 1)
+        b[:m] = lam * mu[support]
+        b[m] = 1.0
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            x, *_ = np.linalg.lstsq(a, b, rcond=None)
+            if not np.allclose(a @ x, b, atol=1e-9):
+                continue
+        p_sub = x[:m]
+        if np.any(p_sub < -1e-10):
+            continue
+        p = np.zeros(k)
+        p[support] = np.clip(p_sub, 0.0, None)
+        p /= p.sum()
+        grad = 2.0 * sig @ p - lam * mu
+        nu = -float(np.mean(grad[support]))
+        if any(grad[j] + nu < -1e-8 for j in range(k) if j not in support):
+            continue
+        loss = float(p @ sig @ p - lam * mu @ p)
+        if loss < best_loss - 1e-14:
+            best_loss = loss
+            best_p = p
+    if best_p is None:
+        raise RuntimeError("active-set enumeration found no KKT point")
+    return best_p, best_loss
+
+
+def _qp_instances():
+    rng = np.random.default_rng(20261018)
+    for k in range(2, 11):
+        a = rng.normal(size=(k, k))
+        b = rng.normal(size=(k, max(1, k // 3)))
+        mu = rng.normal(size=k)
+        yield f"full rank K={k}", a @ a.T, 1.0, mu
+        yield f"rank deficient K={k}", b @ b.T, 1.5, mu
+        yield f"all-zero covariance K={k}", np.zeros((k, k)), 1.0, mu
+        yield f"vertex minimizer K={k}", np.eye(k), 20.0, np.arange(k, dtype=float)
+        yield f"risk weight 0 K={k}", a @ a.T, 0.0, mu
+        yield f"rank one with tied means K={k}", np.ones((k, k)), 1.0, np.round(mu)
+    # the interior shape of the K=12 benchmark instance
+    k = 12
+    a = rng.normal(size=(k, k))
+    cov = np.eye(k) + 0.2 * (a @ a.T) / k
+    yield "interior K=12", (cov + cov.T) / 2.0, 1.0, rng.uniform(0.4, 0.6, size=k)
+
+
+def test_simplex_qp_matches_full_enumeration_bit_for_bit():
+    for name, sig, lam, mu in _qp_instances():
+        p_ref, loss_ref = _reference_simplex_qp(sig, lam, mu)
+        p, loss = losses._simplex_qp(sig, lam, mu)
+        assert np.array_equal(p, p_ref), name
+        assert loss == loss_ref, name
+
+
+def test_simplex_qp_raises_where_full_enumeration_raises():
+    for sig, mu in (
+        (np.full((3, 3), np.nan), np.ones(3)),
+        (np.eye(3), np.array([np.nan, 0.0, 0.0])),
+    ):
+        with pytest.raises(RuntimeError, match="no KKT point"):
+            _reference_simplex_qp(sig, 1.0, mu)
+        with pytest.raises(RuntimeError, match="no KKT point"):
+            losses._simplex_qp(sig, 1.0, mu)
+
+
 # ---------------------------------------------------------------- constants
 
 
@@ -300,6 +378,12 @@ def test_markowitz_requires_symmetric_psd():
         markowitz_loss(((1.0, 0.5), (0.0, 1.0)), 1.0, (0.0, 1.0))
     with pytest.raises(ValueError, match="semidefinite"):
         markowitz_loss(((1.0, 2.0), (2.0, 1.0)), 1.0, (0.0, 1.0))
+
+
+def test_markowitz_rejects_more_actions_than_the_limit():
+    k = losses.MARKOWITZ_MAX_ACTIONS + 1
+    with pytest.raises(ValueError, match=r"covariance is 17x17, above the limit of 16 actions"):
+        markowitz_loss(np.eye(k), 1.0, [0.0] * k)
 
 
 def test_separable_requires_one_table_per_coordinate():
