@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -131,6 +132,52 @@ def test_experiment_validation():
             ),
             seed=1,
         )
+
+
+# One valid instance per loss family, with the fields its model requires.
+FAMILIES = {
+    "linear": (ModelConfig(kind="linear", mu=(0.0, 0.5)), ("mu",)),
+    "quadratic": (ModelConfig(kind="quadratic", theta=(0.3, 0.7)), ("theta",)),
+    "exp_design": (ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)), ("sigma2",)),
+    "cobb_douglas": (ModelConfig(kind="cobb_douglas", beta=(0.3, 0.6)), ("beta",)),
+    "markowitz": (
+        ModelConfig(
+            kind="markowitz",
+            mu=(0.2, 0.5),
+            covariance=((1.0, 0.2), (0.2, 0.5)),
+            risk_weight=1.0,
+        ),
+        ("mu", "covariance", "risk_weight"),
+    ),
+    "separable": (ModelConfig(kind="separable", mu=(0.5, 0.5), tables=TABLES), ("mu", "tables")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_per_family_answers(kind):
+    cfg, required = FAMILIES[kind]
+    for name in required:
+        with pytest.raises(ValueError, match=f"{kind} model needs .*{name}"):
+            build_model(dataclasses.replace(cfg, **{name: None}))
+    model = build_model(cfg)
+
+    eps_cfg = linear_config(model=cfg, record_epsilon=True, horizons=(20,), seed_count=1)
+    if kind in ("exp_design", "cobb_douglas"):
+        with pytest.raises(ValueError, match="boundary"):
+            run_trial(eps_cfg, seed=1)
+    else:
+        assert run_trial(eps_cfg, seed=1).sum_epsilon is not None
+
+    agg = AggregateResult(horizons=(10,), mean_error=(0.1,), stderr_error=(0.0,), n=1)
+    rep = bound_check(agg, model, "prop2")
+    if kind in ("quadratic", "exp_design", "cobb_douglas", "markowitz"):
+        assert not rep.supported
+        assert "constant gradient" in rep.reason
+    else:
+        assert rep.supported
+
+    fb = build_feedback_state(FeedbackConfig(), model, build_deviation_spec(PolicyConfig()))
+    assert fb.estimator == ("centered_square" if kind == "exp_design" else "mean")
 
 
 # ---------------------------------------------------------------- run_trial
