@@ -283,13 +283,6 @@ def _validate_config(config: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from None
     try:
-        if config.feedback.action_map is not None:
-            if len(config.feedback.action_map) != model.num_actions:
-                raise ValueError(
-                    f"map needs {model.num_actions} entries, got {len(config.feedback.action_map)}"
-                )
-            if any(not 0 <= j < model.num_actions for j in config.feedback.action_map):
-                raise ValueError(f"map entries must index coefficients, got {config.feedback.action_map}")
         obs = build_observation_model(config.feedback, model)
         _check_subgaussian(obs, spec.deviation, model)
     except ValueError as exc:

@@ -112,6 +112,18 @@ def deviation(spec: DeviationSpec, t: int, n_obs: int, delta: float) -> float:
     return deviation_radius(spec.scale, spec.exponent, t, n_obs, delta)
 
 
+def check_action_map(action_map: Sequence[int] | None, num_coeffs: int) -> tuple[int, ...]:
+    """The action-to-coefficient map with every entry checked; the identity when None."""
+    if action_map is None:
+        return tuple(range(num_coeffs))
+    amap = tuple(int(a) for a in action_map)
+    if len(amap) != num_coeffs:
+        raise ValueError(f"map needs {num_coeffs} entries, got {len(amap)}")
+    if any(not 0 <= j < num_coeffs for j in amap):
+        raise ValueError(f"map entries must be in [0, {num_coeffs}), got {amap}")
+    return amap
+
+
 @dataclass
 class FeedbackState:
     """Per-coefficient observation counts and running parameter estimates.
@@ -140,16 +152,7 @@ class FeedbackState:
         estimator: str = ESTIMATOR_MEAN,
         centers: Sequence[float] | None = None,
     ) -> "FeedbackState":
-        if action_to_coeff is None:
-            amap = tuple(range(num_coeffs))
-        else:
-            amap = tuple(int(a) for a in action_to_coeff)
-            if len(amap) != num_coeffs:
-                raise ValueError(
-                    f"action map needs {num_coeffs} entries, got {len(amap)}"
-                )
-            if any(not 0 <= j < num_coeffs for j in amap):
-                raise ValueError(f"action map entries must be in [0, {num_coeffs}), got {amap}")
+        amap = check_action_map(action_to_coeff, num_coeffs)
         if estimator not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {estimator!r}")
         if estimator == ESTIMATOR_CENTERED_SQUARE:
@@ -313,7 +316,3 @@ class ObservationSampler:
         else:
             arr = np.full(n, model.means[action])
         self._buffers[action].extend(arr.tolist())
-
-
-def draw_observation(sampler: ObservationSampler, action: int) -> float:
-    return sampler.draw(action)

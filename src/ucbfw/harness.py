@@ -19,31 +19,13 @@ import numpy as np
 from .feedback import (
     ESTIMATOR_CENTERED_SQUARE,
     ESTIMATOR_MEAN,
-    ESTIMATOR_SAMPLE_VARIANCE,
     DeviationSpec,
     FeedbackState,
     ObservationModel,
     ObservationSampler,
+    check_action_map,
 )
-from .losses import (
-    COBB_DOUGLAS,
-    EXP_DESIGN,
-    LINEAR,
-    MARKOWITZ,
-    QUADRATIC,
-    SEPARABLE,
-    LossModel,
-    MinimizerInfo,
-    PiecewiseLinear,
-    cobb_douglas_loss,
-    exp_design_loss,
-    linear_loss,
-    loss_value,
-    markowitz_loss,
-    minimizer,
-    quadratic_loss,
-    separable_loss,
-)
+from .losses import FAMILIES, LossModel, loss_value, minimizer
 from .policies import (
     DOUBLING_UCB_FW,
     FIXED_ALLOCATION,
@@ -67,8 +49,6 @@ from .policies import (
 from .simplex import OccupationState
 
 _TIE_STREAM_TAG = (1 << 31) + 1
-
-SMOOTH_KINDS = (LINEAR, QUADRATIC, MARKOWITZ, SEPARABLE)
 
 DEVIATION_PRESETS = ("theorem1", "prop1", "prop1_doubled", "noiseless")
 
@@ -188,40 +168,17 @@ class BoundReport:
 def build_model(cfg: ModelConfig) -> LossModel:
     """The loss instance `cfg` describes, built on the first call and kept on `cfg`."""
     if cfg.built is None:
+        family = FAMILIES.get(cfg.kind)
+        if family is None:
+            raise ValueError(f"unknown model kind {cfg.kind!r}")
+        missing = [name for name in family.needs if getattr(cfg, name) is None]
+        if missing:
+            raise ValueError(f"{cfg.kind} model needs {', '.join(missing)}")
+        model = family.build(**{name: getattr(cfg, name) for name in family.needs + family.options})
         # `built` is a cache, not part of the description, so it is set
         # past the frozen dataclass's __setattr__
-        object.__setattr__(cfg, "built", _build_model(cfg))
+        object.__setattr__(cfg, "built", model)
     return cfg.built
-
-
-def _build_model(cfg: ModelConfig) -> LossModel:
-    kind = cfg.kind
-    if kind == LINEAR:
-        if cfg.mu is None:
-            raise ValueError("linear model needs mu")
-        return linear_loss(cfg.mu)
-    if kind == QUADRATIC:
-        if cfg.theta is None:
-            raise ValueError("quadratic model needs theta")
-        return quadratic_loss(cfg.theta)
-    if kind == EXP_DESIGN:
-        if cfg.sigma2 is None:
-            raise ValueError("exp_design model needs sigma2")
-        return exp_design_loss(cfg.sigma2, centers=cfg.centers, interior_floor=cfg.interior_floor)
-    if kind == COBB_DOUGLAS:
-        if cfg.beta is None:
-            raise ValueError("cobb_douglas model needs beta")
-        return cobb_douglas_loss(cfg.beta, interior_floor=cfg.interior_floor)
-    if kind == MARKOWITZ:
-        if cfg.mu is None or cfg.covariance is None or cfg.risk_weight is None:
-            raise ValueError("markowitz model needs mu, covariance and risk_weight")
-        return markowitz_loss(cfg.covariance, cfg.risk_weight, cfg.mu)
-    if kind == SEPARABLE:
-        if cfg.mu is None or cfg.tables is None:
-            raise ValueError("separable model needs mu and tables")
-        tabs = [PiecewiseLinear(tuple(xs), tuple(ys)) for xs, ys in cfg.tables]
-        return separable_loss(cfg.mu, tabs)
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def build_deviation_spec(cfg: PolicyConfig) -> DeviationSpec:
@@ -249,14 +206,9 @@ def build_deviation_spec(cfg: PolicyConfig) -> DeviationSpec:
     )
 
 
-def _default_estimator(model_kind: str) -> str:
-    return ESTIMATOR_CENTERED_SQUARE if model_kind == EXP_DESIGN else ESTIMATOR_MEAN
-
-
 def build_observation_model(fb_cfg: FeedbackConfig, model: LossModel) -> ObservationModel:
-    k = model.num_actions
-    amap = fb_cfg.action_map or tuple(range(k))
-    if model.kind == EXP_DESIGN:
+    amap = check_action_map(fb_cfg.action_map, model.num_actions)
+    if model.variance_feedback:
         if fb_cfg.observation != "gaussian":
             raise ValueError("exp_design feedback draws gaussian observations")
         sds = tuple(math.sqrt(model.params[j]) for j in amap)
@@ -277,11 +229,12 @@ def build_observation_model(fb_cfg: FeedbackConfig, model: LossModel) -> Observa
 def build_feedback_state(
     fb_cfg: FeedbackConfig, model: LossModel, dev_spec: DeviationSpec
 ) -> FeedbackState:
-    estimator = fb_cfg.estimator or _default_estimator(model.kind)
-    if estimator == ESTIMATOR_CENTERED_SQUARE and model.kind != EXP_DESIGN:
+    variance = model.variance_feedback
+    estimator = fb_cfg.estimator or (ESTIMATOR_CENTERED_SQUARE if variance else ESTIMATOR_MEAN)
+    if estimator == ESTIMATOR_CENTERED_SQUARE and not variance:
         raise ValueError("centered_square estimator only applies to exp_design")
-    centers = model.centers if model.kind == EXP_DESIGN else None
-    if estimator == ESTIMATOR_MEAN and model.kind == EXP_DESIGN:
+    centers = model.centers if variance else None
+    if estimator == ESTIMATOR_MEAN and variance:
         raise ValueError("exp_design estimates variances; use centered_square or sample_variance")
     return FeedbackState.fresh(
         model.num_actions,
@@ -296,7 +249,7 @@ def _check_subgaussian(obs_model: ObservationModel, dev_spec: DeviationSpec, mod
     # the radius calibration assumes routed values are sub-gaussian with the
     # declared parameter; squared-draw estimators are covered by the
     # sensitivity factors instead, so only mean estimators are checked
-    if model.kind == EXP_DESIGN:
+    if model.variance_feedback:
         return
     par = obs_model.subgaussian_parameter()
     if par > dev_spec.sigma2 + 1e-12:
@@ -344,7 +297,7 @@ def build_policy(
     if spec.kind == DOUBLING_UCB_FW:
         return DoublingUcbFwPolicy(inner, spec.doubling_beta, t_max)
     if spec.kind == PRESAMPLED_UCB_FW:
-        centers = model.centers if model.centers is not None else (0.0,) * model.num_actions
+        centers = model.centers if model.variance_feedback else (0.0,) * model.num_actions
         return PresampledUcbFwPolicy(inner, spec.presample, centers)
     raise ValueError(f"unknown policy kind {spec.kind!r}")
 
@@ -361,7 +314,7 @@ def _validate_experiment(config: ExperimentConfig, model: LossModel) -> None:
         )
     if config.seed_count < 1:
         raise ValueError(f"seed count must be >= 1, got {config.seed_count}")
-    if config.record_epsilon and model.kind not in SMOOTH_KINDS:
+    if config.record_epsilon and not model.smooth_on_simplex:
         raise ValueError(
             "per-step gradient diagnostics need a loss with simplex-wide "
             f"gradients; {model.kind} is undefined at the early boundary points"
@@ -556,7 +509,7 @@ def bound_check(
                 + (math.pi**2 / 6.0 + k) * lam / t
             )
     elif selector == "prop2":
-        if model.kind not in (LINEAR, SEPARABLE):
+        if not model.constant_gradient:
             return _unsupported(selector, "applies to losses with constant gradient (vertex case)")
         if info.gap_min is None:
             return _unsupported(selector, "needs a unique vertex minimizer with positive gaps")

@@ -1,35 +1,28 @@
 """Convex loss families defined on the probability simplex.
 
-Each family exposes the loss value, the exact gradient, the gradient as a
-function of estimated parameters (same formula, plugged-in estimates), and
-a closed-form or exactly-solved minimizer with the quantities the rate
-bounds need (minimum coordinate, per-vertex gaps, curvature constants).
+Each family is one `LossModel` subclass, listed by config name in
+`FAMILIES`.  It exposes the loss value, the gradient as a function of
+parameters (exact with the true ones, a plug-in estimate with estimated
+ones), and a closed-form or exactly-solved minimizer with the quantities
+the rate bounds need (minimum coordinate, per-vertex gaps, curvature
+constants).
 
 Families whose gradient blows up at the boundary (inverse-proportion and
 log-utility losses) carry infinite curvature constants unless an interior
-floor box is supplied; `interior_smoothness` computes the restricted
-constant over such a box.
+floor box is supplied; `smoothness_over` computes the restricted constant
+over such a box.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .simplex import SIMPLEX_SUM_TOL
-
-LINEAR = "linear"
-QUADRATIC = "quadratic"
-EXP_DESIGN = "exp_design"
-COBB_DOUGLAS = "cobb_douglas"
-MARKOWITZ = "markowitz"
-SEPARABLE = "separable"
-
-KINDS = (LINEAR, QUADRATIC, EXP_DESIGN, COBB_DOUGLAS, MARKOWITZ, SEPARABLE)
 
 # The exact Markowitz minimizer enumerates all 2^K - 1 supports, so its cost
 # doubles with every action; above this K it is refused rather than left to
@@ -67,6 +60,42 @@ class PiecewiseLinear:
 
 
 @dataclass(frozen=True)
+class MinimizerInfo:
+    """Minimizer of a loss over the simplex and bound-relevant derived values.
+
+    `eta` is the smallest coordinate of the reported minimizer.  `gaps` are
+    the per-coordinate gradient gaps at a vertex minimizer (None when the
+    minimizer is not a vertex); `gap_min` is the smallest positive gap.
+    """
+
+    p_star: tuple[float, ...]
+    loss_star: float
+    eta: float
+    unique: bool
+    gaps: tuple[float, ...] | None = None
+    gap_min: float | None = None
+
+
+def _vertex_info(costs: Sequence[float]) -> MinimizerInfo:
+    k = len(costs)
+    low = min(costs)
+    winners = [i for i, c in enumerate(costs) if c <= low + 1e-12]
+    star = winners[0]
+    p = tuple(1.0 if i == star else 0.0 for i in range(k))
+    gaps = tuple(c - low for c in costs)
+    positive = [g for i, g in enumerate(gaps) if i != star and g > 1e-12]
+    gap_min = min(positive) if len(positive) == k - 1 else None
+    return MinimizerInfo(
+        p_star=p,
+        loss_star=low,
+        eta=0.0,
+        unique=len(winners) == 1,
+        gaps=gaps,
+        gap_min=gap_min,
+    )
+
+
+@dataclass(frozen=True, kw_only=True)
 class LossModel:
     """A loss family instance plus the constants the bound formulas use.
 
@@ -76,29 +105,52 @@ class LossModel:
     simplex when finite there, otherwise over the interior floor box when
     one was given, otherwise infinite.
 
-    `qp_solution` is the Markowitz minimizer `(p, loss)` that
-    `markowitz_loss` solves for `sup_loss`; `minimizer` reads it instead of
-    solving the same program again.  It is None for every other family.
+    Each family declares, as class attributes, its config name `kind`; the
+    config fields its `build` requires (`needs`) and accepts (`options`);
+    whether its gradient is defined on the whole simplex, boundary included
+    (`smooth_on_simplex`); whether its gradient does not depend on p, the
+    precondition of the vertex fast rate (`constant_gradient`); and whether
+    feedback draws gaussian observations whose variances are the parameters
+    (`variance_feedback`).
     """
 
-    kind: str
+    kind: ClassVar[str]
+    needs: ClassVar[tuple[str, ...]]
+    options: ClassVar[tuple[str, ...]] = ()
+    smooth_on_simplex: ClassVar[bool] = True
+    constant_gradient: ClassVar[bool] = False
+    variance_feedback: ClassVar[bool] = False
+
     params: tuple[float, ...]
-    covariance: tuple[tuple[float, ...], ...] | None = None
-    risk_weight: float = 0.0
-    tables: tuple[PiecewiseLinear, ...] | None = None
-    centers: tuple[float, ...] | None = None
-    interior_floor: tuple[float, ...] | None = None
     strong_convexity: float = 0.0
     smoothness_C: float = 0.0
     sup_loss: float = 0.0
     sup_grad: float = 0.0
-    qp_solution: tuple[tuple[float, ...], float] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def num_actions(self) -> int:
         return len(self.params)
+
+    def value(self, p: Sequence[float]) -> float:
+        raise NotImplementedError
+
+    def gradient(self, params: Sequence[float], p: Sequence[float]) -> list[float]:
+        """Gradient formula of the family evaluated with plugged-in `params`."""
+        raise NotImplementedError
+
+    def sensitivity(self, p: Sequence[float]) -> list[float] | None:
+        """Per-coordinate factor turning a parameter deviation into a gradient deviation.
+
+        Returns None when every factor is 1 (mean-parameter families).
+        """
+        return None
+
+    def minimizer(self) -> MinimizerInfo:
+        raise NotImplementedError
+
+    def smoothness_over(self, floor: tuple[float, ...]) -> float:
+        """Curvature constant restricted to the box {p : p_i >= floor_i}."""
+        return self.smoothness_C
 
 
 def _as_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
@@ -122,279 +174,356 @@ def _check_floor(floor: Sequence[float], k: int) -> tuple[float, ...]:
     return f
 
 
-def linear_loss(mu: Sequence[float]) -> LossModel:
-    """L(p) = mu . p with gradient mu; minimized at a cheapest vertex."""
-    m = _as_floats(mu, "mu")
-    bound = max(abs(v) for v in m)
-    return LossModel(kind=LINEAR, params=m, sup_loss=bound, sup_grad=bound)
-
-
-def quadratic_loss(theta: Sequence[float]) -> LossModel:
-    """L(p) = 0.5 * ||p - theta||^2 with theta on the simplex; gradient p - theta."""
-    th = _as_floats(theta, "theta")
-    for i, v in enumerate(th):
-        if v < 0.0:
-            raise ValueError(f"theta coordinate {i} is negative: {v}")
-    if abs(sum(th) - 1.0) > SIMPLEX_SUM_TOL:
-        raise ValueError(f"theta must lie on the simplex, sums to {sum(th)}")
-    # max of the convex loss over the simplex is attained at a vertex
-    sup_loss = 0.5 * max(
-        sum(((1.0 if i == j else 0.0) - th[i]) ** 2 for i in range(len(th)))
-        for j in range(len(th))
-    )
-    sup_grad = max(max(v, 1.0 - v) for v in th)
-    return LossModel(
-        kind=QUADRATIC,
-        params=th,
-        strong_convexity=1.0,
-        smoothness_C=1.0,
-        sup_loss=sup_loss,
-        sup_grad=sup_grad,
-    )
-
-
-def exp_design_loss(
-    sigma2: Sequence[float],
-    centers: Sequence[float] | None = None,
-    interior_floor: Sequence[float] | None = None,
-) -> LossModel:
-    """L(p) = sum_i sigma2_i / p_i, the A-optimal style allocation loss.
-
-    `centers` are the known observation means used when feedback estimates
-    sigma2_i from squared centered draws.  Curvature and sup norms are
-    finite only over an interior floor box.
-    """
-    s2 = _as_floats(sigma2, "sigma2")
-    for i, v in enumerate(s2):
-        if v <= 0.0:
-            raise ValueError(f"sigma2 coordinate {i} must be positive, got {v}")
-    k = len(s2)
-    if centers is None:
-        cen = tuple(0.0 for _ in s2)
-    else:
-        cen = tuple(float(v) for v in centers)
-        if len(cen) != k:
-            raise ValueError(f"centers needs {k} coordinates, got {len(cen)}")
-    floor = _check_floor(interior_floor, k) if interior_floor is not None else None
-    if floor is not None:
-        smooth = max(2.0 * v / f**3 for v, f in zip(s2, floor))
-        sup_loss = sum(v / f for v, f in zip(s2, floor))
-        sup_grad = max(v / f**2 for v, f in zip(s2, floor))
-    else:
-        smooth = sup_loss = sup_grad = math.inf
-    return LossModel(
-        kind=EXP_DESIGN,
-        params=s2,
-        centers=cen,
-        interior_floor=floor,
-        strong_convexity=2.0 * min(s2),
-        smoothness_C=smooth,
-        sup_loss=sup_loss,
-        sup_grad=sup_grad,
-    )
-
-
-def cobb_douglas_loss(
-    beta: Sequence[float], interior_floor: Sequence[float] | None = None
-) -> LossModel:
-    """L(p) = -sum_i beta_i * log(p_i) with beta in (0, 1)^K."""
-    b = _as_floats(beta, "beta")
-    for i, v in enumerate(b):
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"beta coordinate {i} must be in (0, 1), got {v}")
-    floor = _check_floor(interior_floor, len(b)) if interior_floor is not None else None
-    if floor is not None:
-        smooth = max(v / f**2 for v, f in zip(b, floor))
-        sup_loss = -sum(v * math.log(f) for v, f in zip(b, floor))
-        sup_grad = max(v / f for v, f in zip(b, floor))
-    else:
-        smooth = sup_loss = sup_grad = math.inf
-    return LossModel(
-        kind=COBB_DOUGLAS,
-        params=b,
-        interior_floor=floor,
-        strong_convexity=min(b),
-        smoothness_C=smooth,
-        sup_loss=sup_loss,
-        sup_grad=sup_grad,
-    )
-
-
-def markowitz_loss(
-    covariance: Sequence[Sequence[float]], risk_weight: float, mu: Sequence[float]
-) -> LossModel:
-    """L(p) = p' Sigma p - lambda * mu . p (variance-penalized mean return)."""
-    m = _as_floats(mu, "mu")
-    k = len(m)
-    sig = np.asarray(covariance, dtype=float)
-    if sig.shape != (k, k):
-        raise ValueError(f"covariance must be {k}x{k}, got {sig.shape}")
-    if k > MARKOWITZ_MAX_ACTIONS:
-        raise ValueError(
-            f"covariance is {k}x{k}, above the limit of {MARKOWITZ_MAX_ACTIONS} actions "
-            "of the exact minimizer, which enumerates 2^K supports"
-        )
-    if not np.allclose(sig, sig.T, atol=1e-10):
-        raise ValueError("covariance must be symmetric")
-    eigs = np.linalg.eigvalsh(sig)
-    if eigs[0] < -1e-10:
-        raise ValueError(f"covariance must be positive semidefinite, min eigenvalue {eigs[0]}")
-    lam = float(risk_weight)
-    if lam < 0.0:
-        raise ValueError(f"risk weight must be nonnegative, got {lam}")
-    # both the loss and each gradient coordinate are convex in p, so sup
-    # norms over the simplex are attained at vertices
-    vertex_losses = [sig[j, j] - lam * m[j] for j in range(k)]
-    grad_at_vertex = [max(abs(2.0 * sig[i, j] - lam * m[i]) for j in range(k)) for i in range(k)]
-    p_star, loss_star = _simplex_qp(sig, lam, np.asarray(m))
-    sup_loss = max(max(abs(v) for v in vertex_losses), abs(loss_star))
-    return LossModel(
-        kind=MARKOWITZ,
-        params=m,
-        covariance=tuple(tuple(float(x) for x in row) for row in sig),
-        risk_weight=lam,
-        strong_convexity=2.0 * max(float(eigs[0]), 0.0),
-        smoothness_C=2.0 * float(eigs[-1]),
-        sup_loss=float(sup_loss),
-        sup_grad=float(max(grad_at_vertex)),
-        qp_solution=(tuple(float(v) for v in p_star), loss_star),
-    )
-
-
-def separable_loss(mu: Sequence[float], tables: Sequence) -> LossModel:
-    """L(p) = sum_i f_i(mu_i) * p_i with tabulated monotone f_i.
-
-    Each table is a PiecewiseLinear or a raw (xs, ys) pair.
-    """
-    m = _as_floats(mu, "mu")
-    tabs = tuple(
-        t if isinstance(t, PiecewiseLinear) else PiecewiseLinear(tuple(t[0]), tuple(t[1]))
-        for t in tables
-    )
-    if len(tabs) != len(m):
-        raise ValueError(f"need one table per coordinate: {len(tabs)} vs {len(m)}")
-    bound = max(abs(t(v)) for t, v in zip(tabs, m))
-    return LossModel(kind=SEPARABLE, params=m, tables=tabs, sup_loss=bound, sup_grad=bound)
-
-
 def _require_interior(p: Sequence[float], kind: str) -> None:
     for i, v in enumerate(p):
         if v <= 0.0:
             raise ValueError(f"{kind} loss needs p strictly positive, coordinate {i} is {v}")
 
 
-def loss_value(model: LossModel, p: Sequence[float]) -> float:
-    kind = model.kind
-    if kind == LINEAR:
-        return sum(m * x for m, x in zip(model.params, p))
-    if kind == QUADRATIC:
-        return 0.5 * sum((x - th) ** 2 for x, th in zip(p, model.params))
-    if kind == EXP_DESIGN:
-        _require_interior(p, kind)
-        return sum(s / x for s, x in zip(model.params, p))
-    if kind == COBB_DOUGLAS:
-        _require_interior(p, kind)
-        return -sum(b * math.log(x) for b, x in zip(model.params, p))
-    if kind == MARKOWITZ:
-        sig = model.covariance
+@dataclass(frozen=True, kw_only=True)
+class LinearLoss(LossModel):
+    kind = "linear"
+    needs = ("mu",)
+    constant_gradient = True
+
+    @classmethod
+    def build(cls, mu: Sequence[float]) -> LinearLoss:
+        """L(p) = mu . p with gradient mu; minimized at a cheapest vertex."""
+        m = _as_floats(mu, "mu")
+        bound = max(abs(v) for v in m)
+        return cls(params=m, sup_loss=bound, sup_grad=bound)
+
+    def value(self, p):
+        return sum(c * x for c, x in zip(self.gradient(self.params, p), p))
+
+    def gradient(self, params, p):
+        return [float(v) for v in params]
+
+    def minimizer(self):
+        return _vertex_info(self.gradient(self.params, ()))
+
+
+@dataclass(frozen=True, kw_only=True)
+class QuadraticLoss(LossModel):
+    kind = "quadratic"
+    needs = ("theta",)
+
+    @classmethod
+    def build(cls, theta: Sequence[float]) -> QuadraticLoss:
+        """L(p) = 0.5 * ||p - theta||^2 with theta on the simplex; gradient p - theta."""
+        th = _as_floats(theta, "theta")
+        for i, v in enumerate(th):
+            if v < 0.0:
+                raise ValueError(f"theta coordinate {i} is negative: {v}")
+        if abs(sum(th) - 1.0) > SIMPLEX_SUM_TOL:
+            raise ValueError(f"theta must lie on the simplex, sums to {sum(th)}")
+        # max of the convex loss over the simplex is attained at a vertex
+        sup_loss = 0.5 * max(
+            sum(((1.0 if i == j else 0.0) - th[i]) ** 2 for i in range(len(th)))
+            for j in range(len(th))
+        )
+        sup_grad = max(max(v, 1.0 - v) for v in th)
+        return cls(
+            params=th,
+            strong_convexity=1.0,
+            smoothness_C=1.0,
+            sup_loss=sup_loss,
+            sup_grad=sup_grad,
+        )
+
+    def value(self, p):
+        return 0.5 * sum((x - th) ** 2 for x, th in zip(p, self.params))
+
+    def gradient(self, params, p):
+        return [x - th for x, th in zip(p, params)]
+
+    def minimizer(self):
+        th = self.params
+        # the gradient vanishes at p* = theta, so even when theta is a
+        # vertex the per-coordinate gaps are all zero and gap-based
+        # quantities stay undefined
+        is_vertex = any(abs(v - 1.0) <= 1e-12 for v in th)
+        gaps = tuple(0.0 for _ in th) if is_vertex else None
+        return MinimizerInfo(
+            p_star=th, loss_star=0.0, eta=min(th), unique=True, gaps=gaps
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExpDesignLoss(LossModel):
+    kind = "exp_design"
+    needs = ("sigma2",)
+    options = ("centers", "interior_floor")
+    smooth_on_simplex = False
+    variance_feedback = True
+
+    centers: tuple[float, ...]
+    interior_floor: tuple[float, ...] | None = None
+
+    @classmethod
+    def build(
+        cls,
+        sigma2: Sequence[float],
+        centers: Sequence[float] | None = None,
+        interior_floor: Sequence[float] | None = None,
+    ) -> ExpDesignLoss:
+        """L(p) = sum_i sigma2_i / p_i, the A-optimal style allocation loss.
+
+        `centers` are the known observation means used when feedback
+        estimates sigma2_i from squared centered draws (0 by default).
+        Curvature and sup norms are finite only over an interior floor box.
+        """
+        s2 = _as_floats(sigma2, "sigma2")
+        for i, v in enumerate(s2):
+            if v <= 0.0:
+                raise ValueError(f"sigma2 coordinate {i} must be positive, got {v}")
+        k = len(s2)
+        if centers is None:
+            cen = tuple(0.0 for _ in s2)
+        else:
+            cen = tuple(float(v) for v in centers)
+            if len(cen) != k:
+                raise ValueError(f"centers needs {k} coordinates, got {len(cen)}")
+        floor = _check_floor(interior_floor, k) if interior_floor is not None else None
+        model = cls(params=s2, centers=cen, interior_floor=floor, strong_convexity=2.0 * min(s2))
+        if floor is None:
+            return replace(model, smoothness_C=math.inf, sup_loss=math.inf, sup_grad=math.inf)
+        return replace(
+            model,
+            smoothness_C=model.smoothness_over(floor),
+            sup_loss=sum(v / f for v, f in zip(s2, floor)),
+            sup_grad=max(v / f**2 for v, f in zip(s2, floor)),
+        )
+
+    def value(self, p):
+        _require_interior(p, self.kind)
+        return sum(s / x for s, x in zip(self.params, p))
+
+    def gradient(self, params, p):
+        _require_interior(p, self.kind)
+        return [-s / (x * x) for s, x in zip(params, p)]
+
+    def sensitivity(self, p):
+        return [1.0 / (x * x) for x in p]
+
+    def minimizer(self):
+        sig = [math.sqrt(v) for v in self.params]
+        total = sum(sig)
+        p = tuple(s / total for s in sig)
+        return MinimizerInfo(p_star=p, loss_star=total * total, eta=min(p), unique=True)
+
+    def smoothness_over(self, floor):
+        return max(2.0 * s / f**3 for s, f in zip(self.params, floor))
+
+
+@dataclass(frozen=True, kw_only=True)
+class CobbDouglasLoss(LossModel):
+    kind = "cobb_douglas"
+    needs = ("beta",)
+    options = ("interior_floor",)
+    smooth_on_simplex = False
+
+    interior_floor: tuple[float, ...] | None = None
+
+    @classmethod
+    def build(
+        cls, beta: Sequence[float], interior_floor: Sequence[float] | None = None
+    ) -> CobbDouglasLoss:
+        """L(p) = -sum_i beta_i * log(p_i) with beta in (0, 1)^K."""
+        b = _as_floats(beta, "beta")
+        for i, v in enumerate(b):
+            if not 0.0 < v < 1.0:
+                raise ValueError(f"beta coordinate {i} must be in (0, 1), got {v}")
+        floor = _check_floor(interior_floor, len(b)) if interior_floor is not None else None
+        model = cls(params=b, interior_floor=floor, strong_convexity=min(b))
+        if floor is None:
+            return replace(model, smoothness_C=math.inf, sup_loss=math.inf, sup_grad=math.inf)
+        return replace(
+            model,
+            smoothness_C=model.smoothness_over(floor),
+            sup_loss=-sum(v * math.log(f) for v, f in zip(b, floor)),
+            sup_grad=max(v / f for v, f in zip(b, floor)),
+        )
+
+    def value(self, p):
+        _require_interior(p, self.kind)
+        return -sum(b * math.log(x) for b, x in zip(self.params, p))
+
+    def gradient(self, params, p):
+        _require_interior(p, self.kind)
+        return [-b / x for b, x in zip(params, p)]
+
+    def sensitivity(self, p):
+        return [1.0 / x for x in p]
+
+    def minimizer(self):
+        b = self.params
+        total = sum(b)
+        p = tuple(v / total for v in b)
+        loss = -sum(v * math.log(x) for v, x in zip(b, p))
+        return MinimizerInfo(p_star=p, loss_star=loss, eta=min(p), unique=True)
+
+    def smoothness_over(self, floor):
+        return max(b / f**2 for b, f in zip(self.params, floor))
+
+
+@dataclass(frozen=True, kw_only=True)
+class MarkowitzLoss(LossModel):
+    """`qp_solution` is the minimizer `(p, loss)` that `build` solves for
+    `sup_loss`; `minimizer` reads it instead of solving the same program
+    again."""
+
+    kind = "markowitz"
+    needs = ("mu", "covariance", "risk_weight")
+
+    covariance: tuple[tuple[float, ...], ...]
+    risk_weight: float
+    qp_solution: tuple[tuple[float, ...], float] = field(compare=False, repr=False)
+
+    @classmethod
+    def build(
+        cls, covariance: Sequence[Sequence[float]], risk_weight: float, mu: Sequence[float]
+    ) -> MarkowitzLoss:
+        """L(p) = p' Sigma p - lambda * mu . p (variance-penalized mean return)."""
+        m = _as_floats(mu, "mu")
+        k = len(m)
+        sig = np.asarray(covariance, dtype=float)
+        if sig.shape != (k, k):
+            raise ValueError(f"covariance must be {k}x{k}, got {sig.shape}")
+        if k > MARKOWITZ_MAX_ACTIONS:
+            raise ValueError(
+                f"covariance is {k}x{k}, above the limit of {MARKOWITZ_MAX_ACTIONS} actions "
+                "of the exact minimizer, which enumerates 2^K supports"
+            )
+        if not np.allclose(sig, sig.T, atol=1e-10):
+            raise ValueError("covariance must be symmetric")
+        eigs = np.linalg.eigvalsh(sig)
+        if eigs[0] < -1e-10:
+            raise ValueError(f"covariance must be positive semidefinite, min eigenvalue {eigs[0]}")
+        lam = float(risk_weight)
+        if lam < 0.0:
+            raise ValueError(f"risk weight must be nonnegative, got {lam}")
+        # both the loss and each gradient coordinate are convex in p, so sup
+        # norms over the simplex are attained at vertices
+        vertex_losses = [sig[j, j] - lam * m[j] for j in range(k)]
+        grad_at_vertex = [max(abs(2.0 * sig[i, j] - lam * m[i]) for j in range(k)) for i in range(k)]
+        p_star, loss_star = _simplex_qp(sig, lam, np.asarray(m))
+        sup_loss = max(max(abs(v) for v in vertex_losses), abs(loss_star))
+        return cls(
+            params=m,
+            covariance=tuple(tuple(float(x) for x in row) for row in sig),
+            risk_weight=lam,
+            strong_convexity=2.0 * max(float(eigs[0]), 0.0),
+            smoothness_C=2.0 * float(eigs[-1]),
+            sup_loss=float(sup_loss),
+            sup_grad=float(max(grad_at_vertex)),
+            qp_solution=(tuple(float(v) for v in p_star), loss_star),
+        )
+
+    def value(self, p):
+        sig = self.covariance
         quad = sum(x * sum(row[j] * p[j] for j in range(len(p))) for x, row in zip(p, sig))
-        return quad - model.risk_weight * sum(m * x for m, x in zip(model.params, p))
-    if kind == SEPARABLE:
-        return sum(t(m) * x for t, m, x in zip(model.tables, model.params, p))
-    raise ValueError(f"unknown loss kind {kind!r}")
+        return quad - self.risk_weight * sum(m * x for m, x in zip(self.params, p))
+
+    def gradient(self, params, p):
+        sig = self.covariance
+        lam = self.risk_weight
+        k = len(p)
+        return [2.0 * sum(sig[i][j] * p[j] for j in range(k)) - lam * params[i] for i in range(k)]
+
+    def sensitivity(self, p):
+        lam = self.risk_weight
+        if lam == 1.0:
+            return None
+        return [lam] * len(p)
+
+    def minimizer(self):
+        sig = np.asarray(self.covariance)
+        p_star, loss = self.qp_solution
+        p = np.asarray(p_star)
+        eigs = np.linalg.eigvalsh(sig)
+        info = MinimizerInfo(
+            p_star=p_star, loss_star=loss, eta=float(p.min()), unique=bool(eigs[0] > 1e-12)
+        )
+        if any(abs(v - 1.0) <= 1e-10 for v in p):
+            # gaps of the gradient at the vertex, as for a constant-gradient loss
+            grad = 2.0 * sig @ p - self.risk_weight * np.asarray(self.params)
+            vertex = _vertex_info(grad.tolist())
+            info = replace(info, gaps=vertex.gaps, gap_min=vertex.gap_min)
+        return info
+
+
+@dataclass(frozen=True, kw_only=True)
+class SeparableLoss(LinearLoss):
+    """A linear loss whose costs are tabulated functions f_i(mu_i)."""
+
+    kind = "separable"
+    needs = ("mu", "tables")
+
+    tables: tuple[PiecewiseLinear, ...]
+
+    @classmethod
+    def build(cls, mu: Sequence[float], tables: Sequence) -> SeparableLoss:
+        """L(p) = sum_i f_i(mu_i) * p_i with tabulated monotone f_i.
+
+        Each table is a PiecewiseLinear or a raw (xs, ys) pair.
+        """
+        m = _as_floats(mu, "mu")
+        tabs = tuple(
+            t if isinstance(t, PiecewiseLinear) else PiecewiseLinear(tuple(t[0]), tuple(t[1]))
+            for t in tables
+        )
+        if len(tabs) != len(m):
+            raise ValueError(f"need one table per coordinate: {len(tabs)} vs {len(m)}")
+        bound = max(abs(t(v)) for t, v in zip(tabs, m))
+        return cls(params=m, tables=tabs, sup_loss=bound, sup_grad=bound)
+
+    def gradient(self, params, p):
+        return [t(m) for t, m in zip(self.tables, params)]
+
+    def sensitivity(self, p):
+        return [t.lipschitz() for t in self.tables]
+
+
+FAMILIES: dict[str, type[LossModel]] = {
+    cls.kind: cls
+    for cls in (LinearLoss, QuadraticLoss, ExpDesignLoss, CobbDouglasLoss, MarkowitzLoss, SeparableLoss)
+}
+
+
+linear_loss = LinearLoss.build
+quadratic_loss = QuadraticLoss.build
+exp_design_loss = ExpDesignLoss.build
+cobb_douglas_loss = CobbDouglasLoss.build
+markowitz_loss = MarkowitzLoss.build
+separable_loss = SeparableLoss.build
+
+
+def loss_value(model: LossModel, p: Sequence[float]) -> float:
+    return model.value(p)
 
 
 def gradient_from_params(
     model: LossModel, params: Sequence[float], p: Sequence[float]
 ) -> list[float]:
-    """Gradient formula of the family evaluated with plugged-in `params`."""
-    kind = model.kind
-    if kind == LINEAR:
-        return [float(v) for v in params]
-    if kind == QUADRATIC:
-        return [x - th for x, th in zip(p, params)]
-    if kind == EXP_DESIGN:
-        _require_interior(p, kind)
-        return [-s / (x * x) for s, x in zip(params, p)]
-    if kind == COBB_DOUGLAS:
-        _require_interior(p, kind)
-        return [-b / x for b, x in zip(params, p)]
-    if kind == MARKOWITZ:
-        sig = model.covariance
-        lam = model.risk_weight
-        k = len(p)
-        return [2.0 * sum(sig[i][j] * p[j] for j in range(k)) - lam * params[i] for i in range(k)]
-    if kind == SEPARABLE:
-        return [t(m) for t, m in zip(model.tables, params)]
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return model.gradient(params, p)
 
 
 def loss_gradient(model: LossModel, p: Sequence[float]) -> list[float]:
-    return gradient_from_params(model, model.params, p)
+    return model.gradient(model.params, p)
 
 
 def sensitivity(model: LossModel, p: Sequence[float]) -> list[float] | None:
-    """Per-coordinate factor turning a parameter deviation into a gradient deviation.
-
-    Returns None when every factor is 1 (mean-parameter families).
-    """
-    kind = model.kind
-    if kind in (LINEAR, QUADRATIC):
-        return None
-    if kind == MARKOWITZ:
-        lam = model.risk_weight
-        if lam == 1.0:
-            return None
-        return [lam] * len(p)
-    if kind == EXP_DESIGN:
-        return [1.0 / (x * x) for x in p]
-    if kind == COBB_DOUGLAS:
-        return [1.0 / x for x in p]
-    if kind == SEPARABLE:
-        return [t.lipschitz() for t in model.tables]
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return model.sensitivity(p)
 
 
-@dataclass(frozen=True)
-class MinimizerInfo:
-    """Minimizer of a loss over the simplex and bound-relevant derived values.
-
-    `eta` is the smallest coordinate of the reported minimizer.  `gaps` are
-    the per-coordinate gradient gaps at a vertex minimizer (None when the
-    minimizer is not a vertex); `gap_min` is the smallest positive gap and
-    `rho` the gap-based degradation factor 1 + C*K/gap_min.
-    """
-
-    p_star: tuple[float, ...]
-    loss_star: float
-    eta: float
-    unique: bool
-    gaps: tuple[float, ...] | None = None
-    gap_min: float | None = None
-    rho: float | None = None
+def minimizer(model: LossModel) -> MinimizerInfo:
+    return model.minimizer()
 
 
-def _vertex_info(model: LossModel, costs: Sequence[float]) -> MinimizerInfo:
-    k = len(costs)
-    low = min(costs)
-    winners = [i for i, c in enumerate(costs) if c <= low + 1e-12]
-    star = winners[0]
-    p = tuple(1.0 if i == star else 0.0 for i in range(k))
-    gaps = tuple(c - low for c in costs)
-    positive = [g for i, g in enumerate(gaps) if i != star and g > 1e-12]
-    gap_min = min(positive) if len(positive) == k - 1 else None
-    rho = None
-    if gap_min is not None:
-        rho = 1.0 + model.smoothness_C * k / gap_min
-    return MinimizerInfo(
-        p_star=p,
-        loss_star=low,
-        eta=0.0,
-        unique=len(winners) == 1,
-        gaps=gaps,
-        gap_min=gap_min,
-        rho=rho,
-    )
+def interior_smoothness(model: LossModel, lower_bounds: Sequence[float]) -> float:
+    """Curvature constant restricted to the box {p : p_i >= lower_bounds_i}."""
+    return model.smoothness_over(_check_floor(lower_bounds, model.num_actions))
 
 
 # Extra tolerance of the batched screen in `_simplex_qp`, relative to the
@@ -507,73 +636,6 @@ def _simplex_qp(sig: np.ndarray, lam: float, mu: np.ndarray) -> tuple[np.ndarray
     if best_p is None:
         raise RuntimeError("active-set enumeration found no KKT point")
     return best_p, best_loss
-
-
-def minimizer(model: LossModel) -> MinimizerInfo:
-    kind = model.kind
-    if kind == LINEAR:
-        return _vertex_info(model, model.params)
-    if kind == SEPARABLE:
-        costs = [t(m) for t, m in zip(model.tables, model.params)]
-        return _vertex_info(model, costs)
-    if kind == QUADRATIC:
-        th = model.params
-        # the gradient vanishes at p* = theta, so even when theta is a
-        # vertex the per-coordinate gaps are all zero and gap-based
-        # quantities stay undefined
-        is_vertex = any(abs(v - 1.0) <= 1e-12 for v in th)
-        gaps = tuple(0.0 for _ in th) if is_vertex else None
-        return MinimizerInfo(
-            p_star=th, loss_star=0.0, eta=min(th), unique=True, gaps=gaps
-        )
-    if kind == EXP_DESIGN:
-        sig = [math.sqrt(v) for v in model.params]
-        total = sum(sig)
-        p = tuple(s / total for s in sig)
-        return MinimizerInfo(p_star=p, loss_star=total * total, eta=min(p), unique=True)
-    if kind == COBB_DOUGLAS:
-        b = model.params
-        total = sum(b)
-        p = tuple(v / total for v in b)
-        loss = -sum(v * math.log(x) for v, x in zip(b, p))
-        return MinimizerInfo(p_star=p, loss_star=loss, eta=min(p), unique=True)
-    if kind == MARKOWITZ:
-        sig = np.asarray(model.covariance)
-        mu = np.asarray(model.params)
-        p_star, loss = model.qp_solution
-        p = np.asarray(p_star)
-        eigs = np.linalg.eigvalsh(sig)
-        unique = bool(eigs[0] > 1e-12)
-        info = MinimizerInfo(
-            p_star=tuple(float(v) for v in p),
-            loss_star=loss,
-            eta=float(p.min()),
-            unique=unique,
-        )
-        vertex = [i for i, v in enumerate(p) if abs(v - 1.0) <= 1e-10]
-        if vertex:
-            grad = 2.0 * sig @ p - model.risk_weight * mu
-            star = vertex[0]
-            gaps = tuple(float(g - grad[star]) for g in grad)
-            positive = [g for i, g in enumerate(gaps) if i != star and g > 1e-12]
-            gap_min = min(positive) if len(positive) == len(gaps) - 1 else None
-            rho = None if gap_min is None else 1.0 + model.smoothness_C * len(gaps) / gap_min
-            info = MinimizerInfo(
-                p_star=info.p_star, loss_star=loss, eta=info.eta, unique=unique,
-                gaps=gaps, gap_min=gap_min, rho=rho,
-            )
-        return info
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def interior_smoothness(model: LossModel, lower_bounds: Sequence[float]) -> float:
-    """Curvature constant restricted to the box {p : p_i >= lower_bounds_i}."""
-    floor = _check_floor(lower_bounds, model.num_actions)
-    if model.kind == EXP_DESIGN:
-        return max(2.0 * s / f**3 for s, f in zip(model.params, floor))
-    if model.kind == COBB_DOUGLAS:
-        return max(b / f**2 for b, f in zip(model.params, floor))
-    return model.smoothness_C
 
 
 def hard_quadratic_family(

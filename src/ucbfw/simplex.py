@@ -61,16 +61,6 @@ class OccupationState:
         return f"OccupationState(t={self.t}, counts={self.counts})"
 
 
-def apply_action(state: OccupationState, action: int) -> OccupationState:
-    """Record one pull of `action`; increments t and counts[action] in place."""
-    return state.apply(action)
-
-
-def occupation_vector(state: OccupationState) -> list[float]:
-    """Current proportion vector p_t.  Exact up to one rounding per coordinate."""
-    return state.proportions()
-
-
 def float_recurrence(actions: Iterable[int], num_actions: int) -> list[float]:
     """Fold p_{t+1} = p_t + (e_a - p_t)/(t+1) in floats, starting from p_1 = e_{a_1}.
 

@@ -14,7 +14,6 @@ from ucbfw.feedback import (
     ObservationSampler,
     deviation,
     deviation_radius,
-    draw_observation,
     gradient_estimate,
     route_and_update,
 )
@@ -276,9 +275,9 @@ def test_estimate_coverage_under_prop1_radius():
 def test_deterministic_observations():
     model = ObservationModel(kind="deterministic", means=(0.7, 0.1))
     sampler = ObservationSampler(model, trial_seed=1)
-    assert draw_observation(sampler, 0) == 0.7
-    assert draw_observation(sampler, 0) == 0.7
-    assert draw_observation(sampler, 1) == 0.1
+    assert sampler.draw(0) == 0.7
+    assert sampler.draw(0) == 0.7
+    assert sampler.draw(1) == 0.1
 
 
 def test_gaussian_streams_are_seed_deterministic():

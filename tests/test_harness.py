@@ -85,6 +85,15 @@ def test_observation_model_follows_action_map():
     assert obs.sds == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("action_map", [(-1, 0), (5, 0)])
+def test_run_trial_rejects_out_of_range_action_map(action_map):
+    cfg = linear_config(
+        policy=PolicyConfig(kind="uniform"), feedback=FeedbackConfig(action_map=action_map)
+    )
+    with pytest.raises(ValueError, match="map entries"):
+        run_trial(cfg, seed=1)
+
+
 def test_exp_design_observation_model_uses_model_variances():
     model = build_model(ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)))
     obs = build_observation_model(FeedbackConfig(observation="gaussian"), model)
@@ -135,7 +144,7 @@ def test_experiment_validation():
 
 
 # One valid instance per loss family, with the fields its model requires.
-FAMILIES = {
+FAMILY_CONFIGS = {
     "linear": (ModelConfig(kind="linear", mu=(0.0, 0.5)), ("mu",)),
     "quadratic": (ModelConfig(kind="quadratic", theta=(0.3, 0.7)), ("theta",)),
     "exp_design": (ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)), ("sigma2",)),
@@ -153,9 +162,9 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", sorted(FAMILY_CONFIGS))
 def test_per_family_answers(kind):
-    cfg, required = FAMILIES[kind]
+    cfg, required = FAMILY_CONFIGS[kind]
     for name in required:
         with pytest.raises(ValueError, match=f"{kind} model needs .*{name}"):
             build_model(dataclasses.replace(cfg, **{name: None}))

@@ -177,7 +177,6 @@ def test_quadratic_minimizer_at_vertex_has_zero_gaps():
     info = minimizer(quadratic_loss((1.0, 0.0)))
     assert info.gaps == (0.0, 0.0)
     assert info.gap_min is None
-    assert info.rho is None
 
 
 def test_minimizer_beats_random_points_and_is_stationary():

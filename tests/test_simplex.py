@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 from ucbfw.simplex import (
     OccupationState,
-    apply_action,
     check_simplex,
     float_recurrence,
-    occupation_vector,
 )
 
 
@@ -28,10 +26,10 @@ def test_apply_increments_count_and_round():
 
 def test_apply_leaves_other_counts_untouched():
     occ = make_state((3, 1))
-    apply_action(occ, 0)
+    occ.apply(0)
     assert occ.counts == [4, 1]
     assert occ.t == 5
-    assert occupation_vector(occ) == [0.8, 0.2]
+    assert occ.proportions() == [0.8, 0.2]
 
 
 def test_update_matches_incremental_recurrence():
