@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import mul
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -43,6 +45,8 @@ class PiecewiseLinear:
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise ValueError("piecewise-linear table needs matching xs/ys with >= 2 points")
+        object.__setattr__(self, "xs", _as_floats(self.xs, "piecewise-linear xs"))
+        object.__setattr__(self, "ys", _as_floats(self.ys, "piecewise-linear ys"))
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise ValueError("piecewise-linear xs must be strictly increasing")
         diffs = [b - a for a, b in zip(self.ys, self.ys[1:])]
@@ -50,7 +54,30 @@ class PiecewiseLinear:
             raise ValueError("piecewise-linear ys must be monotone")
 
     def __call__(self, x: float) -> float:
-        return float(np.interp(x, self.xs, self.ys))
+        # numpy's scalar `interp`, step for step, so the result is the same
+        # float `np.interp` gives; pure Python costs far less per call
+        x = float(x)
+        if x != x:
+            return x
+        xs, ys = self.xs, self.ys
+        j = bisect_right(xs, x) - 1
+        if j < 0:
+            return ys[0]
+        if j >= len(xs) - 1:
+            return ys[-1]
+        x0, y0 = xs[j], ys[j]
+        if x == x0:
+            return y0
+        x1, y1 = xs[j + 1], ys[j + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        y = slope * (x - x0) + y0
+        if y != y:
+            # numpy's fallbacks: interpolate from the right end, then take
+            # the flat segment's value
+            y = slope * (x - x1) + y1
+            if y != y and y0 == y1:
+                y = y0
+        return y
 
     def lipschitz(self) -> float:
         return max(
@@ -138,6 +165,10 @@ class LossModel:
         """Gradient formula of the family evaluated with plugged-in `params`."""
         raise NotImplementedError
 
+    def true_gradient(self, p: Sequence[float]) -> list[float]:
+        """The gradient at p with the true parameters, as a fresh list."""
+        return self.gradient(self.params, p)
+
     def sensitivity(self, p: Sequence[float]) -> list[float] | None:
         """Per-coordinate factor turning a parameter deviation into a gradient deviation.
 
@@ -182,9 +213,17 @@ def _require_interior(p: Sequence[float], kind: str) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class LinearLoss(LossModel):
+    """`costs` is the true gradient, which does not depend on p, computed
+    once per model."""
+
     kind = "linear"
     needs = ("mu",)
     constant_gradient = True
+
+    costs: tuple[float, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "costs", tuple(self.gradient(self.params, ())))
 
     @classmethod
     def build(cls, mu: Sequence[float]) -> LinearLoss:
@@ -194,13 +233,16 @@ class LinearLoss(LossModel):
         return cls(params=m, sup_loss=bound, sup_grad=bound)
 
     def value(self, p):
-        return sum(c * x for c, x in zip(self.gradient(self.params, p), p))
+        return sum(c * x for c, x in zip(self.costs, p))
 
     def gradient(self, params, p):
         return [float(v) for v in params]
 
+    def true_gradient(self, p):
+        return list(self.costs)
+
     def minimizer(self):
-        return _vertex_info(self.gradient(self.params, ()))
+        return _vertex_info(self.costs)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -420,16 +462,15 @@ class MarkowitzLoss(LossModel):
             qp_solution=(tuple(float(v) for v in p_star), loss_star),
         )
 
+    # Row products are summed left to right by `sum(map(mul, row, p))`; a
+    # numpy matvec would sum them in another order and change the floats.
     def value(self, p):
-        sig = self.covariance
-        quad = sum(x * sum(row[j] * p[j] for j in range(len(p))) for x, row in zip(p, sig))
-        return quad - self.risk_weight * sum(m * x for m, x in zip(self.params, p))
+        quad = sum(x * sum(map(mul, row, p)) for x, row in zip(p, self.covariance))
+        return quad - self.risk_weight * sum(map(mul, self.params, p))
 
     def gradient(self, params, p):
-        sig = self.covariance
         lam = self.risk_weight
-        k = len(p)
-        return [2.0 * sum(sig[i][j] * p[j] for j in range(k)) - lam * params[i] for i in range(k)]
+        return [2.0 * sum(map(mul, row, p)) - lam * m for row, m in zip(self.covariance, params)]
 
     def sensitivity(self, p):
         lam = self.risk_weight
@@ -455,12 +496,21 @@ class MarkowitzLoss(LossModel):
 
 @dataclass(frozen=True, kw_only=True)
 class SeparableLoss(LinearLoss):
-    """A linear loss whose costs are tabulated functions f_i(mu_i)."""
+    """A linear loss whose costs are tabulated functions f_i(mu_i).
+
+    `lipschitz` holds each table's Lipschitz constant, computed once per
+    model; they are the sensitivity factors at every p.
+    """
 
     kind = "separable"
     needs = ("mu", "tables")
 
     tables: tuple[PiecewiseLinear, ...]
+    lipschitz: tuple[float, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "lipschitz", tuple(t.lipschitz() for t in self.tables))
 
     @classmethod
     def build(cls, mu: Sequence[float], tables: Sequence) -> SeparableLoss:
@@ -469,10 +519,15 @@ class SeparableLoss(LinearLoss):
         Each table is a PiecewiseLinear or a raw (xs, ys) pair.
         """
         m = _as_floats(mu, "mu")
-        tabs = tuple(
-            t if isinstance(t, PiecewiseLinear) else PiecewiseLinear(tuple(t[0]), tuple(t[1]))
-            for t in tables
-        )
+        tabs = []
+        for i, t in enumerate(tables):
+            if not isinstance(t, PiecewiseLinear):
+                try:
+                    t = PiecewiseLinear(tuple(t[0]), tuple(t[1]))
+                except ValueError as exc:
+                    raise ValueError(f"table {i}: {exc}") from None
+            tabs.append(t)
+        tabs = tuple(tabs)
         if len(tabs) != len(m):
             raise ValueError(f"need one table per coordinate: {len(tabs)} vs {len(m)}")
         bound = max(abs(t(v)) for t, v in zip(tabs, m))
@@ -482,7 +537,7 @@ class SeparableLoss(LinearLoss):
         return [t(m) for t, m in zip(self.tables, params)]
 
     def sensitivity(self, p):
-        return [t.lipschitz() for t in self.tables]
+        return list(self.lipschitz)
 
 
 FAMILIES: dict[str, type[LossModel]] = {
@@ -510,7 +565,7 @@ def gradient_from_params(
 
 
 def loss_gradient(model: LossModel, p: Sequence[float]) -> list[float]:
-    return model.gradient(model.params, p)
+    return model.true_gradient(p)
 
 
 def sensitivity(model: LossModel, p: Sequence[float]) -> list[float] | None:
@@ -533,6 +588,11 @@ def interior_smoothness(model: LossModel, lower_bounds: Sequence[float]) -> floa
 _SCREEN_SLACK = 1e-7
 # Supports per batched solve; bounds the screen's memory at a few MB.
 _SCREEN_BATCH = 256
+# A singular value within this band around lstsq's cutoff (relative to
+# it) might be cut on one side by lstsq and on the other by the screen's
+# SVD; rows holding one are left to the exact code.
+_CUTOFF_BAND_LOW = 0.1
+_CUTOFF_BAND_HIGH = 1e6
 
 
 def _support_candidate(
@@ -567,28 +627,75 @@ def _support_candidate(
     return p, float(p @ sig @ p - lam * mu @ p)
 
 
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a batch holding singular systems the way `_support_candidate` does.
+
+    Returns the solutions (one per row), the rows whose least-squares
+    residual fails `_support_candidate`'s test by more than the screen's
+    slack, and the rows the screen cannot judge.  Each row is first given to
+    `np.linalg.solve` on its own, which returns what the exact code's solve
+    returns.  A row that solve refuses is exactly singular; the exact code
+    takes its least-squares solution, which is the pseudo-inverse solution
+    with lstsq's cutoff, here computed for all such rows in one batched
+    SVD.  A row with a singular value near that cutoff may be cut
+    differently by lstsq, and a row whose SVD fails (non-finite input)
+    cannot be solved here; both are left to the exact code.
+    """
+    n, size = b.shape
+    x = np.zeros((n, size))
+    singular = []
+    for i in range(n):
+        try:
+            x[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            singular.append(i)
+    residual_bad = np.zeros(n, dtype=bool)
+    undecided = np.zeros(n, dtype=bool)
+    if not singular:
+        return x, residual_bad, undecided
+    a_s, b_s = a[singular], b[singular]
+    try:
+        u, sv, vt = np.linalg.svd(a_s)
+    except np.linalg.LinAlgError:
+        undecided[singular] = True
+        return x, residual_bad, undecided
+    cutoff = size * np.finfo(float).eps * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+    x_s = np.einsum("nji,nj->ni", vt, inv * np.einsum("nij,ni->nj", u, b_s))
+    x[singular] = x_s
+    near = (sv > cutoff * _CUTOFF_BAND_LOW) & (sv <= cutoff * _CUTOFF_BAND_HIGH)
+    undecided[singular] = near.any(axis=1)
+    resid = np.abs(np.einsum("nij,nj->ni", a_s, x_s) - b_s)
+    tol = 1e-9 + 1e-5 * np.abs(b_s)
+    res_slack = _SCREEN_SLACK * (1.0 + np.abs(a_s).max(axis=(1, 2)) * np.abs(x_s).max(axis=1))
+    residual_bad[singular] = (resid > tol + res_slack[:, None]).any(axis=1)
+    return x, residual_bad, undecided
+
+
 def _screen(sig: np.ndarray, lam: float, mu: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """Which supports of one size may pass `_support_candidate`'s checks.
 
     `supports` holds one support per row as ascending indices.  All of them
     are solved in one batched call and given the feasibility and KKT tests
     with `_SCREEN_SLACK` added to each tolerance; a support is dropped only
-    when a test fails by more than that.  A batch holding a singular system
-    keeps every row, so the exact code's least-squares branch still sees
-    them.
+    when a test fails by more than that.  When the batch holds a singular
+    system, `_solve_rows` solves it row by row as the exact code would, and
+    the exactly singular rows also get the exact code's residual test.
     """
     n, m = supports.shape
     a = np.zeros((n, m + 1, m + 1))
     a[:, :m, :m] = 2.0 * sig[supports[:, :, None], supports[:, None, :]]
     a[:, :m, m] = 1.0
     a[:, m, :m] = 1.0
-    b = np.zeros((n, m + 1, 1))
-    b[:, :m, 0] = lam * mu[supports]
-    b[:, m, 0] = 1.0
+    b = np.zeros((n, m + 1))
+    b[:, :m] = lam * mu[supports]
+    b[:, m] = 1.0
+    residual_bad = undecided = np.zeros(n, dtype=bool)
     try:
-        p_sub = np.linalg.solve(a, b)[:, :m, 0]
+        x = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return np.ones(n, dtype=bool)
+        x, residual_bad, undecided = _solve_rows(a, b)
+    p_sub = x[:, :m]
     rows = np.arange(n)[:, None]
     slack = _SCREEN_SLACK * (1.0 + 2.0 * np.abs(sig).max() + np.abs(lam * mu).max())
     p = np.zeros((n, len(mu)))
@@ -600,8 +707,12 @@ def _screen(sig: np.ndarray, lam: float, mu: np.ndarray, supports: np.ndarray) -
         kkt = grad + nu[:, None]
     kkt[rows, supports] = 0.0
     # comparisons with NaN are false, so rows that are not finite survive
-    rejected = (p_sub < -1e-10 - slack).any(axis=1) | (kkt < -1e-8 - slack).any(axis=1)
-    return ~rejected
+    rejected = (
+        residual_bad
+        | (p_sub < -1e-10 - slack).any(axis=1)
+        | (kkt < -1e-8 - slack).any(axis=1)
+    )
+    return ~rejected | undecided
 
 
 def _simplex_qp(sig: np.ndarray, lam: float, mu: np.ndarray) -> tuple[np.ndarray, float]:

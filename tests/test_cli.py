@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import pickle
 import re
 import textwrap
@@ -388,6 +389,32 @@ def test_run_command_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+SEPARABLE_MODEL = {
+    "kind": "separable",
+    "mu": [0.2, 0.8],
+    "tables": [
+        {"xs": [0.0, 0.5, 1.0], "ys": [0.0, 1.0, 2.0]},
+        {"xs": [0.0, 1.0], "ys": [1.0, 1.5]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "table, field, value, message",
+    [
+        (0, "xs", [0.0, math.nan, 1.0], "model: table 0: piecewise-linear xs has a non-finite entry"),
+        (1, "ys", [1.0, math.inf], "model: table 1: piecewise-linear ys has a non-finite entry"),
+    ],
+    ids=["nan-in-xs", "inf-in-ys"],
+)
+def test_run_command_rejects_non_finite_table(tmp_path, capsys, table, field, value, message):
+    model = json.loads(json.dumps(SEPARABLE_MODEL))
+    model["tables"][table][field] = value
+    path = write_config(tmp_path, {**BASIC, "model": model})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_rates_command_prints_slope(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -277,6 +278,12 @@ def _qp_instances():
     a = rng.normal(size=(k, k))
     cov = np.eye(k) + 0.2 * (a @ a.T) / k
     yield "interior K=12", (cov + cov.T) / 2.0, 1.0, rng.uniform(0.4, 0.6, size=k)
+    # singular batches at the largest sizes the sweep can afford
+    for k in (11, 12):
+        b = rng.normal(size=(k, 2))
+        mu = rng.uniform(0.4, 0.6, size=k)
+        yield f"rank two K={k}", b @ b.T, 1.0, mu
+        yield f"all-zero covariance K={k}", np.zeros((k, k)), 1.0, mu
 
 
 def test_simplex_qp_matches_full_enumeration_bit_for_bit():
@@ -296,6 +303,114 @@ def test_simplex_qp_raises_where_full_enumeration_raises():
             _reference_simplex_qp(sig, 1.0, mu)
         with pytest.raises(RuntimeError, match="no KKT point"):
             losses._simplex_qp(sig, 1.0, mu)
+
+
+def test_screen_keeps_every_support_the_exact_code_accepts():
+    rng = np.random.default_rng(7)
+    cases = 0
+    for k in range(2, 8):
+        for rank in (0, 1, 2):
+            b = rng.normal(size=(k, rank))
+            for mu in (rng.uniform(0.4, 0.6, size=k), np.full(k, 0.5)):
+                for lam in (0.0, 1.0):
+                    sig = b @ b.T
+                    for m in range(1, k + 1):
+                        supports = np.array(list(itertools.combinations(range(k), m)))
+                        kept = losses._screen(sig, lam, mu, supports)
+                        for support, keep in zip(supports, kept):
+                            found = losses._support_candidate(sig, lam, mu, list(support))
+                            assert keep or found is None, (k, rank, lam, support)
+                            cases += found is not None
+    assert cases > 0
+
+
+def test_screen_judges_singular_batches(monkeypatch):
+    rng = np.random.default_rng(12)
+    k = 12
+    b = rng.normal(size=(k, 2))
+    sig, mu = b @ b.T, rng.uniform(0.4, 0.6, size=k)
+    calls = []
+    exact = losses._support_candidate
+
+    def counted(*args):
+        calls.append(args[-1])
+        return exact(*args)
+
+    monkeypatch.setattr(losses, "_support_candidate", counted)
+    losses._simplex_qp(sig, 1.0, mu)
+    assert len(calls) <= 0.01 * (2**k - 1)
+
+
+# ---------------------------------------------------------------- step formulas
+
+
+def _reference_markowitz_gradient(model, params, p):
+    """The index-loop gradient that `MarkowitzLoss.gradient` must match bit for bit."""
+    sig = model.covariance
+    lam = model.risk_weight
+    k = len(p)
+    return [2.0 * sum(sig[i][j] * p[j] for j in range(k)) - lam * params[i] for i in range(k)]
+
+
+def _reference_markowitz_value(model, p):
+    """The index-loop value that `MarkowitzLoss.value` must match bit for bit."""
+    sig = model.covariance
+    quad = sum(x * sum(row[j] * p[j] for j in range(len(p))) for x, row in zip(p, sig))
+    return quad - model.risk_weight * sum(m * x for m, x in zip(model.params, p))
+
+
+def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for k in range(2, 13):
+        a = rng.normal(size=(k, k))
+        model = markowitz_loss(a @ a.T / k, float(rng.uniform(0.0, 2.0)), rng.normal(size=k))
+        points = [rng.dirichlet(np.ones(k)).tolist() for _ in range(20)]
+        points += [[1.0 if i == j else 0.0 for i in range(k)] for j in range(k)]
+        for p in points:
+            params = rng.normal(size=k).tolist()
+            assert model.gradient(params, p) == _reference_markowitz_gradient(model, params, p)
+            assert model.value(p) == _reference_markowitz_value(model, p)
+
+
+def test_piecewise_linear_matches_numpy_interp_bit_for_bit():
+    rng = np.random.default_rng(5)
+    tables = [
+        ((0.0, 0.5, 1.0), (1.0, 0.2, 0.0)),  # decreasing
+        ((0.0, 0.5, 1.0), (0.2, 0.4, 0.6)),  # increasing
+        ((-1.0, 0.0, 1.0, 2.0), (0.5, 0.5, 0.5, 0.5)),  # flat
+        ((-1.0, 0.0, 1.0, 2.0), (0.0, 0.3, 0.3, 0.9)),  # a flat middle segment
+        ((-1e308, 1e308), (-1e308, 1e308)),  # the slope overflows to nan
+        ((0.0, 1e-300), (0.0, 1e10)),  # the slope overflows to inf
+    ]
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        xs = np.sort(rng.uniform(-3.0, 3.0, size=n))
+        ys = np.sort(rng.normal(size=n)) * rng.choice([-1.0, 1.0])
+        tables.append((tuple(xs.tolist()), tuple(ys.tolist())))
+    for xs, ys in tables:
+        f = PiecewiseLinear(xs, ys)
+        inside = rng.uniform(xs[0], xs[-1], size=50).tolist() if xs[-1] - xs[0] < 1e300 else []
+        probes = [*xs, *inside, xs[0] - 1.0, xs[-1] + 1.0, -math.inf, math.inf, -0.0, math.nan]
+        probes += [float(np.nextafter(x, math.inf)) for x in xs]
+        probes += [float(np.nextafter(x, -math.inf)) for x in xs]
+        for x in probes:
+            want = float(np.interp(x, xs, ys))
+            got = f(x)
+            assert type(got) is float
+            assert got == want or (math.isnan(got) and math.isnan(want)), (xs, ys, x)
+
+
+def test_step_results_are_fresh_lists():
+    p = (0.2, 0.3, 0.5)
+    for m in all_models():
+        for call in (loss_gradient, sensitivity):
+            first = call(m, p)
+            if first is None:
+                continue
+            again = call(m, p)
+            assert first == again and first is not again, (m.kind, call.__name__)
+            first[0] = 1e9
+            assert call(m, p) == again, (m.kind, call.__name__)
 
 
 # ---------------------------------------------------------------- constants
@@ -412,6 +527,10 @@ def test_piecewise_linear_eval_and_clamp():
 def test_piecewise_linear_validation():
     with pytest.raises(ValueError, match="increasing"):
         PiecewiseLinear((0.0, 0.0), (1.0, 2.0))
+    with pytest.raises(ValueError, match="xs has a non-finite entry"):
+        PiecewiseLinear((0.0, math.nan, 1.0), (0.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="ys has a non-finite entry"):
+        PiecewiseLinear((0.0, 1.0), (0.0, math.inf))
     with pytest.raises(ValueError, match="monotone"):
         PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 2.0, 1.0))
     with pytest.raises(ValueError, match=">= 2"):
