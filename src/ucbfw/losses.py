@@ -588,11 +588,6 @@ def interior_smoothness(model: LossModel, lower_bounds: Sequence[float]) -> floa
 _SCREEN_SLACK = 1e-7
 # Supports per batched solve; bounds the screen's memory at a few MB.
 _SCREEN_BATCH = 256
-# A singular value within this band around lstsq's cutoff (relative to
-# it) might be cut on one side by lstsq and on the other by the screen's
-# SVD; rows holding one are left to the exact code.
-_CUTOFF_BAND_LOW = 0.1
-_CUTOFF_BAND_HIGH = 1e6
 
 
 def _support_candidate(
@@ -627,75 +622,28 @@ def _support_candidate(
     return p, float(p @ sig @ p - lam * mu @ p)
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve a batch holding singular systems the way `_support_candidate` does.
-
-    Returns the solutions (one per row), the rows whose least-squares
-    residual fails `_support_candidate`'s test by more than the screen's
-    slack, and the rows the screen cannot judge.  Each row is first given to
-    `np.linalg.solve` on its own, which returns what the exact code's solve
-    returns.  A row that solve refuses is exactly singular; the exact code
-    takes its least-squares solution, which is the pseudo-inverse solution
-    with lstsq's cutoff, here computed for all such rows in one batched
-    SVD.  A row with a singular value near that cutoff may be cut
-    differently by lstsq, and a row whose SVD fails (non-finite input)
-    cannot be solved here; both are left to the exact code.
-    """
-    n, size = b.shape
-    x = np.zeros((n, size))
-    singular = []
-    for i in range(n):
-        try:
-            x[i] = np.linalg.solve(a[i], b[i])
-        except np.linalg.LinAlgError:
-            singular.append(i)
-    residual_bad = np.zeros(n, dtype=bool)
-    undecided = np.zeros(n, dtype=bool)
-    if not singular:
-        return x, residual_bad, undecided
-    a_s, b_s = a[singular], b[singular]
-    try:
-        u, sv, vt = np.linalg.svd(a_s)
-    except np.linalg.LinAlgError:
-        undecided[singular] = True
-        return x, residual_bad, undecided
-    cutoff = size * np.finfo(float).eps * sv[:, :1]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
-    x_s = np.einsum("nji,nj->ni", vt, inv * np.einsum("nij,ni->nj", u, b_s))
-    x[singular] = x_s
-    near = (sv > cutoff * _CUTOFF_BAND_LOW) & (sv <= cutoff * _CUTOFF_BAND_HIGH)
-    undecided[singular] = near.any(axis=1)
-    resid = np.abs(np.einsum("nij,nj->ni", a_s, x_s) - b_s)
-    tol = 1e-9 + 1e-5 * np.abs(b_s)
-    res_slack = _SCREEN_SLACK * (1.0 + np.abs(a_s).max(axis=(1, 2)) * np.abs(x_s).max(axis=1))
-    residual_bad[singular] = (resid > tol + res_slack[:, None]).any(axis=1)
-    return x, residual_bad, undecided
-
-
 def _screen(sig: np.ndarray, lam: float, mu: np.ndarray, supports: np.ndarray) -> np.ndarray:
     """Which supports of one size may pass `_support_candidate`'s checks.
 
     `supports` holds one support per row as ascending indices.  All of them
     are solved in one batched call and given the feasibility and KKT tests
     with `_SCREEN_SLACK` added to each tolerance; a support is dropped only
-    when a test fails by more than that.  When the batch holds a singular
-    system, `_solve_rows` solves it row by row as the exact code would, and
-    the exactly singular rows also get the exact code's residual test.
+    when a test fails by more than that.  A batch holding a singular system
+    keeps every row, so the exact code's least-squares branch still sees
+    them.
     """
     n, m = supports.shape
     a = np.zeros((n, m + 1, m + 1))
     a[:, :m, :m] = 2.0 * sig[supports[:, :, None], supports[:, None, :]]
     a[:, :m, m] = 1.0
     a[:, m, :m] = 1.0
-    b = np.zeros((n, m + 1))
-    b[:, :m] = lam * mu[supports]
-    b[:, m] = 1.0
-    residual_bad = undecided = np.zeros(n, dtype=bool)
+    b = np.zeros((n, m + 1, 1))
+    b[:, :m, 0] = lam * mu[supports]
+    b[:, m, 0] = 1.0
     try:
-        x = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        p_sub = np.linalg.solve(a, b)[:, :m, 0]
     except np.linalg.LinAlgError:
-        x, residual_bad, undecided = _solve_rows(a, b)
-    p_sub = x[:, :m]
+        return np.ones(n, dtype=bool)
     rows = np.arange(n)[:, None]
     slack = _SCREEN_SLACK * (1.0 + 2.0 * np.abs(sig).max() + np.abs(lam * mu).max())
     p = np.zeros((n, len(mu)))
@@ -707,12 +655,8 @@ def _screen(sig: np.ndarray, lam: float, mu: np.ndarray, supports: np.ndarray) -
         kkt = grad + nu[:, None]
     kkt[rows, supports] = 0.0
     # comparisons with NaN are false, so rows that are not finite survive
-    rejected = (
-        residual_bad
-        | (p_sub < -1e-10 - slack).any(axis=1)
-        | (kkt < -1e-8 - slack).any(axis=1)
-    )
-    return ~rejected | undecided
+    rejected = (p_sub < -1e-10 - slack).any(axis=1) | (kkt < -1e-8 - slack).any(axis=1)
+    return ~rejected
 
 
 def _simplex_qp(sig: np.ndarray, lam: float, mu: np.ndarray) -> tuple[np.ndarray, float]:

@@ -324,23 +324,6 @@ def test_screen_keeps_every_support_the_exact_code_accepts():
     assert cases > 0
 
 
-def test_screen_judges_singular_batches(monkeypatch):
-    rng = np.random.default_rng(12)
-    k = 12
-    b = rng.normal(size=(k, 2))
-    sig, mu = b @ b.T, rng.uniform(0.4, 0.6, size=k)
-    calls = []
-    exact = losses._support_candidate
-
-    def counted(*args):
-        calls.append(args[-1])
-        return exact(*args)
-
-    monkeypatch.setattr(losses, "_support_candidate", counted)
-    losses._simplex_qp(sig, 1.0, mu)
-    assert len(calls) <= 0.01 * (2**k - 1)
-
-
 # ---------------------------------------------------------------- step formulas
 
 
