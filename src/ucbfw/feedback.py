@@ -6,17 +6,18 @@ and results do not depend on scheduling or on how many values are drawn per
 call.  Each routed observation updates the running estimate of one loss
 parameter; the deviation radius shrinks with that parameter's observation
 count.
+
+`FeedbackBlock` holds the counts and running estimates of a block of
+seeds advanced in lockstep, as (S, K) arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .losses import LossModel, gradient_from_params, sensitivity
 
 INFINITE_DEVIATION = math.inf
 
@@ -27,7 +28,7 @@ ESTIMATOR_MEAN = "mean"
 ESTIMATOR_CENTERED_SQUARE = "centered_square"
 ESTIMATOR_SAMPLE_VARIANCE = "sample_variance"
 
-_ESTIMATORS = (ESTIMATOR_MEAN, ESTIMATOR_CENTERED_SQUARE, ESTIMATOR_SAMPLE_VARIANCE)
+ESTIMATORS = (ESTIMATOR_MEAN, ESTIMATOR_CENTERED_SQUARE, ESTIMATOR_SAMPLE_VARIANCE)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,22 @@ def deviation_radius(scale: float, exponent: float, t: int, n_obs: int, delta: f
         return INFINITE_DEVIATION
     if scale == 0.0:
         return 0.0
-    return (scale * math.log(t / delta) / n_obs) ** exponent
+    x = scale * math.log(t / delta) / n_obs
+    return math.sqrt(x) if exponent == 0.5 else x**exponent
+
+
+def deviation_radii(spec: DeviationSpec, t: int, delta: float, counts: np.ndarray) -> np.ndarray:
+    """`deviation(spec, t, n, delta)` for every count n of an array of positive counts.
+
+    The log is taken once, with `math.log`, and the power with `math.sqrt`
+    semantics (np.sqrt rounds correctly too); other exponents use Python's
+    `**` per element, because `np.power` need not round as libm does.
+    """
+    x = spec.scale * math.log(t / delta) / counts
+    if spec.exponent == 0.5:
+        return np.sqrt(x)
+    e = spec.exponent
+    return np.array([v**e for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def deviation(spec: DeviationSpec, t: int, n_obs: int, delta: float) -> float:
@@ -124,118 +140,106 @@ def check_action_map(action_map: Sequence[int] | None, num_coeffs: int) -> tuple
     return amap
 
 
-@dataclass
-class FeedbackState:
-    """Per-coefficient observation counts and running parameter estimates.
+class FeedbackBlock:
+    """Per-coefficient observation counts and running estimates of S seeds.
 
-    `action_to_coeff[a]` names the coefficient an observation from action a
-    informs; the identity map is the plain bandit setting.  The estimator
-    turns raw draws into parameter samples: the running mean of raw draws,
-    the running mean of squared centered draws (known-center variance
-    estimation), or a Welford sample variance.
+    Counts, running means and Welford sums are (S, K) arrays.  `update`
+    routes each seed's observation through the action map
+    (`action_to_coeff[a]` names the coefficient an observation of action a
+    informs) and folds it into that coefficient's running mean of raw
+    draws, of squared centered draws (known-center variance estimation), or
+    Welford sample variance.  The arithmetic is that of a single trial, so
+    each row holds exactly what that seed's trial alone would hold.  Every
+    seed routes one observation per round, so the number of rounds since
+    the last reset, `rounds`, is one integer for the whole block.
     """
 
-    obs_counts: list[int]
-    means: list[float]
-    action_to_coeff: tuple[int, ...]
-    deviation_spec: DeviationSpec
-    estimator: str = ESTIMATOR_MEAN
-    centers: tuple[float, ...] | None = None
-    m2: list[float] = field(default_factory=list)
-
-    @classmethod
-    def fresh(
-        cls,
+    def __init__(
+        self,
+        num_seeds: int,
         num_coeffs: int,
         deviation_spec: DeviationSpec,
         action_to_coeff: Sequence[int] | None = None,
         estimator: str = ESTIMATOR_MEAN,
         centers: Sequence[float] | None = None,
-    ) -> "FeedbackState":
+    ):
         amap = check_action_map(action_to_coeff, num_coeffs)
-        if estimator not in _ESTIMATORS:
+        if estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {estimator!r}")
-        if estimator == ESTIMATOR_CENTERED_SQUARE:
-            if centers is None:
-                raise ValueError("centered_square estimator needs known centers")
-            centers = tuple(float(c) for c in centers)
-        return cls(
-            obs_counts=[0] * num_coeffs,
-            means=[0.0] * num_coeffs,
-            action_to_coeff=amap,
-            deviation_spec=deviation_spec,
-            estimator=estimator,
-            centers=centers,
-            m2=[0.0] * num_coeffs,
-        )
-
-    @property
-    def num_coeffs(self) -> int:
-        return len(self.obs_counts)
-
-    def rounds(self) -> int:
-        return sum(self.obs_counts)
+        if estimator == ESTIMATOR_CENTERED_SQUARE and centers is None:
+            raise ValueError("centered_square estimator needs known centers")
+        self.deviation_spec = deviation_spec
+        self.estimator = estimator
+        self.num_coeffs = num_coeffs
+        self._centered = estimator == ESTIMATOR_CENTERED_SQUARE
+        self._welford = estimator == ESTIMATOR_SAMPLE_VARIANCE
+        # counts are whole numbers held as floats: exact, and dividing by
+        # them gives the float the list path's int division gives, without
+        # a conversion per round
+        self.obs_counts = np.zeros((num_seeds, num_coeffs))
+        self.means = np.zeros((num_seeds, num_coeffs))
+        self.m2 = np.zeros((num_seeds, num_coeffs))
+        self.rounds = 0
+        self._map = None if amap == tuple(range(num_coeffs)) else np.array(amap)
+        self._centers = None if centers is None else np.array(centers, dtype=float)
+        self._row = np.arange(num_seeds) * num_coeffs
+        self._flat = (self.obs_counts.reshape(-1), self.means.reshape(-1), self.m2.reshape(-1))
+        self.observed = False
 
     def reset(self) -> None:
-        """Forget all observations (restart used by the doubling wrapper)."""
-        k = len(self.obs_counts)
-        self.obs_counts = [0] * k
-        self.means = [0.0] * k
-        self.m2 = [0.0] * k
+        """Forget all observations of every seed (the doubling restart)."""
+        self.obs_counts.fill(0.0)
+        self.means.fill(0.0)
+        self.m2.fill(0.0)
+        self.rounds = 0
+        self.observed = False
 
-    def estimates(self) -> list[float]:
-        """Current parameter estimates; 0.0 for unobserved coefficients."""
-        if self.estimator == ESTIMATOR_SAMPLE_VARIANCE:
-            return [
-                m2 / (n - 1) if n >= 2 else 0.0
-                for m2, n in zip(self.m2, self.obs_counts)
-            ]
-        return list(self.means)
+    def unobserved(self) -> np.ndarray | None:
+        """Mask of the coefficients each seed has not observed yet; None once
+        every seed has observed every coefficient (counts only grow until the
+        next reset, so that answer is kept)."""
+        if self.observed:
+            return None
+        zero = self.obs_counts == 0.0
+        if zero.any():
+            return zero
+        self.observed = True
+        return None
 
+    def estimates(self) -> np.ndarray:
+        """Current parameter estimates, one row per seed; 0.0 where unobserved.
 
-def route_and_update(fb: FeedbackState, action: int, obs: float) -> int:
-    """Route a raw observation through the action map; returns the coefficient."""
-    j = fb.action_to_coeff[action]
-    if fb.estimator == ESTIMATOR_CENTERED_SQUARE:
-        d = obs - fb.centers[j]
-        value = d * d
-    else:
-        value = obs
-    n = fb.obs_counts[j] + 1
-    fb.obs_counts[j] = n
-    delta = value - fb.means[j]
-    fb.means[j] += delta / n
-    if fb.estimator == ESTIMATOR_SAMPLE_VARIANCE:
-        fb.m2[j] += delta * (value - fb.means[j])
-    return j
+        For the mean estimators this is the running-mean array itself, which
+        callers only read.
+        """
+        if self._welford:
+            n = self.obs_counts
+            out = np.zeros(self.m2.shape)
+            np.divide(self.m2, n - 1.0, out=out, where=n >= 2.0)
+            return out
+        return self.means
 
-
-def gradient_estimate(
-    fb: FeedbackState, model: LossModel, p: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """Plug-in gradient estimate and per-coordinate deviation radii at p.
-
-    The radius for coefficient i is the parameter radius scaled by the
-    family's sensitivity factor at p (how strongly coordinate i of the
-    gradient moves per unit of parameter error).
-    """
-    t = fb.rounds()
-    if t < 1:
-        raise ValueError("gradient estimate undefined before any observation")
-    for i, n in enumerate(fb.obs_counts):
-        if n == 0:
-            raise ValueError(
-                f"coefficient {i} has no observations; selection must force "
-                "exploration before estimating the gradient"
-            )
-    spec = fb.deviation_spec
-    delta = spec.delta_at(t)
-    ghat = gradient_from_params(model, fb.estimates(), p)
-    sens = sensitivity(model, p)
-    radii = [deviation(spec, t, n, delta) for n in fb.obs_counts]
-    if sens is not None:
-        radii = [s * r for s, r in zip(sens, radii)]
-    return ghat, radii
+    def update(self, actions: np.ndarray, obs: np.ndarray) -> None:
+        """Route each seed's observation through the action map and fold it in."""
+        j = actions if self._map is None else self._map[actions]
+        if self._centered:
+            d = obs - self._centers[j]
+            value = d * d
+        else:
+            value = obs
+        flat = self._row + j
+        counts, means, m2 = self._flat
+        n = counts[flat]
+        n += 1.0
+        counts[flat] = n
+        old = means[flat]
+        delta = value - old
+        mean = delta / n
+        mean += old  # old + delta / n
+        means[flat] = mean
+        if self._welford:
+            m2[flat] += delta * (value - mean)
+        self.rounds += 1
 
 
 @dataclass(frozen=True)
@@ -270,49 +274,75 @@ class ObservationModel:
 
 
 class ObservationSampler:
-    """Materialized per-action observation streams for one trial.
+    """Materialized observation streams of one trial or of a block of seeds.
 
-    Stream a is generated from SeedSequence((trial_seed, a)) and consumed in
-    pull order, so draw n for action a is reproducible in isolation.  Draws
-    are produced in chunks; chunking does not change the values.
+    Stream (s, a) is generated from SeedSequence((s, a)) and consumed in
+    pull order, so draw n of action a for seed s is reproducible in
+    isolation.  Each `draw` call is one round.  Every CHUNK rounds, each
+    stream holding fewer than CHUNK unused draws gets CHUNK more, so no
+    stream runs dry before the next top-up and the buffers hold under
+    2 * CHUNK values per stream.  Chunking does not change the values.
+
+    With an int `trial_seed`, `draw` takes one action and returns one
+    float.  With a sequence of seeds, it takes one action per seed (an int
+    array) and returns the seeds' observations as an array.
     """
 
-    CHUNK = 2048
+    CHUNK = 64
 
-    def __init__(self, obs_model: ObservationModel, trial_seed: int):
+    def __init__(self, obs_model: ObservationModel, trial_seed: int | Sequence[int]):
         self.obs_model = obs_model
-        self.trial_seed = int(trial_seed)
+        self._one = isinstance(trial_seed, (int, np.integer))
+        seeds = (int(trial_seed),) if self._one else tuple(int(s) for s in trial_seed)
         k = len(obs_model.means)
+        self._k = k
         self._gens = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.trial_seed, a))))
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence((s, a))))
+            for s in seeds
             for a in range(k)
         ]
-        self._buffers: list[list[float]] = [[] for _ in range(k)]
-        self._pos = [0] * k
+        streams = len(seeds) * k
+        width = 2 * self.CHUNK
+        self._buf = np.empty(streams * width)
+        # next unused draw of each stream, as an index into the flat buffer,
+        # and where its buffered draws end
+        self._next = np.arange(streams) * width
+        self._end = self._next.copy()
+        self._row = np.arange(len(seeds)) * k
+        self._until_top_up = 0
 
-    def draw(self, action: int) -> float:
-        """Next observation for `action`; consumes one value of its stream."""
-        pos = self._pos[action]
-        buf = self._buffers[action]
-        if pos >= len(buf):
-            self._extend(action, max(self.CHUNK, pos + 1 - len(buf)))
-            buf = self._buffers[action]
-        self._pos[action] = pos + 1
-        return buf[pos]
+    def draw(self, action):
+        """Next observation of `action` (of each seed's action); consumes one
+        value of each stream drawn from."""
+        if self._until_top_up == 0:
+            self._top_up()
+            self._until_top_up = self.CHUNK
+        self._until_top_up -= 1
+        stream = action if self._one else self._row + action
+        i = self._next[stream]
+        obs = self._buf[i]
+        i += 1
+        self._next[stream] = i
+        return float(obs) if self._one else obs
 
-    def prefill(self, action: int, n: int) -> None:
-        """Generate the first n draws of an action's stream in one shot."""
-        need = n - len(self._buffers[action])
-        if need > 0:
-            self._extend(action, need)
-
-    def _extend(self, action: int, n: int) -> None:
+    def _top_up(self) -> None:
+        chunk = self.CHUNK
+        width = 2 * chunk
         model = self.obs_model
-        gen = self._gens[action]
-        if model.kind == "gaussian":
-            arr = gen.normal(model.means[action], model.sds[action], size=n)
-        elif model.kind == "bernoulli":
-            arr = (gen.random(n) < model.means[action]).astype(float)
-        else:
-            arr = np.full(n, model.means[action])
-        self._buffers[action].extend(arr.tolist())
+        buf, nxt, end = self._buf, self._next, self._end
+        unused = end - nxt
+        low = np.flatnonzero(unused < chunk)
+        for f, u, i in zip(low.tolist(), unused[low].tolist(), nxt[low].tolist()):
+            a = f % self._k
+            start = f * width
+            buf[start : start + u] = buf[i : i + u]
+            fresh = slice(start + u, start + u + chunk)
+            gen = self._gens[f]
+            if model.kind == "gaussian":
+                buf[fresh] = gen.normal(model.means[a], model.sds[a], size=chunk)
+            elif model.kind == "bernoulli":
+                buf[fresh] = gen.random(chunk) < model.means[a]
+            else:
+                buf[fresh] = model.means[a]
+            nxt[f] = start
+            end[f] = start + u + chunk

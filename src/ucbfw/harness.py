@@ -4,6 +4,10 @@ A trial is fully determined by (experiment config, trial seed): observation
 streams are keyed by (seed, action), policy randomness by (seed, stream
 tag), so trials can run in any order or process layout and still aggregate
 bit-identically once sorted by seed.
+
+Trials run in blocks: `run_trial` advances a block of seeds in lockstep,
+one round at a time on (S, K) arrays, and `run_experiment` gives each
+worker one contiguous block of seeds.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .feedback import (
     ESTIMATOR_CENTERED_SQUARE,
     ESTIMATOR_MEAN,
     DeviationSpec,
-    FeedbackState,
+    FeedbackBlock,
     ObservationModel,
     ObservationSampler,
     check_action_map,
@@ -32,7 +36,6 @@ from .policies import (
     LCB_BANDIT,
     ORACLE_FW,
     PRESAMPLED_UCB_FW,
-    TIE_SEEDED,
     UCB_FW,
     UNIFORM,
     DoublingUcbFwPolicy,
@@ -48,7 +51,13 @@ from .policies import (
 )
 from .simplex import OccupationState
 
-_TIE_STREAM_TAG = (1 << 31) + 1
+# Seeds per lockstep block.  `run_experiment` splits the seeds into at most
+# `workers` blocks, none smaller than MIN_BLOCK: a round costs about the
+# same for any block of up to ~64 seeds, so a smaller block gains nothing
+# from a worker of its own.  `run_trial` runs a longer block in slices of
+# at most MAX_BLOCK, which bounds the observation buffers.
+MIN_BLOCK = 64
+MAX_BLOCK = 128
 
 DEVIATION_PRESETS = ("theorem1", "prop1", "prop1_doubled", "noiseless")
 
@@ -227,8 +236,8 @@ def build_observation_model(fb_cfg: FeedbackConfig, model: LossModel) -> Observa
 
 
 def build_feedback_state(
-    fb_cfg: FeedbackConfig, model: LossModel, dev_spec: DeviationSpec
-) -> FeedbackState:
+    fb_cfg: FeedbackConfig, model: LossModel, dev_spec: DeviationSpec, num_seeds: int = 1
+) -> FeedbackBlock:
     variance = model.variance_feedback
     estimator = fb_cfg.estimator or (ESTIMATOR_CENTERED_SQUARE if variance else ESTIMATOR_MEAN)
     if estimator == ESTIMATOR_CENTERED_SQUARE and not variance:
@@ -236,7 +245,8 @@ def build_feedback_state(
     centers = model.centers if variance else None
     if estimator == ESTIMATOR_MEAN and variance:
         raise ValueError("exp_design estimates variances; use centered_square or sample_variance")
-    return FeedbackState.fresh(
+    return FeedbackBlock(
+        num_seeds,
         model.num_actions,
         dev_spec,
         action_to_coeff=fb_cfg.action_map,
@@ -274,24 +284,20 @@ def build_policy(
     spec: PolicySpec,
     model: LossModel,
     fb_cfg: FeedbackConfig,
-    trial_seed: int,
+    seeds: Sequence[int],
     t_max: int,
 ):
+    """The policy for a lockstep block of trials, one per seed."""
     if spec.kind == UNIFORM:
-        return UniformPolicy(model.num_actions, trial_seed)
+        return UniformPolicy(model.num_actions, seeds)
     if spec.kind == FIXED_ALLOCATION:
         return FixedAllocationPolicy(spec.weights)
     if spec.kind == ORACLE_FW:
         return OracleFwPolicy(model)
-    rng = None
-    if spec.tie_break == TIE_SEEDED:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((int(trial_seed), _TIE_STREAM_TAG)))
-        )
-    fb = build_feedback_state(fb_cfg, model, spec.deviation)
+    fb = build_feedback_state(fb_cfg, model, spec.deviation, len(seeds))
     if spec.kind == LCB_BANDIT:
-        return LcbBanditPolicy(fb, spec.tie_break, rng)
-    inner = UcbFwPolicy(model, fb, spec.tie_break, rng)
+        return LcbBanditPolicy(fb, spec.tie_break, seeds)
+    inner = UcbFwPolicy(model, fb, spec.tie_break, seeds)
     if spec.kind == UCB_FW:
         return inner
     if spec.kind == DOUBLING_UCB_FW:
@@ -321,8 +327,24 @@ def _validate_experiment(config: ExperimentConfig, model: LossModel) -> None:
         )
 
 
-def run_trial(config: ExperimentConfig, seed: int, t_max: int | None = None) -> TrialRecord:
-    """One seeded trajectory with error snapshots at the configured horizons."""
+def run_trial(
+    config: ExperimentConfig, seed: int | tuple[int, ...], t_max: int | None = None
+) -> TrialRecord | list[TrialRecord]:
+    """Seeded trajectories with error snapshots at the configured horizons.
+
+    `seed` is one trial seed, giving its TrialRecord, or a tuple of seeds,
+    run in lockstep blocks of at most MAX_BLOCK (of nearly equal size) and
+    giving one record per seed, in the order given.  Every record is the one
+    its seed gives alone.
+    """
+    if isinstance(seed, tuple):
+        slices = _split(seed, -(-len(seed) // MAX_BLOCK))
+        return [record for block in slices for record in _run_block(config, block, t_max)]
+    return _run_block(config, (seed,), t_max)[0]
+
+
+def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | None) -> list[TrialRecord]:
+    """The records of one lockstep block, in the order of `seeds`."""
     model = build_model(config.model)
     _validate_experiment(config, model)
     info = minimizer(model)
@@ -332,17 +354,18 @@ def run_trial(config: ExperimentConfig, seed: int, t_max: int | None = None) -> 
     spec = build_policy_spec(config.policy)
     obs_model = build_observation_model(config.feedback, model)
     _check_subgaussian(obs_model, spec.deviation, model)
-    sampler = ObservationSampler(obs_model, seed)
-    policy = build_policy(spec, model, config.feedback, seed, t_max)
-    occ = OccupationState(model.num_actions)
+    sampler = ObservationSampler(obs_model, seeds)
+    policy = build_policy(spec, model, config.feedback, seeds, t_max)
+    k = model.num_actions
+    occ = OccupationState(k, seeds=len(seeds))
     loss_star = info.loss_star
     record_eps = config.record_epsilon
-    k = model.num_actions
 
-    errors: list[float] = []
-    counts_snap: list[tuple[int, ...]] = []
-    eps_snap: list[float] = []
-    eps_total = 0.0
+    errors: list[list[float]] = []
+    counts_snap: list[list[list[int]]] = []
+    eps_snap: list[list[float]] = []
+    eps_total = np.zeros(len(seeds))
+    uniform = np.full((len(seeds), k), 1.0 / k)
     hidx = 0
     next_h = horizons[0]
     select = policy.select
@@ -351,7 +374,7 @@ def run_trial(config: ExperimentConfig, seed: int, t_max: int | None = None) -> 
     apply_ = occ.apply
     for _ in range(t_max):
         if record_eps:
-            p_prev = [1.0 / k] * k if occ.t == 0 else occ.proportions()
+            p_prev = uniform if occ.t == 0 else occ.proportions()
             a = select(occ)
             eps_total += epsilon_diagnostic(model, p_prev, a).epsilon
         else:
@@ -359,22 +382,28 @@ def run_trial(config: ExperimentConfig, seed: int, t_max: int | None = None) -> 
         observe(a, draw(a))
         apply_(a)
         if occ.t == next_h:
-            errors.append(loss_value(model, occ.proportions()) - loss_star)
-            counts_snap.append(tuple(occ.counts))
-            eps_snap.append(eps_total)
+            errors.append([loss_value(model, p) - loss_star for p in occ.proportions().tolist()])
+            counts_snap.append(occ.counts.astype(np.int64).tolist())
+            eps_snap.append(eps_total.tolist())
             hidx += 1
             next_h = horizons[hidx] if hidx < len(horizons) else -1
-    return TrialRecord(
-        seed=seed,
-        horizons=horizons[: len(errors)],
-        errors=tuple(errors),
-        counts=tuple(counts_snap),
-        sum_epsilon=tuple(eps_snap) if record_eps else None,
-    )
+    return [
+        TrialRecord(
+            seed=s,
+            horizons=horizons[: len(errors)],
+            errors=tuple(e[i] for e in errors),
+            counts=tuple(tuple(c[i]) for c in counts_snap),
+            sum_epsilon=tuple(e[i] for e in eps_snap) if record_eps else None,
+        )
+        for i, s in enumerate(seeds)
+    ]
 
 
-def _trial_task(args: tuple[ExperimentConfig, int]) -> TrialRecord:
-    return run_trial(*args)
+def _split(seeds: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """`seeds` cut into n contiguous blocks whose sizes differ by at most one."""
+    size, extra = divmod(len(seeds), n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_experiment(
@@ -383,12 +412,15 @@ def run_experiment(
     """All seeded trials, returned in seed order regardless of worker layout."""
     _validate_experiment(config, build_model(config.model))
     base = config.seed_base if seed_base is None else seed_base
-    seeds = [base + i for i in range(config.seed_count)]
-    if workers <= 1:
-        records = [run_trial(config, s) for s in seeds]
+    seeds = tuple(base + i for i in range(config.seed_count))
+    # at most `workers` blocks, none below MIN_BLOCK
+    blocks = _split(seeds, max(1, min(workers, len(seeds) // MIN_BLOCK)))
+    if len(blocks) == 1:
+        records = run_trial(config, seeds)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_task, [(config, s) for s in seeds]))
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            done = pool.map(run_trial, [config] * len(blocks), blocks)
+            records = [r for block in done for r in block]
     records.sort(key=lambda r: r.seed)
     return records
 

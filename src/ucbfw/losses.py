@@ -7,6 +7,12 @@ ones), and a closed-form or exactly-solved minimizer with the quantities
 the rate bounds need (minimum coordinate, per-vertex gaps, curvature
 constants).
 
+`gradient`, `true_gradient` and `sensitivity` also take an (S, K) array
+of points, one seed per row, and then return arrays whose rows are
+bit-identical to what the list path gives for each row on its own (a
+sensitivity that does not depend on p comes back as one row of K factors,
+which broadcasts against the block).
+
 Families whose gradient blows up at the boundary (inverse-proportion and
 log-utility losses) carry infinite curvature constants unless an interior
 floor box is supplied; `smoothness_over` computes the restricted constant
@@ -19,7 +25,8 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -166,7 +173,9 @@ class LossModel:
         raise NotImplementedError
 
     def true_gradient(self, p: Sequence[float]) -> list[float]:
-        """The gradient at p with the true parameters, as a fresh list."""
+        """The gradient at p with the true parameters, as a fresh list (or array)."""
+        if is_block(p):
+            return self.gradient(np.tile(self.params, (len(p), 1)), p)
         return self.gradient(self.params, p)
 
     def sensitivity(self, p: Sequence[float]) -> list[float] | None:
@@ -205,7 +214,32 @@ def _check_floor(floor: Sequence[float], k: int) -> tuple[float, ...]:
     return f
 
 
+def is_block(x) -> bool:
+    """Whether `x` is an (S, K) array of points, one seed per row."""
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
+def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sum of products, left to right from 0.0, as `sum()` did before
+    Python 3.12 made float sums compensated."""
+    return reduce(add, map(mul, xs, ys), 0.0)
+
+
+def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """`_dot(row, p_s)` for every row of `rows` and every point p_s of the block p.
+
+    `cumsum` adds left to right as `_dot` does; adding 0.0 turns the -0.0
+    an all-zero product row can leave into the 0.0 `_dot` gives.
+    """
+    return np.cumsum(p[:, None, :] * rows, axis=-1)[..., -1] + 0.0
+
+
 def _require_interior(p: Sequence[float], kind: str) -> None:
+    if is_block(p):
+        bad = (p <= 0.0).any(axis=1)
+        if bad.any():
+            _require_interior(p[int(bad.argmax())].tolist(), kind)
+        return
     for i, v in enumerate(p):
         if v <= 0.0:
             raise ValueError(f"{kind} loss needs p strictly positive, coordinate {i} is {v}")
@@ -221,9 +255,11 @@ class LinearLoss(LossModel):
     constant_gradient = True
 
     costs: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    costs_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "costs", tuple(self.gradient(self.params, ())))
+        object.__setattr__(self, "costs_array", np.array(self.costs))
 
     @classmethod
     def build(cls, mu: Sequence[float]) -> LinearLoss:
@@ -236,9 +272,16 @@ class LinearLoss(LossModel):
         return sum(c * x for c, x in zip(self.costs, p))
 
     def gradient(self, params, p):
+        if is_block(params):
+            # the plug-in gradient is the estimates themselves
+            return np.asarray(params, dtype=float)
         return [float(v) for v in params]
 
     def true_gradient(self, p):
+        if is_block(p):
+            out = np.empty(p.shape)
+            out[...] = self.costs_array
+            return out
         return list(self.costs)
 
     def minimizer(self):
@@ -277,6 +320,8 @@ class QuadraticLoss(LossModel):
         return 0.5 * sum((x - th) ** 2 for x, th in zip(p, self.params))
 
     def gradient(self, params, p):
+        if is_block(p):
+            return p - params
         return [x - th for x, th in zip(p, params)]
 
     def minimizer(self):
@@ -326,6 +371,8 @@ class ExpDesignLoss(LossModel):
             cen = tuple(float(v) for v in centers)
             if len(cen) != k:
                 raise ValueError(f"centers needs {k} coordinates, got {len(cen)}")
+            if any(not math.isfinite(v) for v in cen):
+                raise ValueError(f"centers has a non-finite entry: {cen}")
         floor = _check_floor(interior_floor, k) if interior_floor is not None else None
         model = cls(params=s2, centers=cen, interior_floor=floor, strong_convexity=2.0 * min(s2))
         if floor is None:
@@ -343,9 +390,13 @@ class ExpDesignLoss(LossModel):
 
     def gradient(self, params, p):
         _require_interior(p, self.kind)
+        if is_block(p):
+            return -params / (p * p)
         return [-s / (x * x) for s, x in zip(params, p)]
 
     def sensitivity(self, p):
+        if is_block(p):
+            return 1.0 / (p * p)
         return [1.0 / (x * x) for x in p]
 
     def minimizer(self):
@@ -393,9 +444,13 @@ class CobbDouglasLoss(LossModel):
 
     def gradient(self, params, p):
         _require_interior(p, self.kind)
+        if is_block(p):
+            return -params / p
         return [-b / x for b, x in zip(params, p)]
 
     def sensitivity(self, p):
+        if is_block(p):
+            return 1.0 / p
         return [1.0 / x for x in p]
 
     def minimizer(self):
@@ -421,6 +476,10 @@ class MarkowitzLoss(LossModel):
     covariance: tuple[tuple[float, ...], ...]
     risk_weight: float
     qp_solution: tuple[tuple[float, ...], float] = field(compare=False, repr=False)
+    cov_array: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cov_array", np.array(self.covariance, dtype=float))
 
     @classmethod
     def build(
@@ -437,12 +496,16 @@ class MarkowitzLoss(LossModel):
                 f"covariance is {k}x{k}, above the limit of {MARKOWITZ_MAX_ACTIONS} actions "
                 "of the exact minimizer, which enumerates 2^K supports"
             )
+        if not np.isfinite(sig).all():
+            raise ValueError("covariance has a non-finite entry")
         if not np.allclose(sig, sig.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
         eigs = np.linalg.eigvalsh(sig)
         if eigs[0] < -1e-10:
             raise ValueError(f"covariance must be positive semidefinite, min eigenvalue {eigs[0]}")
         lam = float(risk_weight)
+        if not math.isfinite(lam):
+            raise ValueError(f"risk_weight must be finite, got {lam}")
         if lam < 0.0:
             raise ValueError(f"risk weight must be nonnegative, got {lam}")
         # both the loss and each gradient coordinate are convex in p, so sup
@@ -462,20 +525,25 @@ class MarkowitzLoss(LossModel):
             qp_solution=(tuple(float(v) for v in p_star), loss_star),
         )
 
-    # Row products are summed left to right by `sum(map(mul, row, p))`; a
-    # numpy matvec would sum them in another order and change the floats.
+    # Row products are summed left to right (`_dot`, `_row_dots`); a numpy
+    # matvec, or `sum()` from Python 3.12 on, would sum them in another
+    # order and change the floats.
     def value(self, p):
-        quad = sum(x * sum(map(mul, row, p)) for x, row in zip(p, self.covariance))
-        return quad - self.risk_weight * sum(map(mul, self.params, p))
+        quad = reduce(add, (x * _dot(row, p) for x, row in zip(p, self.covariance)), 0.0)
+        return quad - self.risk_weight * _dot(self.params, p)
 
     def gradient(self, params, p):
         lam = self.risk_weight
-        return [2.0 * sum(map(mul, row, p)) - lam * m for row, m in zip(self.covariance, params)]
+        if is_block(p):
+            return 2.0 * _row_dots(self.cov_array, p) - lam * params
+        return [2.0 * _dot(row, p) - lam * m for row, m in zip(self.covariance, params)]
 
     def sensitivity(self, p):
         lam = self.risk_weight
         if lam == 1.0:
             return None
+        if is_block(p):
+            return np.full(p.shape[1], lam)
         return [lam] * len(p)
 
     def minimizer(self):
@@ -499,7 +567,8 @@ class SeparableLoss(LinearLoss):
     """A linear loss whose costs are tabulated functions f_i(mu_i).
 
     `lipschitz` holds each table's Lipschitz constant, computed once per
-    model; they are the sensitivity factors at every p.
+    model; they are the sensitivity factors at every p.  The `*_array`
+    fields hold the same numbers for the block path.
     """
 
     kind = "separable"
@@ -507,10 +576,18 @@ class SeparableLoss(LinearLoss):
 
     tables: tuple[PiecewiseLinear, ...]
     lipschitz: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    lipschitz_array: np.ndarray = field(init=False, compare=False, repr=False)
+    table_arrays: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "lipschitz", tuple(t.lipschitz() for t in self.tables))
+        object.__setattr__(self, "lipschitz_array", np.array(self.lipschitz))
+        object.__setattr__(
+            self, "table_arrays", tuple((np.array(t.xs), np.array(t.ys)) for t in self.tables)
+        )
 
     @classmethod
     def build(cls, mu: Sequence[float], tables: Sequence) -> SeparableLoss:
@@ -534,9 +611,17 @@ class SeparableLoss(LinearLoss):
         return cls(params=m, tables=tabs, sup_loss=bound, sup_grad=bound)
 
     def gradient(self, params, p):
+        if is_block(params):
+            # np.interp on each column gives the floats the scalar tables give
+            out = np.empty(params.shape)
+            for i, (xs, ys) in enumerate(self.table_arrays):
+                out[:, i] = np.interp(params[:, i], xs, ys)
+            return out
         return [t(m) for t, m in zip(self.tables, params)]
 
     def sensitivity(self, p):
+        if is_block(p):
+            return self.lipschitz_array
         return list(self.lipschitz)
 
 

@@ -10,25 +10,22 @@ next action.
 Baselines (uniform, fixed allocation, oracle gradient, scalar bandit on
 raw means) and two wrappers (variance pre-sampling with occupancy floors,
 block restarts of the estimator state) share the same select/observe
-interface.
+interface.  The policy classes advance a block of seeds in lockstep:
+`select` takes a block `OccupationState` and returns one action per seed,
+and `observe` takes one action and one observation per seed.  Each seed
+gets the action its trajectory alone would get.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .feedback import (
-    DeviationSpec,
-    FeedbackState,
-    deviation,
-    gradient_estimate,
-    route_and_update,
-)
-from .losses import LossModel, gradient_from_params, loss_gradient, sensitivity
+from .feedback import DeviationSpec, FeedbackBlock, deviation_radii
+from .losses import LossModel, gradient_from_params, is_block, loss_gradient, sensitivity
 from .simplex import OccupationState, check_simplex
 
 TIE_LOWEST = "lowest_index"
@@ -53,6 +50,7 @@ POLICY_KINDS = (
 )
 
 _POLICY_STREAM_TAG = 1 << 31
+_TIE_STREAM_TAG = (1 << 31) + 1
 
 
 @dataclass(frozen=True)
@@ -123,72 +121,33 @@ def argmin_tie_break(values: Sequence[float], tie_break: str = TIE_LOWEST, rng=N
     return int(ties[int(rng.integers(len(ties)))])
 
 
-def _cold_start(fb: FeedbackState, occ: OccupationState) -> int | None:
-    """Forced exploration: round robin for the first K rounds, then any
-    still-unobserved coefficient (its radius is infinite) by lowest index."""
-    k = len(fb.obs_counts)
-    if occ.t < k:
-        return occ.t
-    for i, n in enumerate(fb.obs_counts):
-        if n == 0:
-            return i
-    return None
-
-
-def ucb_fw_select(
-    fb: FeedbackState,
-    occ: OccupationState,
-    model: LossModel,
-    tie_break: str = TIE_LOWEST,
-    rng=None,
-) -> int:
-    """Pull the action minimizing (gradient estimate - deviation radius)."""
-    forced = _cold_start(fb, occ)
-    if forced is not None:
-        return forced
-    ghat, radii = gradient_estimate(fb, model, occ.proportions())
-    scores = [g - r for g, r in zip(ghat, radii)]
-    return argmin_tie_break(scores, tie_break, rng)
-
-
-def lcb_bandit_select(
-    fb: FeedbackState,
-    occ: OccupationState,
-    tie_break: str = TIE_LOWEST,
-    rng=None,
-) -> int:
-    """Scalar-bandit selection on raw running means (no loss model)."""
-    forced = _cold_start(fb, occ)
-    if forced is not None:
-        return forced
-    spec = fb.deviation_spec
-    t = fb.rounds()
-    delta = spec.delta_at(t)
-    scores = [
-        m - deviation(spec, t, n, delta)
-        for m, n in zip(fb.means, fb.obs_counts)
-    ]
-    return argmin_tie_break(scores, tie_break, rng)
-
-
-def oracle_fw_select(model: LossModel, p: Sequence[float]) -> int:
-    """Exact Frank-Wolfe direction: the smallest true gradient coordinate."""
-    return argmin_tie_break(loss_gradient(model, p))
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
     """Per-step optimality diagnostics against the true gradient at p."""
 
     chosen: int
     oracle_action: int
     epsilon: float
-    fw_gap: float
+    fw_gap: float | None
 
 
 def epsilon_diagnostic(model: LossModel, p: Sequence[float], chosen: int) -> StepDiagnostics:
     """Selection suboptimality eps = grad[chosen] - grad[oracle] >= 0 and the
-    Frank-Wolfe gap grad.(p - e_oracle) at the pre-action point p."""
+    Frank-Wolfe gap grad.(p - e_oracle) at the pre-action point p.
+
+    Given an (S, K) block of points and one chosen action per row, `epsilon`
+    holds one entry per row, equal to the row's own answer, and so does
+    `oracle_action` unless every row has the same one (constant gradient);
+    `fw_gap`, which the per-round records do not use, is None.
+    """
+    if is_block(p):
+        if model.constant_gradient:
+            g = loss_gradient(model, p[0])
+            star = argmin_tie_break(g)
+            return StepDiagnostics(chosen, star, np.array(g)[chosen] - g[star], None)
+        g = loss_gradient(model, p)
+        rows = np.arange(len(p))
+        star = _TieBreaker().argmin(g)
+        return StepDiagnostics(chosen, star, g[rows, chosen] - g[rows, star], None)
     g = loss_gradient(model, p)
     star = argmin_tie_break(g)
     gap = sum(gi * pi for gi, pi in zip(g, p)) - g[star]
@@ -197,68 +156,154 @@ def epsilon_diagnostic(model: LossModel, p: Sequence[float], chosen: int) -> Ste
     )
 
 
-class UcbFwPolicy:
-    """Stateful wrapper around ucb_fw_select with an inlined fast path."""
+class _TieBreaker:
+    """`argmin_tie_break` applied to every row of an (S, K) block of values.
 
-    def __init__(self, model: LossModel, fb: FeedbackState, tie_break: str = TIE_LOWEST, rng=None):
+    Rows whose minimum is unique and not NaN take numpy's argmin, which is
+    the same index; the others (ties under seeded_random, any NaN) go
+    through `argmin_tie_break` itself with that seed's own tie stream, so
+    every row gets the answer, or the error, its own trial would.  Tie
+    streams are made on first use; one made later holds the same values.
+    """
+
+    def __init__(self, tie_break: str = TIE_LOWEST, seeds: Sequence[int] = ()):
+        self.tie_break = tie_break
+        self.seeds = tuple(seeds)
+        self._rngs: dict[int, np.random.Generator] = {}
+
+    def _rng(self, row: int) -> np.random.Generator:
+        gen = self._rngs.get(row)
+        if gen is None:
+            seq = np.random.SeedSequence((self.seeds[row], _TIE_STREAM_TAG))
+            gen = self._rngs[row] = np.random.Generator(np.random.PCG64(seq))
+        return gen
+
+    def argmin(self, values: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """One index per row of `values`; `rows` names the seed of each row
+        (all seeds in order when None)."""
+        if self.tie_break == TIE_LOWEST:
+            # the sum is NaN when some entry is NaN (or +inf meets -inf,
+            # which the exact path below handles as well)
+            if not math.isnan(values.sum()):
+                return values.argmin(axis=1)
+            odd = np.isnan(values).any(axis=1)
+        else:
+            low = values.min(axis=1, keepdims=True)
+            ties = values == low
+            odd = ties.sum(axis=1) != 1
+            if not odd.any():
+                return ties.argmax(axis=1)
+        out = values.argmin(axis=1)
+        for i in np.flatnonzero(odd).tolist():
+            row = i if rows is None else int(rows[i])
+            rng = self._rng(row) if self.tie_break == TIE_SEEDED else None
+            out[i] = argmin_tie_break(values[i].tolist(), self.tie_break, rng)
+        return out
+
+
+def _with_forced_exploration(fb: FeedbackBlock, t: int, rows: np.ndarray | None, choose) -> np.ndarray:
+    """One action per seed in `rows` (every seed when None).
+
+    Forced exploration where it applies: round robin over the first K
+    rounds, then any still-unobserved coefficient by lowest index (its
+    radius is infinite), whose index is played as the action.  The other
+    seeds get `choose(free_rows)`.
+    """
+    if t < fb.num_coeffs:
+        return np.full(len(fb.obs_counts) if rows is None else len(rows), t)
+    zero = fb.unobserved()
+    if zero is None:
+        return choose(rows)
+    if rows is not None:
+        zero = zero[rows]
+    forced = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+    free = np.flatnonzero(forced < 0)
+    if len(free):
+        forced[free] = choose(free if rows is None else rows[free])
+    return forced
+
+
+class UcbFwPolicy:
+    """Plug-in Frank-Wolfe selection for a block of seeds in lockstep.
+
+    Each seed pulls the action minimizing (gradient estimate - deviation
+    radius), with the answer its trajectory alone would get.
+    The round count, delta_t and log(t / delta_t) are shared by the block,
+    so the log is taken once per round.
+    """
+
+    def __init__(
+        self,
+        model: LossModel,
+        fb: FeedbackBlock,
+        tie_break: str = TIE_LOWEST,
+        seeds: Sequence[int] = (),
+    ):
         self.model = model
         self.fb = fb
-        self.tie_break = tie_break
-        self.rng = rng
-        self._fast = tie_break == TIE_LOWEST
+        self.ties = _TieBreaker(tie_break, seeds)
 
-    def select(self, occ: OccupationState) -> int:
+    def select(self, occ: OccupationState) -> np.ndarray:
+        if self.fb.observed and occ.t >= self.fb.num_coeffs:
+            return self._plug_in(occ, None)
+        return self.select_rows(occ, None)
+
+    def select_rows(self, occ: OccupationState, rows: np.ndarray | None) -> np.ndarray:
+        """Actions of the seeds in `rows` (every seed when None)."""
+        return _with_forced_exploration(self.fb, occ.t, rows, lambda r: self._plug_in(occ, r))
+
+    def _plug_in(self, occ: OccupationState, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
-        if not self._fast:
-            return ucb_fw_select(fb, occ, self.model, self.tie_break, self.rng)
-        counts = fb.obs_counts
-        k = len(counts)
-        t = occ.t
-        if t < k:
-            return t
-        for i in range(k):
-            if counts[i] == 0:
-                return i
         spec = fb.deviation_spec
-        n_rounds = fb.rounds()
-        delta = spec.delta_at(n_rounds)
-        base = spec.scale * math.log(n_rounds / delta)
+        t = fb.rounds
         p = occ.proportions()
-        ghat = gradient_from_params(self.model, fb.estimates(), p)
+        est = fb.estimates()
+        counts = fb.obs_counts
+        if rows is not None:
+            p, est, counts = p[rows], est[rows], counts[rows]
+        ghat = gradient_from_params(self.model, est, p)
         sens = sensitivity(self.model, p)
-        sqrt = math.sqrt
-        half = spec.exponent == 0.5
-        best = 0
-        best_u = math.inf
-        for i in range(k):
-            x = base / counts[i]
-            r = sqrt(x) if half else x**spec.exponent
-            if sens is not None:
-                r = sens[i] * r
-            u = ghat[i] - r
-            if u < best_u:
-                best_u = u
-                best = i
-        return best
+        radii = deviation_radii(spec, t, spec.delta_at(t), counts)
+        if sens is not None:
+            radii *= sens
+        scores = ghat - radii
+        if self.ties.tie_break == TIE_SEEDED:
+            return self.ties.argmin(scores, rows)
+        # the lowest-index rule picks the first strict minimum and passes
+        # NaN over (an all-NaN row gives 0); as +inf, NaN does the same in
+        # numpy's argmin
+        return np.fmin(scores, np.inf, out=scores).argmin(axis=1)
 
-    def observe(self, action: int, obs: float) -> None:
-        route_and_update(self.fb, action, obs)
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
+        self.fb.update(actions, obs)
 
     def reset_estimator(self) -> None:
         self.fb.reset()
 
 
 class LcbBanditPolicy:
-    def __init__(self, fb: FeedbackState, tie_break: str = TIE_LOWEST, rng=None):
+    """Scalar-bandit selection on raw running means (no loss model) for a
+    block of seeds: each seed pulls the action minimizing (mean - radius)."""
+
+    def __init__(self, fb: FeedbackBlock, tie_break: str = TIE_LOWEST, seeds: Sequence[int] = ()):
         self.fb = fb
-        self.tie_break = tie_break
-        self.rng = rng
+        self.ties = _TieBreaker(tie_break, seeds)
 
-    def select(self, occ: OccupationState) -> int:
-        return lcb_bandit_select(self.fb, occ, self.tie_break, self.rng)
+    def select(self, occ: OccupationState) -> np.ndarray:
+        return _with_forced_exploration(self.fb, occ.t, None, self._pick)
 
-    def observe(self, action: int, obs: float) -> None:
-        route_and_update(self.fb, action, obs)
+    def _pick(self, rows: np.ndarray | None) -> np.ndarray:
+        fb = self.fb
+        spec = fb.deviation_spec
+        t = fb.rounds
+        means, counts = fb.means, fb.obs_counts
+        if rows is not None:
+            means, counts = means[rows], counts[rows]
+        scores = means - deviation_radii(spec, t, spec.delta_at(t), counts)
+        return self.ties.argmin(scores, rows)
+
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
+        self.fb.update(actions, obs)
 
 
 class OracleFwPolicy:
@@ -266,38 +311,43 @@ class OracleFwPolicy:
 
     def __init__(self, model: LossModel):
         self.model = model
+        self.ties = _TieBreaker()
 
-    def select(self, occ: OccupationState) -> int:
+    def select(self, occ: OccupationState) -> np.ndarray:
         if occ.t < occ.num_actions:
-            return occ.t
-        return oracle_fw_select(self.model, occ.proportions())
+            return np.full(len(occ.counts), occ.t)
+        return self.ties.argmin(loss_gradient(self.model, occ.proportions()))
 
-    def observe(self, action: int, obs: float) -> None:
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         pass
 
 
 class UniformPolicy:
-    """Independent uniform action each round from the policy's own stream."""
+    """Independent uniform action each round from each seed's own stream."""
 
     CHUNK = 4096
 
-    def __init__(self, num_actions: int, trial_seed: int):
+    def __init__(self, num_actions: int, seeds: Sequence[int]):
         self.num_actions = num_actions
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((int(trial_seed), _POLICY_STREAM_TAG)))
-        )
-        self._buf: list[int] = []
+        self._gens = [
+            np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence((int(s), _POLICY_STREAM_TAG)))
+            )
+            for s in seeds
+        ]
+        self._buf = np.empty((0, len(self._gens)), dtype=np.int64)
         self._pos = 0
 
-    def select(self, occ: OccupationState) -> int:
+    def select(self, occ: OccupationState) -> np.ndarray:
         if self._pos >= len(self._buf):
-            self._buf = self._gen.integers(0, self.num_actions, size=self.CHUNK).tolist()
+            k, n = self.num_actions, self.CHUNK
+            self._buf = np.stack([g.integers(0, k, size=n) for g in self._gens], axis=1)
             self._pos = 0
         a = self._buf[self._pos]
         self._pos += 1
         return a
 
-    def observe(self, action: int, obs: float) -> None:
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         pass
 
 
@@ -306,20 +356,13 @@ class FixedAllocationPolicy:
 
     def __init__(self, weights: Sequence[float]):
         self.weights = tuple(check_simplex(tuple(float(w) for w in weights)))
+        self._w = np.array(self.weights)
 
-    def select(self, occ: OccupationState) -> int:
-        t_next = occ.t + 1
-        counts = occ.counts
-        best = 0
-        best_d = -math.inf
-        for i, w in enumerate(self.weights):
-            d = w * t_next - counts[i]
-            if d > best_d:
-                best_d = d
-                best = i
-        return best
+    def select(self, occ: OccupationState) -> np.ndarray:
+        # first index of the largest deficit, as a strict `>` scan finds it
+        return (self._w * (occ.t + 1) - occ.counts).argmax(axis=1)
 
-    def observe(self, action: int, obs: float) -> None:
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         pass
 
 
@@ -374,7 +417,8 @@ class DoublingUcbFwPolicy:
     """Restart the estimator state at exponentially spaced block ends.
 
     Occupation counts are never reset; only the feedback state forgets, so
-    each block re-explores with fresh confidence radii.
+    each block re-explores with fresh confidence radii.  The block ends are
+    the same for every seed, so the whole block of seeds restarts at once.
     """
 
     def __init__(self, inner: UcbFwPolicy, beta: float, t_max: int):
@@ -384,15 +428,18 @@ class DoublingUcbFwPolicy:
         self._next_idx = 0
         self.block = 0
 
-    def select(self, occ: OccupationState) -> int:
+    def select(self, occ: OccupationState) -> np.ndarray:
         if self._next_idx < len(self.boundaries) and occ.t >= self.boundaries[self._next_idx]:
             self.inner.reset_estimator()
             self._next_idx += 1
             self.block += 1
         return self.inner.select(occ)
 
-    def observe(self, action: int, obs: float) -> None:
-        self.inner.observe(action, obs)
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
+        self.inner.observe(actions, obs)
+
+
+_ESTIMATE, _CATCHUP, _TRACK = 0, 1, 2
 
 
 class PresampledUcbFwPolicy:
@@ -402,91 +449,102 @@ class PresampledUcbFwPolicy:
     the stopping rule on squared centered draws scaled into [0, 1]), then
     keeps pulling the most deficient arm until every occupancy clears its
     floor p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2 enforces the
-    floors and otherwise defers to the plug-in selection.  `phase1_end_t`
-    records when the floors first all held.
+    floors and otherwise defers to the plug-in selection.
+
+    Each seed of the block moves through the phases on its own.  Per seed,
+    `brackets_hat` and `stopping_triggered` list what phase 1 found,
+    `floors` holds the floors once they are set, and `phase1_end_t` records
+    when the floors first all held (-1 until then).
     """
 
     def __init__(self, inner: UcbFwPolicy, config: PresampleConfig, centers: Sequence[float]):
         self.inner = inner
         self.config = config
-        self.centers = tuple(float(c) for c in centers)
-        k = len(self.inner.fb.obs_counts)
+        self.centers = np.array([float(c) for c in centers])
+        s, k = inner.fb.obs_counts.shape
         self.num_actions = k
-        self.floors: list[float] | None = None
-        self.brackets_hat: list[tuple[float, float]] = []
-        self.phase1_end_t: int | None = None
-        self.stopping_triggered: list[bool] = []
+        self.floors = np.zeros((s, k))
+        self.phase1_end_t = np.full(s, -1)
         if config.brackets is not None:
             if len(config.brackets) != k:
                 raise ValueError(
                     f"need one bracket per arm: {len(config.brackets)} vs {k}"
                 )
-            self.brackets_hat = [tuple(b) for b in config.brackets]
-            self.stopping_triggered = [True] * k
-            self._set_floors()
-            self._phase = "track"
-            self.phase1_end_t = 0
+            self.brackets_hat = [[tuple(b) for b in config.brackets] for _ in range(s)]
+            self.stopping_triggered = [[True] * k for _ in range(s)]
+            for row in range(s):
+                self._set_floors(row)
+            self._phase = np.full(s, _TRACK)
+            self.phase1_end_t[:] = 0
         else:
-            self._phase = "estimate"
-            self._arm = 0
-            self._z_count = 0
-            self._z_total = 0.0
+            self.brackets_hat = [[] for _ in range(s)]
+            self.stopping_triggered = [[] for _ in range(s)]
+            self._phase = np.full(s, _ESTIMATE)
+            self._arm = np.zeros(s, dtype=np.int64)
+            self._z_count = np.zeros(s, dtype=np.int64)
+            self._z_total = np.zeros(s)
             self._log_term = 2.0 * math.log(2.0 * config.horizon / config.delta)
             self._budget = config.max_rounds_per_arm or config.horizon
 
-    def _set_floors(self) -> None:
-        hi_sum = sum(hi for _, hi in self.brackets_hat)
-        if hi_sum <= 0.0:
-            self.floors = [0.0] * self.num_actions
-        else:
-            self.floors = [lo / hi_sum for lo, _ in self.brackets_hat]
+    def _set_floors(self, row: int) -> None:
+        brackets = self.brackets_hat[row]
+        hi_sum = sum(hi for _, hi in brackets)
+        if hi_sum > 0.0:
+            self.floors[row] = [lo / hi_sum for lo, _ in brackets]
 
-    def _deficit_arm(self, occ: OccupationState) -> int | None:
-        t_next = occ.t + 1
-        counts = occ.counts
-        best = None
-        best_d = 0.0
-        for i, f in enumerate(self.floors):
-            d = f * t_next - counts[i]
-            if d > best_d:
-                best_d = d
-                best = i
-        return best
+    def _deficit_arm(self, occ: OccupationState, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The most deficient arm of each seed in `rows` (first on ties) and
+        whether it is deficient at all."""
+        d = self.floors[rows] * (occ.t + 1) - occ.counts[rows]
+        arm = d.argmax(axis=1)
+        return arm, d[np.arange(len(rows)), arm] > 0.0
 
-    def select(self, occ: OccupationState) -> int:
-        if self._phase == "estimate":
-            return self._arm
-        if self._phase == "catchup":
-            arm = self._deficit_arm(occ)
-            if arm is None:
-                self.phase1_end_t = occ.t
-                self._phase = "track"
-            else:
-                return arm
-        arm = self._deficit_arm(occ)
-        if arm is not None:
-            return arm
-        return self.inner.select(occ)
+    def select(self, occ: OccupationState) -> np.ndarray:
+        phase = self._phase
+        out = np.zeros(len(phase), dtype=np.int64)
+        estimate = phase == _ESTIMATE
+        if estimate.any():
+            out[estimate] = self._arm[estimate]
+        catchup = np.flatnonzero(phase == _CATCHUP)
+        if len(catchup):
+            arm, deficient = self._deficit_arm(occ, catchup)
+            out[catchup[deficient]] = arm[deficient]
+            done = catchup[~deficient]
+            self.phase1_end_t[done] = occ.t
+            phase[done] = _TRACK
+        track = np.flatnonzero(phase == _TRACK)
+        if len(track):
+            arm, deficient = self._deficit_arm(occ, track)
+            out[track[deficient]] = arm[deficient]
+            free = track[~deficient]
+            if len(free):
+                out[free] = self.inner.select_rows(occ, free)
+        return out
 
-    def observe(self, action: int, obs: float) -> None:
-        self.inner.observe(action, obs)
-        if self._phase != "estimate":
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
+        self.inner.observe(actions, obs)
+        rows = np.flatnonzero(self._phase == _ESTIMATE)
+        if not len(rows):
             return
-        d = obs - self.centers[action]
-        z = min(1.0, d * d / self.config.variance_cap)
-        self._z_count += 1
-        self._z_total += z
-        mean = self._z_total / self._z_count
-        triggered = mean >= math.sqrt(self._log_term / self._z_count)
-        if triggered or self._z_count >= self._budget:
+        d = obs[rows] - self.centers[actions[rows]]
+        x = d * d / self.config.variance_cap
+        z = np.where(x < 1.0, x, 1.0)  # min(1.0, x), which also maps NaN to 1.0
+        self._z_count[rows] += 1
+        self._z_total[rows] += z
+        count = self._z_count[rows]
+        mean = self._z_total[rows] / count
+        triggered = mean >= np.sqrt(self._log_term / count)
+        for i in np.flatnonzero(triggered | (count >= self._budget)).tolist():
+            row = int(rows[i])
+            m = float(mean[i])
             cap = self.config.variance_cap
-            self.brackets_hat.append(
-                (math.sqrt(mean * cap / 2.0), math.sqrt(3.0 * mean * cap / 2.0))
+            self.brackets_hat[row].append(
+                (math.sqrt(m * cap / 2.0), math.sqrt(3.0 * m * cap / 2.0))
             )
-            self.stopping_triggered.append(triggered)
-            self._arm += 1
-            self._z_count = 0
-            self._z_total = 0.0
-            if self._arm >= self.num_actions:
-                self._set_floors()
-                self._phase = "catchup"
+            self.stopping_triggered[row].append(bool(triggered[i]))
+            self._arm[row] += 1
+            self._z_count[row] = 0
+            self._z_total[row] = 0.0
+            if self._arm[row] >= self.num_actions:
+                self._set_floors(row)
+                self._phase[row] = _CATCHUP

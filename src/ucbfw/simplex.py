@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 SIMPLEX_SUM_TOL = 1e-12
 
 
@@ -28,33 +30,54 @@ def check_simplex(coords: Sequence[float], tol: float = SIMPLEX_SUM_TOL) -> Sequ
 class OccupationState:
     """Round count t and per-action pull counts, stored as exact integers.
 
+    With `seeds=None` this is one trajectory: `counts` is a list and `apply`
+    takes one action.  With `seeds=S` it is a block of S trajectories in
+    lockstep: `counts` is an (S, K) float64 array of whole numbers (exact,
+    and c / t then needs no conversion to give the float the list path's
+    int division gives), `apply` takes one action per seed, and
+    `proportions` returns an (S, K) array whose rows equal the lists single
+    trajectories give.  Block actions come from the block policies and are
+    not range-checked.
+
     Mutated only by the trial that owns it; counts never decrease.
     """
 
-    __slots__ = ("t", "counts")
+    __slots__ = ("t", "counts", "num_actions", "_flat", "_row", "_p")
 
-    def __init__(self, num_actions: int):
+    def __init__(self, num_actions: int, seeds: int | None = None):
         if num_actions < 2:
             raise ValueError(f"need at least 2 actions, got {num_actions}")
         self.t = 0
-        self.counts = [0] * num_actions
+        self.num_actions = num_actions
+        if seeds is None:
+            self.counts = [0] * num_actions
+        else:
+            self.counts = np.zeros((seeds, num_actions))
+            self._flat = self.counts.reshape(-1)
+            self._row = np.arange(seeds) * num_actions
+            self._p = None
 
-    @property
-    def num_actions(self) -> int:
-        return len(self.counts)
-
-    def apply(self, action: int) -> "OccupationState":
+    def apply(self, action) -> "OccupationState":
         counts = self.counts
-        if not 0 <= action < len(counts):
-            raise IndexError(f"action {action} out of range for {len(counts)} actions")
-        counts[action] += 1
+        if isinstance(counts, np.ndarray):
+            self._flat[self._row + action] += 1.0
+            self._p = None
+        else:
+            if not 0 <= action < len(counts):
+                raise IndexError(f"action {action} out of range for {len(counts)} actions")
+            counts[action] += 1
         self.t += 1
         return self
 
-    def proportions(self) -> list[float]:
+    def proportions(self):
         t = self.t
         if t == 0:
             raise ValueError("occupation measure is undefined before the first action")
+        if isinstance(self.counts, np.ndarray):
+            # kept until the next apply; callers only read it
+            if self._p is None:
+                self._p = self.counts / float(t)
+            return self._p
         return [c / t for c in self.counts]
 
     def __repr__(self) -> str:

@@ -17,7 +17,7 @@ from ucbfw import checks
 from ucbfw.cli import emit_csv
 from ucbfw.feedback import (
     DeviationSpec,
-    FeedbackState,
+    FeedbackBlock,
     ObservationModel,
     ObservationSampler,
 )
@@ -60,12 +60,13 @@ def report(capsys):
 
 
 def run_loop(policy, obs_model, seed, t_max, k):
-    sampler = ObservationSampler(obs_model, trial_seed=seed)
-    occ = OccupationState(k)
+    """One seed's action sequence under a policy built for a one-seed block."""
+    sampler = ObservationSampler(obs_model, (seed,))
+    occ = OccupationState(k, seeds=1)
     actions = []
     for _ in range(t_max):
         a = policy.select(occ)
-        actions.append(a)
+        actions.append(int(a[0]))
         policy.observe(a, sampler.draw(a))
         occ.apply(a)
     return actions, occ
@@ -108,15 +109,15 @@ def test_criterion_03_oracle_meets_pathwise_envelope_at_every_t(report):
     model = quadratic_loss((0.5, 0.5))
     policy = OracleFwPolicy(model)
     obs = ObservationModel(kind="deterministic", means=(0.5, 0.5))
-    sampler = ObservationSampler(obs, trial_seed=SEED_BASE)
-    occ = OccupationState(2)
+    sampler = ObservationSampler(obs, (SEED_BASE,))
+    occ = OccupationState(2, seeds=1)
     worst_margin = math.inf
     for _ in range(10_000):
         a = policy.select(occ)
         policy.observe(a, sampler.draw(a))
         occ.apply(a)
         t = occ.t
-        err = loss_value(model, occ.proportions())
+        err = loss_value(model, occ.proportions()[0].tolist())
         worst_margin = min(worst_margin, math.log(math.e * t) / t - err)
     wall = time.perf_counter() - t0
     ok = worst_margin >= 0.0 and wall < 1.0
@@ -129,12 +130,8 @@ def test_criterion_04_scalar_bandit_trace_equivalence(report):
     spec = DeviationSpec.standard()
     model = build_model(ModelConfig(kind="linear", mu=(0.0, 0.5)))
     obs = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
-    ucb, _ = run_loop(
-        UcbFwPolicy(model, FeedbackState.fresh(2, spec)), obs, SEED_BASE, 10_000, 2
-    )
-    lcb, _ = run_loop(
-        LcbBanditPolicy(FeedbackState.fresh(2, spec)), obs, SEED_BASE, 10_000, 2
-    )
+    ucb, _ = run_loop(UcbFwPolicy(model, FeedbackBlock(1, 2, spec)), obs, SEED_BASE, 10_000, 2)
+    lcb, _ = run_loop(LcbBanditPolicy(FeedbackBlock(1, 2, spec)), obs, SEED_BASE, 10_000, 2)
     wall = time.perf_counter() - t0
     ok = ucb == lcb and wall < 1.0
     report(4, ok, f"identical {len(ucb)}-step action sequences, {wall:.2f}s")
@@ -257,7 +254,6 @@ def test_criterion_08_stopping_rule_coverage(report):
     max_tau = 0
     for rep_i in range(reps):
         sampler = ObservationSampler(obs, trial_seed=SEED_BASE + rep_i)
-        sampler.prefill(0, horizon)
         res = variance_stopping_tau(
             (sampler.draw(0) for _ in range(horizon)), horizon, delta
         )
@@ -330,20 +326,22 @@ def test_criterion_10_presample_occupancy_floors(report):
     obs = build_observation_model(config.feedback, model)
     t0 = time.perf_counter()
     worst = math.inf
-    for s in range(config.seed_count):
-        seed = config.seed_base + s
-        sampler = ObservationSampler(obs, seed)
-        policy = build_policy(spec, model, config.feedback, seed, 10_000)
-        occ = OccupationState(model.num_actions)
-        for _ in range(10_000):
-            a = policy.select(occ)
-            policy.observe(a, sampler.draw(a))
-            occ.apply(a)
-            if policy.phase1_end_t is not None and occ.t > policy.phase1_end_t:
-                t = occ.t
-                for i, f in enumerate(policy.floors):
-                    worst = min(worst, occ.counts[i] / t - (f - 5.0 / t))
-        assert policy.phase1_end_t is not None
+    # all seeds in one lockstep block; a seed's floors count from the round
+    # after its phase 1 ends (phase1_end_t is -1 until then)
+    seeds = tuple(config.seed_base + s for s in range(config.seed_count))
+    sampler = ObservationSampler(obs, seeds)
+    policy = build_policy(spec, model, config.feedback, seeds, 10_000)
+    occ = OccupationState(model.num_actions, seeds=len(seeds))
+    for _ in range(10_000):
+        a = policy.select(occ)
+        policy.observe(a, sampler.draw(a))
+        occ.apply(a)
+        t = occ.t
+        done = (policy.phase1_end_t >= 0) & (t > policy.phase1_end_t)
+        if done.any():
+            margins = occ.counts[done] / t - (policy.floors[done] - 5.0 / t)
+            worst = min(worst, float(margins.min()))
+    assert (policy.phase1_end_t >= 0).all()
     wall = time.perf_counter() - t0
     ok = worst >= 0.0 and wall < 30.0
     report(10, ok, f"50 seeds, worst floor margin {worst:+.2e} over all t <= 1e4, {wall:.0f}s")

@@ -417,6 +417,50 @@ def test_run_command_rejects_non_finite_table(tmp_path, capsys, table, field, va
     assert message in capsys.readouterr().err
 
 
+NON_FINITE_MODELS = {
+    "markowitz": {
+        "kind": "markowitz",
+        "covariance": [[1.0, 0.0], [0.0, 1.0]],
+        "risk_weight": 1.0,
+        "mu": [1.0, 0.0],
+    },
+    "exp_design": {
+        "kind": "exp_design",
+        "sigma2": [1.0, 2.0],
+        "centers": [0.0, 0.0],
+        "interior_floor": [0.1, 0.1],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, index, value, message",
+    [
+        ("markowitz", "risk_weight", None, math.nan, "model: risk_weight must be finite, got nan"),
+        ("markowitz", "risk_weight", None, math.inf, "model: risk_weight must be finite, got inf"),
+        ("markowitz", "covariance", (0, 1), math.nan, "model: covariance has a non-finite entry"),
+        ("markowitz", "covariance", (1, 1), math.inf, "model: covariance has a non-finite entry"),
+        ("exp_design", "centers", (0,), math.nan, "model: centers has a non-finite entry"),
+        ("exp_design", "centers", (1,), -math.inf, "model: centers has a non-finite entry"),
+    ],
+    ids=["nan-risk-weight", "inf-risk-weight", "nan-covariance", "inf-covariance", "nan-center", "inf-center"],
+)
+def test_run_command_rejects_non_finite_model_inputs(
+    tmp_path, capsys, kind, field, index, value, message
+):
+    model = json.loads(json.dumps(NON_FINITE_MODELS[kind]))
+    if index is None:
+        model[field] = value
+    else:
+        target = model[field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+    path = write_config(tmp_path, {**BASIC, "model": model})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_rates_command_prints_slope(tmp_path, capsys):
     data = {**BASIC, "horizons": [100, 300, 900]}
     path = write_config(tmp_path, data)

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_loop import FeedbackState, gradient_estimate, route_and_update
 from ucbfw.feedback import (
     INFINITE_DEVIATION,
     DeviationSpec,
-    FeedbackState,
     ObservationModel,
     ObservationSampler,
     deviation,
+    deviation_radii,
     deviation_radius,
-    gradient_estimate,
-    route_and_update,
 )
 from ucbfw.losses import exp_design_loss, linear_loss, markowitz_loss
 
@@ -90,6 +89,26 @@ def test_delta_schedule():
 def test_radius_decreases_in_count(scale, t, n, delta):
     spec = DeviationSpec(scale=scale)
     assert deviation(spec, t, n + 1, delta) < deviation(spec, t, n, delta)
+
+
+@pytest.mark.parametrize("exponent", [0.5, 0.4, 0.25])
+@pytest.mark.parametrize("schedule", ["inverse_t_squared", "fixed"])
+def test_block_radii_equal_the_scalar_radius(exponent, schedule):
+    # the engine's radii must be the floats `deviation` gives one by one;
+    # np.power would round differently on some of them
+    spec = DeviationSpec(scale=1.7, exponent=exponent, delta_schedule=schedule)
+    counts = np.arange(1.0, 4001.0).reshape(40, 100)
+    for t in (5, 977, 100_000):
+        delta = spec.delta_at(t)
+        want = [[deviation(spec, t, int(n), delta) for n in row] for row in counts]
+        assert deviation_radii(spec, t, delta, counts).tolist() == want
+
+
+def test_radius_uses_sqrt_at_exponent_one_half():
+    # x ** 0.5 and sqrt(x) differ in the last bit for some x; every radius
+    # path uses sqrt
+    x = 4.0 * math.log(100 / 1e-4) / 3
+    assert deviation(DeviationSpec.standard(), 100, 3, 1e-4) == math.sqrt(x)
 
 
 # ---------------------------------------------------------------- routing
@@ -303,18 +322,41 @@ def test_draws_do_not_depend_on_interleaving():
     assert got == seq
 
 
-def test_prefill_matches_incremental_draws():
-    model = ObservationModel(kind="gaussian", means=(0.0,) * 2, sds=(1.0,) * 2)
-    a = ObservationSampler(model, trial_seed=11)
-    b = ObservationSampler(model, trial_seed=11)
-    b.prefill(0, 5000)
-    assert [a.draw(0) for _ in range(5000)] == [b.draw(0) for _ in range(5000)]
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "deterministic"])
+def test_draws_do_not_depend_on_chunk_or_block(kind, monkeypatch):
+    # draw n of stream (seed, action) is the n-th value of that stream's
+    # generator, whatever the top-up size and whichever seeds share a block
+    model = ObservationModel(kind=kind, means=(0.3, 0.6), sds=(1.0, 2.0))
+    seeds = (11, 12, 13)
+    rng = np.random.default_rng(2)
+    actions = rng.integers(0, 2, size=(700, 3))
+    alone = []
+    for i, seed in enumerate(seeds):
+        gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, a)))) for a in (0, 1)]
+        if kind == "gaussian":
+            streams = [g.normal(m, sd, size=700) for g, m, sd in zip(gens, model.means, model.sds)]
+        elif kind == "bernoulli":
+            streams = [(g.random(700) < m).astype(float) for g, m in zip(gens, model.means)]
+        else:
+            streams = [np.full(700, m) for m in model.means]
+        used = [0, 0]
+        draws = []
+        for a in actions[:, i]:
+            draws.append(float(streams[a][used[a]]))
+            used[a] += 1
+        alone.append(draws)
+        one = ObservationSampler(model, trial_seed=seed)
+        assert [one.draw(int(a)) for a in actions[:, i]] == draws
+    for chunk in (256, 7):
+        monkeypatch.setattr(ObservationSampler, "CHUNK", chunk)
+        block = ObservationSampler(model, seeds)
+        rounds = [block.draw(a).tolist() for a in actions]
+        assert [list(col) for col in zip(*rounds)] == alone
 
 
 def test_bernoulli_mean_concentrates():
     model = ObservationModel(kind="bernoulli", means=(0.5, 0.2))
     sampler = ObservationSampler(model, trial_seed=5)
-    sampler.prefill(0, 100_000)
     draws = [sampler.draw(0) for _ in range(100_000)]
     assert set(draws) <= {0.0, 1.0}
     assert abs(sum(draws) / len(draws) - 0.5) < 0.01

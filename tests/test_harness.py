@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from ucbfw import harness
+from ucbfw.feedback import ObservationSampler
 from ucbfw.harness import (
     AggregateResult,
     ExperimentConfig,
@@ -16,10 +18,14 @@ from ucbfw.harness import (
     build_feedback_state,
     build_model,
     build_observation_model,
+    build_policy,
+    build_policy_spec,
     fit_rate,
     run_experiment,
     run_trial,
 )
+from ucbfw.policies import PresampleConfig
+from ucbfw.simplex import OccupationState
 
 TABLES = (((0.0, 1.0), (0.0, 2.0)), ((0.0, 1.0), (1.0, 1.5)))
 
@@ -429,3 +435,182 @@ def test_unknown_selector_errors():
     agg = AggregateResult(horizons=(10,), mean_error=(0.1,), stderr_error=(0.0,), n=1)
     with pytest.raises(ValueError, match="selector"):
         bound_check(agg, model, "thm9")
+
+
+# ---------------------------------------------------------------- engine
+
+
+# The lockstep engine must give every seed the record, and the actions, of
+# the per-seed loop it replaced (kept in tests/reference_loop.py).  The grid
+# runs each policy kind with each tie break on each loss family, cycling
+# through observation kinds, action maps, estimators, deviation presets,
+# record_epsilon, block sizes and worker counts so that each value of each
+# axis meets many values of the others.
+
+GRID_FAMILIES = {
+    "linear": ModelConfig(kind="linear", mu=(0.2, 0.5, 0.5)),
+    "quadratic": ModelConfig(kind="quadratic", theta=(0.2, 0.3, 0.5)),
+    "exp_design": ModelConfig(kind="exp_design", sigma2=(1.0, 4.0, 2.0)),
+    "cobb_douglas": ModelConfig(kind="cobb_douglas", beta=(0.2, 0.5, 0.3)),
+    "markowitz": ModelConfig(
+        kind="markowitz",
+        covariance=((1.0, 0.2, 0.0), (0.2, 1.5, 0.1), (0.0, 0.1, 2.0)),
+        risk_weight=1.3,
+        mu=(0.4, 0.6, 0.5),
+    ),
+    "separable": ModelConfig(
+        kind="separable",
+        mu=(0.3, 0.7, 0.5),
+        tables=(
+            ((0.0, 0.5, 1.0), (1.0, 0.2, 0.0)),
+            ((0.0, 0.5, 1.0), (0.2, 0.4, 0.6)),
+            ((0.0, 1.0), (0.3, 0.9)),
+        ),
+    ),
+}
+GRID_KINDS = (
+    "ucb_fw",
+    "oracle_fw",
+    "lcb_bandit",
+    "uniform",
+    "fixed_allocation",
+    "presampled_ucb_fw",
+    "doubling_ucb_fw",
+)
+GRID_DEVIATIONS = (
+    dict(deviation="theorem1"),
+    dict(deviation="prop1", delta_schedule="fixed", delta_fixed=0.1),
+    dict(deviation="noiseless"),
+    dict(deviation="custom", deviation_scale=1.5, deviation_exponent=0.4),
+)
+GRID_PRESAMPLE = (
+    # a small variance cap and a loose delta let the stopping rule trigger
+    # within its 20-round budget on some arms and not on others
+    PresampleConfig(delta=0.5, variance_cap=0.5, horizon=20),
+    PresampleConfig(brackets=((0.5, 1.0), (1.0, 2.0), (0.8, 1.5))),
+)
+
+
+def _grid_cases():
+    """Each kind x tie break (group j) on each family (f); the other axes
+    step with j + f at different periods, so that every family meets every
+    value of every axis across the groups."""
+    cases = []
+    groups = [(kind, tie) for kind in GRID_KINDS for tie in ("lowest_index", "seeded_random")]
+    for j, (kind, tie) in enumerate(groups):
+        for f, (family, model_cfg) in enumerate(GRID_FAMILIES.items()):
+            variance = family == "exp_design"
+            observation = "gaussian" if variance else ("gaussian", "bernoulli", "deterministic")[(j + f) % 3]
+            estimators = ("centered_square", "sample_variance") if variance else (None, "sample_variance")
+            smooth = family not in ("exp_design", "cobb_douglas")
+            cfg = ExperimentConfig(
+                experiment="grid",
+                model=model_cfg,
+                policy=PolicyConfig(
+                    kind=kind,
+                    tie_break=tie,
+                    weights=(0.2, 0.3, 0.5),
+                    presample=GRID_PRESAMPLE[(j // 2 + f) % 2],
+                    **GRID_DEVIATIONS[(j + f) % 4],
+                ),
+                feedback=FeedbackConfig(
+                    observation=observation,
+                    action_map=(None, (2, 2, 0))[j % 2],
+                    estimator=estimators[(j // 2 + f) % 2],
+                ),
+                horizons=(10, 30, 120),
+                seed_count=(1, 3, 7)[(j + 2 * f) % 3],
+                seed_base=1000 + 17 * (6 * j + f),
+                record_epsilon=smooth and (j // 2 + f) % 2 == 0,
+            )
+            workers = 1 + (j // 4 + f) % 2
+            cases.append(pytest.param(cfg, workers, id=f"{kind}-{tie}-{family}"))
+    return cases
+
+
+@pytest.mark.parametrize("config, workers", _grid_cases())
+def test_engine_matches_per_seed_loop(config, workers, monkeypatch):
+    import reference_loop
+
+    # blocks of 1, 3 and 7 seeds; with workers=2 the two pool workers get
+    # blocks of n + 1 and n seeds
+    monkeypatch.setattr(harness, "MIN_BLOCK", 1)
+    if workers == 2:
+        config = dataclasses.replace(config, seed_count=2 * config.seed_count + 1)
+    seeds = [config.seed_base + i for i in range(config.seed_count)]
+    expected = _outcome(lambda: [reference_loop.run_trial(config, s) for s in seeds])
+    assert _outcome(lambda: run_experiment(config, workers=workers)) == expected
+    assert _outcome(lambda: run_trial(config, tuple(seeds))) == expected
+
+
+def _outcome(run):
+    """The records, or the kind of error, a run ends with.  A block stops
+    at the first error of any seed, which need not be the first seed's, so
+    only the error's type is compared."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _engine_actions(config, seeds, t_max):
+    model = build_model(config.model)
+    spec = build_policy_spec(config.policy)
+    sampler = ObservationSampler(build_observation_model(config.feedback, model), seeds)
+    policy = build_policy(spec, model, config.feedback, seeds, t_max)
+    occ = OccupationState(model.num_actions, seeds=len(seeds))
+    rounds = []
+    for _ in range(t_max):
+        a = policy.select(occ)
+        rounds.append(a.tolist())
+        policy.observe(a, sampler.draw(a))
+        occ.apply(a)
+    return [list(trace) for trace in zip(*rounds)]
+
+
+def _reference_actions(config, seed, t_max):
+    import reference_loop
+
+    model = build_model(config.model)
+    spec = build_policy_spec(config.policy)
+    sampler = reference_loop.ObservationSampler(build_observation_model(config.feedback, model), seed)
+    policy = reference_loop.build_policy(spec, model, config.feedback, seed, t_max)
+    occ = OccupationState(model.num_actions)
+    trace = []
+    for _ in range(t_max):
+        a = policy.select(occ)
+        trace.append(a)
+        policy.observe(a, sampler.draw(a))
+        occ.apply(a)
+    return trace
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        linear_config(
+            model=GRID_FAMILIES["quadratic"],
+            policy=PolicyConfig(deviation="prop1"),
+        ),
+        linear_config(
+            model=GRID_FAMILIES["linear"],
+            policy=PolicyConfig(kind="lcb_bandit", deviation="noiseless", tie_break="seeded_random"),
+            feedback=FeedbackConfig(observation="deterministic"),
+        ),
+        linear_config(
+            model=GRID_FAMILIES["separable"],
+            policy=PolicyConfig(kind="doubling_ucb_fw", tie_break="seeded_random"),
+            feedback=FeedbackConfig(observation="bernoulli"),
+        ),
+        linear_config(
+            model=GRID_FAMILIES["exp_design"],
+            policy=PolicyConfig(kind="presampled_ucb_fw", presample=GRID_PRESAMPLE[0]),
+            feedback=FeedbackConfig(action_map=(2, 2, 0)),
+        ),
+    ],
+    ids=["ucb_fw-quadratic", "lcb_bandit-ties", "doubling-separable", "presampled-exp_design"],
+)
+def test_engine_action_traces_match_per_seed_loop(config):
+    seeds = (3, 4, 5, 6, 7)
+    traces = _engine_actions(config, seeds, 300)
+    assert traces == [_reference_actions(config, s, 300) for s in seeds]

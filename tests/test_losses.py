@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ucbfw import losses
+from ucbfw import checks, losses
 from ucbfw.losses import (
     PiecewiseLinear,
     cobb_douglas_loss,
@@ -564,3 +564,55 @@ def test_hard_quadratic_rejects_offsets_leaving_the_simplex():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             hard_quadratic_family(2, 0.9, 5, (1,))
+
+
+# ---------------------------------------------------------------- blocks
+
+
+def _block_case(model, rng, rows=9):
+    k = model.num_actions
+    p = rng.dirichlet(np.ones(k), size=rows)
+    if model.smooth_on_simplex:
+        p[0] = np.eye(k)[0]  # a vertex
+        p[1, 0] = 0.0  # a boundary point
+        p[1] /= p[1].sum()
+    if model.variance_feedback:
+        params = rng.uniform(0.1, 5.0, size=(rows, k))
+    else:
+        params = rng.normal(0.0, 2.0, size=(rows, k))
+    return params, p
+
+
+@pytest.mark.parametrize("model", checks._check_instances(), ids=lambda m: m.kind)
+def test_block_methods_match_list_path_row_by_row(model):
+    # the engine evaluates a block of seeds at once; every row must be the
+    # float the list path gives for that seed alone
+    rng = np.random.default_rng(31)
+    params, p = _block_case(model, rng)
+    grad = model.gradient(params, p)
+    true = model.true_gradient(p)
+    sens = model.sensitivity(p)
+    for row in range(len(p)):
+        point = p[row].tolist()
+        assert grad[row].tolist() == model.gradient(params[row].tolist(), point)
+        assert true[row].tolist() == model.true_gradient(point)
+        want = model.sensitivity(point)
+        if want is None:
+            assert sens is None
+        else:
+            assert np.broadcast_to(sens, p.shape)[row].tolist() == want
+
+
+def test_block_gradient_names_the_first_boundary_row():
+    model = exp_design_loss((1.0, 4.0))
+    p = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="coordinate 0 is 0.0"):
+        model.gradient(np.ones((3, 2)), p)
+
+
+def test_markowitz_sums_row_products_left_to_right():
+    # a compensated sum (Python >= 3.12's sum()) would give 1.0 here
+    terms = [1e16, 1.0, -1e16]
+    assert losses._dot(terms, [1.0, 1.0, 1.0]) == 0.0
+    rows = np.array([terms, terms[::-1]])
+    assert losses._row_dots(rows, np.ones((1, 3))).tolist() == [[0.0, 0.0]]

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_loop import (
+    FeedbackState,
+    lcb_bandit_select,
+    oracle_fw_select,
+    route_and_update,
+    ucb_fw_select,
+)
 from ucbfw.feedback import (
     DeviationSpec,
-    FeedbackState,
+    FeedbackBlock,
     ObservationModel,
     ObservationSampler,
-    route_and_update,
 )
 from ucbfw.losses import (
     cobb_douglas_loss,
@@ -31,9 +37,6 @@ from ucbfw.policies import (
     argmin_tie_break,
     doubling_boundaries,
     epsilon_diagnostic,
-    lcb_bandit_select,
-    oracle_fw_select,
-    ucb_fw_select,
     variance_stopping_tau,
 )
 from ucbfw.simplex import OccupationState
@@ -53,6 +56,35 @@ def identity_fb(spec, values_per_coeff):
         for v in values:
             route_and_update(fb, i, v)
     return fb
+
+
+# The policy classes advance blocks of seeds; these helpers build one-seed
+# blocks and run them with plain-int actions.
+
+
+def block_occ(counts):
+    occ = OccupationState(len(counts), seeds=1)
+    occ.counts[0] = counts
+    occ.t = sum(counts)
+    return occ
+
+
+def block_fb(spec, values_per_coeff, **kw):
+    fb = FeedbackBlock(1, len(values_per_coeff), spec, **kw)
+    for i, values in enumerate(values_per_coeff):
+        for v in values:
+            fb.update(np.array([i]), np.array([v]))
+    return fb
+
+
+def pick(policy, occ):
+    return int(policy.select(occ)[0])
+
+
+def step(policy, occ, a, obs):
+    a = np.array([a])
+    policy.observe(a, np.array([obs]))
+    occ.apply(a)
 
 
 # ---------------------------------------------------------------- tie break
@@ -97,15 +129,14 @@ def test_cold_start_forces_unobserved_coefficient():
 def test_round_robin_prefix():
     spec = DeviationSpec.standard()
     model = linear_loss((0.3, 0.1, 0.2, 0.4))
-    fb = FeedbackState.fresh(4, spec)
+    fb = FeedbackBlock(1, 4, spec)
     policy = UcbFwPolicy(model, fb)
-    occ = OccupationState(4)
+    occ = OccupationState(4, seeds=1)
     prefix = []
     for _ in range(4):
-        a = policy.select(occ)
+        a = pick(policy, occ)
         prefix.append(a)
-        policy.observe(a, 0.0)
-        occ.apply(a)
+        step(policy, occ, a, 0.0)
     assert prefix == [0, 1, 2, 3]
 
 
@@ -133,28 +164,33 @@ def test_less_explored_action_wins_on_equal_estimates():
         max_size=4,
     )
 )
-def test_fast_path_matches_reference_selection(groups):
+def test_block_selection_matches_reference_selection(groups):
     spec = DeviationSpec.standard()
     values = [g[0] for g in groups]
     model = linear_loss((0.0,) * len(values))
-    fb = identity_fb(spec, values)
-    occ = make_occ([len(v) for v in values])
-    policy = UcbFwPolicy(model, fb)
-    assert policy.select(occ) == ucb_fw_select(fb, occ, model)
+    counts = [len(v) for v in values]
+    policy = UcbFwPolicy(model, block_fb(spec, values))
+    assert pick(policy, block_occ(counts)) == ucb_fw_select(
+        identity_fb(spec, values), make_occ(counts), model
+    )
 
 
-def test_fast_path_matches_reference_with_sensitivity():
+def test_block_selection_matches_reference_with_sensitivity():
     # exp_design multiplies the radius by 1/p_i^2; both paths must agree
     spec = DeviationSpec.standard()
     model = exp_design_loss((1.0, 4.0))
-    fb = FeedbackState.fresh(2, spec, estimator="centered_square", centers=(0.0, 0.0))
+    kw = dict(estimator="centered_square", centers=(0.0, 0.0))
+    fb = FeedbackState.fresh(2, spec, **kw)
+    block = FeedbackBlock(1, 2, spec, **kw)
     rng = np.random.default_rng(6)
     occ = OccupationState(2)
     for a in rng.integers(0, 2, size=40):
-        route_and_update(fb, int(a), float(rng.normal()))
+        obs = float(rng.normal())
+        route_and_update(fb, int(a), obs)
+        block.update(np.array([a]), np.array([obs]))
         occ.apply(int(a))
-    policy = UcbFwPolicy(model, fb)
-    assert policy.select(occ) == ucb_fw_select(fb, occ, model)
+    policy = UcbFwPolicy(model, block)
+    assert pick(policy, block_occ(occ.counts)) == ucb_fw_select(fb, occ, model)
 
 
 # ---------------------------------------------------------------- baselines
@@ -177,15 +213,14 @@ def test_linear_trace_equivalence():
 
     def run(policy_cls, *args):
         sampler = ObservationSampler(obs_model, trial_seed=77)
-        fb = FeedbackState.fresh(2, spec)
+        fb = FeedbackBlock(1, 2, spec)
         policy = policy_cls(*args, fb)
-        occ = OccupationState(2)
+        occ = OccupationState(2, seeds=1)
         actions = []
         for _ in range(2000):
-            a = policy.select(occ)
+            a = pick(policy, occ)
             actions.append(a)
-            policy.observe(a, sampler.draw(a))
-            occ.apply(a)
+            step(policy, occ, a, sampler.draw(a))
         return actions
 
     ucb_actions = run(lambda fb_: UcbFwPolicy(model, fb_))
@@ -207,26 +242,25 @@ def test_noiseless_ucb_collapses_to_oracle():
     def run(make_policy):
         sampler = ObservationSampler(obs_model, trial_seed=3)
         policy = make_policy()
-        occ = OccupationState(3)
+        occ = OccupationState(3, seeds=1)
         actions = []
         for _ in range(500):
-            a = policy.select(occ)
+            a = pick(policy, occ)
             actions.append(a)
-            policy.observe(a, sampler.draw(a))
-            occ.apply(a)
+            step(policy, occ, a, sampler.draw(a))
         return actions
 
-    ucb = run(lambda: UcbFwPolicy(model, FeedbackState.fresh(3, DeviationSpec.noiseless())))
+    ucb = run(lambda: UcbFwPolicy(model, FeedbackBlock(1, 3, DeviationSpec.noiseless())))
     oracle = run(lambda: OracleFwPolicy(model))
     assert ucb == oracle
 
 
 def test_uniform_policy_is_seeded_and_balanced():
-    occ = OccupationState(2)
-    a = UniformPolicy(2, trial_seed=4)
-    b = UniformPolicy(2, trial_seed=4)
-    seq_a = [a.select(occ) for _ in range(1000)]
-    seq_b = [b.select(occ) for _ in range(1000)]
+    occ = OccupationState(2, seeds=1)
+    a = UniformPolicy(2, seeds=(4,))
+    b = UniformPolicy(2, seeds=(4,))
+    seq_a = [pick(a, occ) for _ in range(1000)]
+    seq_b = [pick(b, occ) for _ in range(1000)]
     assert seq_a == seq_b
     assert set(seq_a) == {0, 1}
     assert 350 < sum(seq_a) < 650
@@ -234,11 +268,11 @@ def test_uniform_policy_is_seeded_and_balanced():
 
 def test_fixed_allocation_tracks_weights_within_one():
     policy = FixedAllocationPolicy((0.25, 0.75))
-    occ = OccupationState(2)
+    occ = OccupationState(2, seeds=1)
     for _ in range(1000):
         occ.apply(policy.select(occ))
         for i, w in enumerate((0.25, 0.75)):
-            assert abs(occ.counts[i] - w * occ.t) <= 1.0
+            assert abs(occ.counts[0, i] - w * occ.t) <= 1.0
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -339,13 +373,12 @@ def test_doubling_boundaries_beta_half():
 
 def _run_policy(policy, obs_model, seed, t_max, k):
     sampler = ObservationSampler(obs_model, trial_seed=seed)
-    occ = OccupationState(k)
+    occ = OccupationState(k, seeds=1)
     actions = []
     for _ in range(t_max):
-        a = policy.select(occ)
+        a = pick(policy, occ)
         actions.append(a)
-        policy.observe(a, sampler.draw(a))
-        occ.apply(a)
+        step(policy, occ, a, sampler.draw(a))
     return actions, occ
 
 
@@ -354,9 +387,9 @@ def test_doubling_matches_inner_before_first_boundary():
     model = linear_loss((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
     plain, _ = _run_policy(
-        UcbFwPolicy(model, FeedbackState.fresh(2, spec)), obs_model, 21, 8, 2
+        UcbFwPolicy(model, FeedbackBlock(1, 2, spec)), obs_model, 21, 8, 2
     )
-    inner = UcbFwPolicy(model, FeedbackState.fresh(2, spec))
+    inner = UcbFwPolicy(model, FeedbackBlock(1, 2, spec))
     wrapped, _ = _run_policy(DoublingUcbFwPolicy(inner, 0.5, 8), obs_model, 21, 8, 2)
     assert wrapped == plain
 
@@ -365,13 +398,13 @@ def test_doubling_resets_estimator_but_not_occupation():
     spec = DeviationSpec.standard()
     model = linear_loss((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
-    inner = UcbFwPolicy(model, FeedbackState.fresh(2, spec))
+    inner = UcbFwPolicy(model, FeedbackBlock(1, 2, spec))
     policy = DoublingUcbFwPolicy(inner, 0.5, 100)
     _, occ = _run_policy(policy, obs_model, 22, 100, 2)
     assert occ.t == 100
     assert policy.block == 2  # crossed 8 and 55
     # estimator only remembers observations after the latest restart
-    assert sum(inner.fb.obs_counts) == 100 - 55
+    assert inner.fb.obs_counts.sum() == 100 - 55
 
 
 # ---------------------------------------------------------------- presample
@@ -379,8 +412,8 @@ def test_doubling_resets_estimator_but_not_occupation():
 
 def exp_design_inner(spec=None):
     model = exp_design_loss((1.0, 4.0))
-    fb = FeedbackState.fresh(
-        2, spec or DeviationSpec.standard(), estimator="centered_square", centers=(0.0, 0.0)
+    fb = FeedbackBlock(
+        1, 2, spec or DeviationSpec.standard(), estimator="centered_square", centers=(0.0, 0.0)
     )
     return model, UcbFwPolicy(model, fb)
 
@@ -389,24 +422,23 @@ def test_presample_known_brackets_floor_enforcement():
     _, inner = exp_design_inner()
     cfg = PresampleConfig(brackets=((1.0, 1.0), (2.0, 2.0)))
     policy = PresampledUcbFwPolicy(inner, cfg, centers=(0.0, 0.0))
-    assert policy.phase1_end_t == 0
-    assert policy.floors == pytest.approx([1 / 3, 2 / 3])
-    occ = make_occ((2, 7))  # arm 0 at 2/9 < 1/3
-    assert policy.select(occ) == 0
+    assert policy.phase1_end_t[0] == 0
+    assert policy.floors[0] == pytest.approx([1 / 3, 2 / 3])
+    occ = block_occ((2, 7))  # arm 0 at 2/9 < 1/3
+    assert pick(policy, occ) == 0
 
 
 def test_presample_defers_when_floors_hold():
     _, inner = exp_design_inner()
     cfg = PresampleConfig(brackets=((1.0, 2.0), (2.0, 3.0)))
     policy = PresampledUcbFwPolicy(inner, cfg, centers=(0.0, 0.0))
-    assert policy.floors == pytest.approx([0.2, 0.4])
+    assert policy.floors[0] == pytest.approx([0.2, 0.4])
     rng = np.random.default_rng(8)
-    occ = OccupationState(2)
+    occ = OccupationState(2, seeds=1)
     for a in rng.integers(0, 2, size=10):
-        policy.observe(int(a), float(rng.normal()))
-        occ.apply(int(a))
-    occ2 = make_occ((5, 5))  # both above floor at t=10
-    assert policy.select(occ2) == inner.select(occ2)
+        step(policy, occ, int(a), float(rng.normal()))
+    occ2 = block_occ((5, 5))  # both above floor at t=10
+    assert pick(policy, occ2) == pick(inner, occ2)
 
 
 def test_presample_stopping_mode_reaches_tracking():
@@ -416,18 +448,17 @@ def test_presample_stopping_mode_reaches_tracking():
     cfg = PresampleConfig(delta=0.1, variance_cap=8.0, horizon=3000)
     policy = PresampledUcbFwPolicy(inner, cfg, centers=(0.0, 0.0))
     sampler = ObservationSampler(obs_model, trial_seed=30)
-    occ = OccupationState(2)
+    occ = OccupationState(2, seeds=1)
     for _ in range(3000):
-        a = policy.select(occ)
-        policy.observe(a, sampler.draw(a))
-        occ.apply(a)
-    assert policy.phase1_end_t is not None and policy.phase1_end_t > 0
-    assert all(policy.stopping_triggered)
-    assert all(lo <= hi for lo, hi in policy.brackets_hat)
-    assert sum(policy.floors) == pytest.approx(1 / math.sqrt(3))
+        a = pick(policy, occ)
+        step(policy, occ, a, sampler.draw(a))
+    assert policy.phase1_end_t[0] > 0
+    assert all(policy.stopping_triggered[0])
+    assert all(lo <= hi for lo, hi in policy.brackets_hat[0])
+    assert sum(policy.floors[0]) == pytest.approx(1 / math.sqrt(3))
     # pathwise floor contract after phase 1
-    t, counts = occ.t, occ.counts
-    for i, f in enumerate(policy.floors):
+    t, counts = occ.t, occ.counts[0]
+    for i, f in enumerate(policy.floors[0]):
         assert counts[i] / t >= f - 5.0 / t
 
 
@@ -458,3 +489,61 @@ def test_policy_spec_validation():
         PolicySpec(kind="presampled_ucb_fw")
     with pytest.raises(ValueError, match="beta"):
         PolicySpec(doubling_beta=0.9)
+
+
+# ---------------------------------------------------------------- block argmin
+
+
+def _strict_scan(row):
+    # the plug-in selection's rule: first strict minimum, NaN passed over
+    best, best_u = 0, math.inf
+    for i, u in enumerate(row):
+        if u < best_u:
+            best, best_u = i, u
+    return best
+
+
+def test_block_argmin_follows_the_scalar_rules_row_by_row():
+    from ucbfw.policies import _TIE_STREAM_TAG, _TieBreaker
+
+    rng = np.random.default_rng(12)
+    values = rng.integers(0, 3, size=(40, 4)).astype(float)  # many ties
+    values[3, 2] = np.nan
+    values[5, 1:3] = np.nan
+    values[6] = np.nan
+    values[8, 0] = -np.inf
+    values[9, 3] = np.inf
+    seeds = tuple(range(500, 540))
+    lowest = _TieBreaker("lowest_index", seeds)
+    clean = np.delete(values, [6], axis=0)
+    assert lowest.argmin(clean).tolist() == [argmin_tie_break(r) for r in clean.tolist()]
+    with pytest.raises(ValueError):
+        lowest.argmin(values[6:7])  # an all-NaN row fails as it does alone
+    seeded = _TieBreaker("seeded_random", seeds)
+    rows = np.arange(0, 40, 2)  # rows of a subset, named by their seed index
+    finite = np.nan_to_num(values[rows], nan=5.0)
+    picked = seeded.argmin(finite, rows)
+    for i, row in enumerate(rows.tolist()):
+        gen = np.random.default_rng(np.random.SeedSequence((seeds[row], _TIE_STREAM_TAG)))
+        assert picked[i] == argmin_tie_break(finite[i].tolist(), "seeded_random", gen)
+
+
+def test_plug_in_selection_passes_over_nan_scores():
+    # the engine's lowest-index rule is the strict `<` scan of the per-seed
+    # loop: NaN scores are passed over and an all-NaN row picks action 0
+    means = [
+        [math.nan, 0.5, 0.2],
+        [0.3, math.nan, 0.1],
+        [math.nan, math.nan, math.nan],
+        [-math.inf, math.nan, 0.0],
+        [math.inf, math.nan, math.inf],
+    ]
+    fb = FeedbackBlock(len(means), 3, DeviationSpec.noiseless())
+    fb.obs_counts[:] = 1.0
+    fb.means[:] = means
+    fb.rounds = 3
+    occ = OccupationState(3, seeds=len(means))
+    occ.counts[:] = 1.0
+    occ.t = 3
+    policy = UcbFwPolicy(linear_loss((0.0, 0.0, 0.0)), fb)
+    assert policy.select(occ).tolist() == [_strict_scan(r) for r in means]
