@@ -25,8 +25,6 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from operator import add, mul
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -222,7 +220,10 @@ def is_block(x) -> bool:
 def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sum of products, left to right from 0.0, as `sum()` did before
     Python 3.12 made float sums compensated."""
-    return reduce(add, map(mul, xs, ys), 0.0)
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc += x * y
+    return acc
 
 
 def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -529,7 +530,7 @@ class MarkowitzLoss(LossModel):
     # matvec, or `sum()` from Python 3.12 on, would sum them in another
     # order and change the floats.
     def value(self, p):
-        quad = reduce(add, (x * _dot(row, p) for x, row in zip(p, self.covariance)), 0.0)
+        quad = _dot(p, [_dot(row, p) for row in self.covariance])
         return quad - self.risk_weight * _dot(self.params, p)
 
     def gradient(self, params, p):
