@@ -338,7 +338,7 @@ def run_trial(
     its seed gives alone.
     """
     if isinstance(seed, tuple):
-        slices = _split(seed, -(-len(seed) // MAX_BLOCK))
+        slices = _split(seed, -(-len(seed) // MAX_BLOCK)) if seed else []
         return [record for block in slices for record in _run_block(config, block, t_max)]
     return _run_block(config, (seed,), t_max)[0]
 

@@ -234,6 +234,12 @@ def test_trial_determinism_and_worker_independence():
     assert serial == parallel
 
 
+def test_run_trial_takes_a_tuple_of_seeds():
+    cfg = linear_config(horizons=(50,))
+    assert run_trial(cfg, (7, 3)) == [run_trial(cfg, 7), run_trial(cfg, 3)]
+    assert run_trial(cfg, ()) == []
+
+
 def test_errors_are_nonnegative():
     cfg = linear_config(
         model=ModelConfig(kind="quadratic", theta=(0.2, 0.3, 0.5)),
