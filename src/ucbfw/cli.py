@@ -28,6 +28,7 @@ from .harness import (
     TrialRecord,
     aggregate,
     bound_check,
+    build_feedback_state,
     build_model,
     build_observation_model,
     build_policy_spec,
@@ -36,7 +37,7 @@ from .harness import (
     _check_subgaussian,
     _validate_experiment,
 )
-from .policies import PresampleConfig
+from .policies import FIXED_ALLOCATION, PRESAMPLED_UCB_FW, PresampleConfig
 
 CSV_HEADER = "experiment,policy,loss,K,T,seed,error,sum_epsilon,bound_value,bound_pass"
 
@@ -282,9 +283,18 @@ def _validate_config(config: ExperimentConfig) -> None:
         spec = build_policy_spec(config.policy)
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from None
+    k = model.num_actions
+    if spec.kind == FIXED_ALLOCATION and len(spec.weights) != k:
+        raise ConfigError(f"policy.weights: need one weight per action: {len(spec.weights)} vs {k}")
+    brackets = spec.presample.brackets if spec.kind == PRESAMPLED_UCB_FW else None
+    if brackets is not None and len(brackets) != k:
+        raise ConfigError(
+            f"policy.presample.brackets: need one bracket per arm: {len(brackets)} vs {k}"
+        )
     try:
         obs = build_observation_model(config.feedback, model)
         _check_subgaussian(obs, spec.deviation, model)
+        build_feedback_state(config.feedback, model, spec.deviation)
     except ValueError as exc:
         raise ConfigError(f"feedback: {exc}") from None
     try:
@@ -338,8 +348,7 @@ def normalize_config(config: ExperimentConfig) -> dict:
         if pol.presample.max_rounds_per_arm is not None:
             pre["max_rounds_per_arm"] = pol.presample.max_rounds_per_arm
         policy["presample"] = pre
-    if pol.kind == "doubling_ucb_fw":
-        policy["doubling_beta"] = pol.doubling_beta
+    policy["doubling_beta"] = pol.doubling_beta
 
     feedback: dict[str, Any] = {
         "observation": config.feedback.observation,

@@ -174,7 +174,7 @@ class FeedbackBlock:
         self._centered = estimator == ESTIMATOR_CENTERED_SQUARE
         self._welford = estimator == ESTIMATOR_SAMPLE_VARIANCE
         # counts are whole numbers held as floats: exact, and dividing by
-        # them gives the float the list path's int division gives, without
+        # them gives the correctly rounded quotient of the integers, without
         # a conversion per round
         self.obs_counts = np.zeros((num_seeds, num_coeffs))
         self.means = np.zeros((num_seeds, num_coeffs))
@@ -274,7 +274,7 @@ class ObservationModel:
 
 
 class ObservationSampler:
-    """Materialized observation streams of one trial or of a block of seeds.
+    """Materialized observation streams of a block of seeds.
 
     Stream (s, a) is generated from SeedSequence((s, a)) and consumed in
     pull order, so draw n of action a for seed s is reproducible in
@@ -283,17 +283,15 @@ class ObservationSampler:
     stream runs dry before the next top-up and the buffers hold under
     2 * CHUNK values per stream.  Chunking does not change the values.
 
-    With an int `trial_seed`, `draw` takes one action and returns one
-    float.  With a sequence of seeds, it takes one action per seed (an int
-    array) and returns the seeds' observations as an array.
+    `draw` takes one action per seed (an int array; a plain int draws that
+    action for every seed) and returns the seeds' observations as an array.
     """
 
     CHUNK = 64
 
-    def __init__(self, obs_model: ObservationModel, trial_seed: int | Sequence[int]):
+    def __init__(self, obs_model: ObservationModel, seeds: Sequence[int]):
         self.obs_model = obs_model
-        self._one = isinstance(trial_seed, (int, np.integer))
-        seeds = (int(trial_seed),) if self._one else tuple(int(s) for s in trial_seed)
+        seeds = tuple(int(s) for s in seeds)
         k = len(obs_model.means)
         self._k = k
         self._gens = [
@@ -311,19 +309,19 @@ class ObservationSampler:
         self._row = np.arange(len(seeds)) * k
         self._until_top_up = 0
 
-    def draw(self, action):
-        """Next observation of `action` (of each seed's action); consumes one
-        value of each stream drawn from."""
+    def draw(self, action) -> np.ndarray:
+        """Next observation of each seed's action; consumes one value of each
+        stream drawn from."""
         if self._until_top_up == 0:
             self._top_up()
             self._until_top_up = self.CHUNK
         self._until_top_up -= 1
-        stream = action if self._one else self._row + action
+        stream = self._row + action
         i = self._next[stream]
         obs = self._buf[i]
         i += 1
         self._next[stream] = i
-        return float(obs) if self._one else obs
+        return obs
 
     def _top_up(self) -> None:
         chunk = self.CHUNK

@@ -7,11 +7,12 @@ ones), and a closed-form or exactly-solved minimizer with the quantities
 the rate bounds need (minimum coordinate, per-vertex gaps, curvature
 constants).
 
-`gradient`, `true_gradient` and `sensitivity` also take an (S, K) array
-of points, one seed per row, and then return arrays whose rows are
-bit-identical to what the list path gives for each row on its own (a
-sensitivity that does not depend on p comes back as one row of K factors,
-which broadcasts against the block).
+`gradient`, `true_gradient` and `sensitivity` take an (S, K) array of
+points, one seed per row (a single point is a one-row block), and return
+(S, K) arrays whose rows do not depend on the other rows; a sensitivity
+that does not depend on p comes back as one row of K factors, which
+broadcasts against the block.  `value` takes one point.  Arrays a model
+caches and may return are read-only.
 
 Families whose gradient blows up at the boundary (inverse-proportion and
 log-utility losses) carry infinite curvature constants unless an interior
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
@@ -59,30 +59,7 @@ class PiecewiseLinear:
             raise ValueError("piecewise-linear ys must be monotone")
 
     def __call__(self, x: float) -> float:
-        # numpy's scalar `interp`, step for step, so the result is the same
-        # float `np.interp` gives; pure Python costs far less per call
-        x = float(x)
-        if x != x:
-            return x
-        xs, ys = self.xs, self.ys
-        j = bisect_right(xs, x) - 1
-        if j < 0:
-            return ys[0]
-        if j >= len(xs) - 1:
-            return ys[-1]
-        x0, y0 = xs[j], ys[j]
-        if x == x0:
-            return y0
-        x1, y1 = xs[j + 1], ys[j + 1]
-        slope = (y1 - y0) / (x1 - x0)
-        y = slope * (x - x0) + y0
-        if y != y:
-            # numpy's fallbacks: interpolate from the right end, then take
-            # the flat segment's value
-            y = slope * (x - x1) + y1
-            if y != y and y0 == y1:
-                y = y0
-        return y
+        return float(np.interp(x, self.xs, self.ys))
 
     def lipschitz(self) -> float:
         return max(
@@ -166,17 +143,16 @@ class LossModel:
     def value(self, p: Sequence[float]) -> float:
         raise NotImplementedError
 
-    def gradient(self, params: Sequence[float], p: Sequence[float]) -> list[float]:
-        """Gradient formula of the family evaluated with plugged-in `params`."""
+    def gradient(self, params: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Gradient formula of the family at each point of the block p,
+        evaluated with that row's plugged-in `params`."""
         raise NotImplementedError
 
-    def true_gradient(self, p: Sequence[float]) -> list[float]:
-        """The gradient at p with the true parameters, as a fresh list (or array)."""
-        if is_block(p):
-            return self.gradient(np.tile(self.params, (len(p), 1)), p)
-        return self.gradient(self.params, p)
+    def true_gradient(self, p: np.ndarray) -> np.ndarray:
+        """The gradient at each point of the block p with the true parameters."""
+        return self.gradient(np.tile(self.params, (len(p), 1)), p)
 
-    def sensitivity(self, p: Sequence[float]) -> list[float] | None:
+    def sensitivity(self, p: np.ndarray) -> np.ndarray | None:
         """Per-coordinate factor turning a parameter deviation into a gradient deviation.
 
         Returns None when every factor is 1 (mean-parameter families).
@@ -212,9 +188,11 @@ def _check_floor(floor: Sequence[float], k: int) -> tuple[float, ...]:
     return f
 
 
-def is_block(x) -> bool:
-    """Whether `x` is an (S, K) array of points, one seed per row."""
-    return isinstance(x, np.ndarray) and x.ndim == 2
+def _read_only(values) -> np.ndarray:
+    """A float array of `values` that callers cannot write through."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -235,15 +213,14 @@ def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.cumsum(p[:, None, :] * rows, axis=-1)[..., -1] + 0.0
 
 
-def _require_interior(p: Sequence[float], kind: str) -> None:
-    if is_block(p):
-        bad = (p <= 0.0).any(axis=1)
-        if bad.any():
-            _require_interior(p[int(bad.argmax())].tolist(), kind)
-        return
-    for i, v in enumerate(p):
-        if v <= 0.0:
-            raise ValueError(f"{kind} loss needs p strictly positive, coordinate {i} is {v}")
+def _require_interior(p, kind: str) -> None:
+    """Raise, naming the first offending coordinate, unless every coordinate
+    of p (one point or a block of points) is strictly positive."""
+    p = np.asarray(p, dtype=float)
+    bad = p <= 0.0
+    if bad.any():
+        where = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"{kind} loss needs p strictly positive, coordinate {where[-1]} is {p[where]}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -259,8 +236,9 @@ class LinearLoss(LossModel):
     costs_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "costs", tuple(self.gradient(self.params, ())))
-        object.__setattr__(self, "costs_array", np.array(self.costs))
+        costs = self.gradient(np.array([self.params]), None)[0]
+        object.__setattr__(self, "costs", tuple(costs.tolist()))
+        object.__setattr__(self, "costs_array", _read_only(costs))
 
     @classmethod
     def build(cls, mu: Sequence[float]) -> LinearLoss:
@@ -273,17 +251,13 @@ class LinearLoss(LossModel):
         return sum(c * x for c, x in zip(self.costs, p))
 
     def gradient(self, params, p):
-        if is_block(params):
-            # the plug-in gradient is the estimates themselves
-            return np.asarray(params, dtype=float)
-        return [float(v) for v in params]
+        # the plug-in gradient is the estimates themselves
+        return np.asarray(params, dtype=float)
 
     def true_gradient(self, p):
-        if is_block(p):
-            out = np.empty(p.shape)
-            out[...] = self.costs_array
-            return out
-        return list(self.costs)
+        out = np.empty(p.shape)
+        out[...] = self.costs_array
+        return out
 
     def minimizer(self):
         return _vertex_info(self.costs)
@@ -321,9 +295,7 @@ class QuadraticLoss(LossModel):
         return 0.5 * sum((x - th) ** 2 for x, th in zip(p, self.params))
 
     def gradient(self, params, p):
-        if is_block(p):
-            return p - params
-        return [x - th for x, th in zip(p, params)]
+        return p - params
 
     def minimizer(self):
         th = self.params
@@ -391,14 +363,10 @@ class ExpDesignLoss(LossModel):
 
     def gradient(self, params, p):
         _require_interior(p, self.kind)
-        if is_block(p):
-            return -params / (p * p)
-        return [-s / (x * x) for s, x in zip(params, p)]
+        return -params / (p * p)
 
     def sensitivity(self, p):
-        if is_block(p):
-            return 1.0 / (p * p)
-        return [1.0 / (x * x) for x in p]
+        return 1.0 / (p * p)
 
     def minimizer(self):
         sig = [math.sqrt(v) for v in self.params]
@@ -445,14 +413,10 @@ class CobbDouglasLoss(LossModel):
 
     def gradient(self, params, p):
         _require_interior(p, self.kind)
-        if is_block(p):
-            return -params / p
-        return [-b / x for b, x in zip(params, p)]
+        return -params / p
 
     def sensitivity(self, p):
-        if is_block(p):
-            return 1.0 / p
-        return [1.0 / x for x in p]
+        return 1.0 / p
 
     def minimizer(self):
         b = self.params
@@ -480,7 +444,7 @@ class MarkowitzLoss(LossModel):
     cov_array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cov_array", np.array(self.covariance, dtype=float))
+        object.__setattr__(self, "cov_array", _read_only(self.covariance))
 
     @classmethod
     def build(
@@ -534,18 +498,13 @@ class MarkowitzLoss(LossModel):
         return quad - self.risk_weight * _dot(self.params, p)
 
     def gradient(self, params, p):
-        lam = self.risk_weight
-        if is_block(p):
-            return 2.0 * _row_dots(self.cov_array, p) - lam * params
-        return [2.0 * _dot(row, p) - lam * m for row, m in zip(self.covariance, params)]
+        return 2.0 * _row_dots(self.cov_array, p) - self.risk_weight * params
 
     def sensitivity(self, p):
         lam = self.risk_weight
         if lam == 1.0:
             return None
-        if is_block(p):
-            return np.full(p.shape[1], lam)
-        return [lam] * len(p)
+        return np.full(p.shape[1], lam)
 
     def minimizer(self):
         sig = np.asarray(self.covariance)
@@ -567,28 +526,25 @@ class MarkowitzLoss(LossModel):
 class SeparableLoss(LinearLoss):
     """A linear loss whose costs are tabulated functions f_i(mu_i).
 
-    `lipschitz` holds each table's Lipschitz constant, computed once per
-    model; they are the sensitivity factors at every p.  The `*_array`
-    fields hold the same numbers for the block path.
+    `lipschitz_array` holds each table's Lipschitz constant, computed once
+    per model; they are the sensitivity factors at every p.
     """
 
     kind = "separable"
     needs = ("mu", "tables")
 
     tables: tuple[PiecewiseLinear, ...]
-    lipschitz: tuple[float, ...] = field(init=False, compare=False, repr=False)
     lipschitz_array: np.ndarray = field(init=False, compare=False, repr=False)
     table_arrays: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
         init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "lipschitz", tuple(t.lipschitz() for t in self.tables))
-        object.__setattr__(self, "lipschitz_array", np.array(self.lipschitz))
+        object.__setattr__(self, "lipschitz_array", _read_only([t.lipschitz() for t in self.tables]))
         object.__setattr__(
             self, "table_arrays", tuple((np.array(t.xs), np.array(t.ys)) for t in self.tables)
         )
+        super().__post_init__()
 
     @classmethod
     def build(cls, mu: Sequence[float], tables: Sequence) -> SeparableLoss:
@@ -612,18 +568,13 @@ class SeparableLoss(LinearLoss):
         return cls(params=m, tables=tabs, sup_loss=bound, sup_grad=bound)
 
     def gradient(self, params, p):
-        if is_block(params):
-            # np.interp on each column gives the floats the scalar tables give
-            out = np.empty(params.shape)
-            for i, (xs, ys) in enumerate(self.table_arrays):
-                out[:, i] = np.interp(params[:, i], xs, ys)
-            return out
-        return [t(m) for t, m in zip(self.tables, params)]
+        out = np.empty(params.shape)
+        for i, (xs, ys) in enumerate(self.table_arrays):
+            out[:, i] = np.interp(params[:, i], xs, ys)
+        return out
 
     def sensitivity(self, p):
-        if is_block(p):
-            return self.lipschitz_array
-        return list(self.lipschitz)
+        return self.lipschitz_array
 
 
 FAMILIES: dict[str, type[LossModel]] = {
@@ -644,17 +595,11 @@ def loss_value(model: LossModel, p: Sequence[float]) -> float:
     return model.value(p)
 
 
-def gradient_from_params(
-    model: LossModel, params: Sequence[float], p: Sequence[float]
-) -> list[float]:
+def gradient_from_params(model: LossModel, params: np.ndarray, p: np.ndarray) -> np.ndarray:
     return model.gradient(params, p)
 
 
-def loss_gradient(model: LossModel, p: Sequence[float]) -> list[float]:
-    return model.true_gradient(p)
-
-
-def sensitivity(model: LossModel, p: Sequence[float]) -> list[float] | None:
+def sensitivity(model: LossModel, p: np.ndarray) -> np.ndarray | None:
     return model.sensitivity(p)
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .feedback import DeviationSpec, FeedbackBlock, deviation_radii
-from .losses import LossModel, gradient_from_params, is_block, loss_gradient, sensitivity
+from .losses import LossModel, gradient_from_params, sensitivity
 from .simplex import OccupationState, check_simplex
 
 TIE_LOWEST = "lowest_index"
@@ -124,36 +124,28 @@ def argmin_tie_break(values: Sequence[float], tie_break: str = TIE_LOWEST, rng=N
 class StepDiagnostics(NamedTuple):
     """Per-step optimality diagnostics against the true gradient at p."""
 
-    chosen: int
-    oracle_action: int
-    epsilon: float
-    fw_gap: float | None
+    chosen: np.ndarray
+    oracle_action: np.ndarray | int
+    epsilon: np.ndarray
 
 
-def epsilon_diagnostic(model: LossModel, p: Sequence[float], chosen: int) -> StepDiagnostics:
-    """Selection suboptimality eps = grad[chosen] - grad[oracle] >= 0 and the
-    Frank-Wolfe gap grad.(p - e_oracle) at the pre-action point p.
+def epsilon_diagnostic(model: LossModel, p: np.ndarray, chosen: np.ndarray) -> StepDiagnostics:
+    """Selection suboptimality eps = grad[chosen] - grad[oracle] >= 0 at the
+    pre-action points p, an (S, K) block with one chosen action per row.
 
-    Given an (S, K) block of points and one chosen action per row, `epsilon`
-    holds one entry per row, equal to the row's own answer, and so does
-    `oracle_action` unless every row has the same one (constant gradient);
-    `fw_gap`, which the per-round records do not use, is None.
+    `epsilon` holds one entry per row, and so does `oracle_action` unless
+    every row has the same one (constant gradient, where one row's gradient
+    serves the block; its costs are finite, so its argmin is the
+    lowest-index minimum).
     """
-    if is_block(p):
-        if model.constant_gradient:
-            g = loss_gradient(model, p[0])
-            star = argmin_tie_break(g)
-            return StepDiagnostics(chosen, star, np.array(g)[chosen] - g[star], None)
-        g = loss_gradient(model, p)
-        rows = np.arange(len(p))
-        star = _TieBreaker().argmin(g)
-        return StepDiagnostics(chosen, star, g[rows, chosen] - g[rows, star], None)
-    g = loss_gradient(model, p)
-    star = argmin_tie_break(g)
-    gap = sum(gi * pi for gi, pi in zip(g, p)) - g[star]
-    return StepDiagnostics(
-        chosen=chosen, oracle_action=star, epsilon=g[chosen] - g[star], fw_gap=gap
-    )
+    if model.constant_gradient:
+        g = model.true_gradient(p[:1])[0]
+        star = int(g.argmin())
+        return StepDiagnostics(chosen, star, g[chosen] - g[star])
+    g = model.true_gradient(p)
+    rows = np.arange(len(p))
+    star = _TieBreaker().argmin(g)
+    return StepDiagnostics(chosen, star, g[rows, chosen] - g[rows, star])
 
 
 class _TieBreaker:
@@ -316,7 +308,7 @@ class OracleFwPolicy:
     def select(self, occ: OccupationState) -> np.ndarray:
         if occ.t < occ.num_actions:
             return np.full(len(occ.counts), occ.t)
-        return self.ties.argmin(loss_gradient(self.model, occ.proportions()))
+        return self.ties.argmin(self.model.true_gradient(occ.proportions()))
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         pass

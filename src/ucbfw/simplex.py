@@ -1,9 +1,10 @@
 """Exact occupation-measure bookkeeping on the probability simplex.
 
-Pull counts are kept as integers and the proportion vector p_t = T_i(t)/t
-is derived on demand, so the simplex constraints hold exactly instead of
-drifting through repeated float updates.  The incremental float recurrence
-p_{t+1} = p_t + (e_a - p_t)/(t+1) is provided only as a cross-check.
+Pull counts are kept as exact whole numbers and the proportion vector
+p_t = T_i(t)/t is derived on demand, so the simplex constraints hold
+exactly instead of drifting through repeated float updates.  The
+incremental float recurrence p_{t+1} = p_t + (e_a - p_t)/(t+1) is
+provided only as a cross-check.
 """
 
 from __future__ import annotations
@@ -28,57 +29,45 @@ def check_simplex(coords: Sequence[float], tol: float = SIMPLEX_SUM_TOL) -> Sequ
 
 
 class OccupationState:
-    """Round count t and per-action pull counts, stored as exact integers.
+    """Round count t and per-action pull counts of a block of S trajectories
+    advanced in lockstep, one seed per row.
 
-    With `seeds=None` this is one trajectory: `counts` is a list and `apply`
-    takes one action.  With `seeds=S` it is a block of S trajectories in
-    lockstep: `counts` is an (S, K) float64 array of whole numbers (exact,
-    and c / t then needs no conversion to give the float the list path's
-    int division gives), `apply` takes one action per seed, and
-    `proportions` returns an (S, K) array whose rows equal the lists single
-    trajectories give.  Block actions come from the block policies and are
-    not range-checked.
+    `counts` is an (S, K) float64 array of whole numbers: exact, and c / t
+    then needs no conversion to give the correctly rounded quotient of the
+    integers.  `apply` takes one action per seed (an int array; a plain int
+    applies to every row) and `proportions` returns the (S, K) array
+    p_t = T_i(t) / t.  Actions come from the block policies and are not
+    range-checked.
 
     Mutated only by the trial that owns it; counts never decrease.
     """
 
     __slots__ = ("t", "counts", "num_actions", "_flat", "_row", "_p")
 
-    def __init__(self, num_actions: int, seeds: int | None = None):
+    def __init__(self, num_actions: int, seeds: int):
         if num_actions < 2:
             raise ValueError(f"need at least 2 actions, got {num_actions}")
         self.t = 0
         self.num_actions = num_actions
-        if seeds is None:
-            self.counts = [0] * num_actions
-        else:
-            self.counts = np.zeros((seeds, num_actions))
-            self._flat = self.counts.reshape(-1)
-            self._row = np.arange(seeds) * num_actions
-            self._p = None
+        self.counts = np.zeros((seeds, num_actions))
+        self._flat = self.counts.reshape(-1)
+        self._row = np.arange(seeds) * num_actions
+        self._p = None
 
     def apply(self, action) -> "OccupationState":
-        counts = self.counts
-        if isinstance(counts, np.ndarray):
-            self._flat[self._row + action] += 1.0
-            self._p = None
-        else:
-            if not 0 <= action < len(counts):
-                raise IndexError(f"action {action} out of range for {len(counts)} actions")
-            counts[action] += 1
+        self._flat[self._row + action] += 1.0
+        self._p = None
         self.t += 1
         return self
 
-    def proportions(self):
+    def proportions(self) -> np.ndarray:
         t = self.t
         if t == 0:
             raise ValueError("occupation measure is undefined before the first action")
-        if isinstance(self.counts, np.ndarray):
-            # kept until the next apply; callers only read it
-            if self._p is None:
-                self._p = self.counts / float(t)
-            return self._p
-        return [c / t for c in self.counts]
+        # kept until the next apply; callers only read it
+        if self._p is None:
+            self._p = self.counts / float(t)
+        return self._p
 
     def __repr__(self) -> str:
         return f"OccupationState(t={self.t}, counts={self.counts})"

@@ -1,20 +1,26 @@
 """The per-seed simulation loop and scalar policies the engine replaced.
 
 These are the list-path versions of `ucbfw.harness.run_trial`, of the
+loss families' `gradient`, `true_gradient` and `sensitivity` formulas
+(`gradient_from_params`, `loss_gradient`, `sensitivity`, with the tables'
+scalar `interp`), of `OccupationState` and `epsilon_diagnostic`, of the
 estimator state (`FeedbackState`, `route_and_update`, `gradient_estimate`),
 of the selection rules (`ucb_fw_select`, `lcb_bandit_select`,
 `oracle_fw_select`) and of the policy classes, kept as the reference the
 lockstep engine is tested against: `run_trial` here runs one seed at a
-time, with one Python call per layer per round, and must give the same
-TrialRecord as the engine.  The observation sampler is the per-trial one
-with lazily extended buffers.
+time, with one Python call per layer per round and plain lists for every
+point and gradient, and must give the same TrialRecord as the engine.  The
+observation sampler is the per-trial one with lazily extended buffers.
+Only `value`, which the engine also evaluates one point at a time, and the
+models' constants come from `ucbfw`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,14 +44,7 @@ from ucbfw.harness import (
     build_observation_model,
     build_policy_spec,
 )
-from ucbfw.losses import (
-    LossModel,
-    gradient_from_params,
-    loss_gradient,
-    loss_value,
-    minimizer,
-    sensitivity,
-)
+from ucbfw.losses import LossModel, loss_value, minimizer
 from ucbfw.policies import (
     DOUBLING_UCB_FW,
     FIXED_ALLOCATION,
@@ -60,12 +59,152 @@ from ucbfw.policies import (
     PresampleConfig,
     argmin_tie_break,
     doubling_boundaries,
-    epsilon_diagnostic,
 )
-from ucbfw.simplex import OccupationState, check_simplex
+from ucbfw.simplex import check_simplex
 
 _POLICY_STREAM_TAG = 1 << 31
 _TIE_STREAM_TAG = (1 << 31) + 1
+
+
+# ---------------------------------------------------------------- loss formulas
+
+
+def interp(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
+    """numpy's scalar `interp`, step for step, so the result is the same
+    float `np.interp` gives; the tables' list-path evaluation."""
+    x = float(x)
+    if x != x:
+        return x
+    j = bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j >= len(xs) - 1:
+        return ys[-1]
+    x0, y0 = xs[j], ys[j]
+    if x == x0:
+        return y0
+    x1, y1 = xs[j + 1], ys[j + 1]
+    slope = (y1 - y0) / (x1 - x0)
+    y = slope * (x - x0) + y0
+    if y != y:
+        # numpy's fallbacks: interpolate from the right end, then take
+        # the flat segment's value
+        y = slope * (x - x1) + y1
+        if y != y and y0 == y1:
+            y = y0
+    return y
+
+
+def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc += x * y
+    return acc
+
+
+def _require_interior(p: Sequence[float], kind: str) -> None:
+    for i, v in enumerate(p):
+        if v <= 0.0:
+            raise ValueError(f"{kind} loss needs p strictly positive, coordinate {i} is {v}")
+
+
+def _exp_design_gradient(model, params, p):
+    _require_interior(p, model.kind)
+    return [-s / (x * x) for s, x in zip(params, p)]
+
+
+def _cobb_douglas_gradient(model, params, p):
+    _require_interior(p, model.kind)
+    return [-b / x for b, x in zip(params, p)]
+
+
+_GRADIENTS = {
+    "linear": lambda model, params, p: [float(v) for v in params],
+    "quadratic": lambda model, params, p: [x - th for x, th in zip(p, params)],
+    "exp_design": _exp_design_gradient,
+    "cobb_douglas": _cobb_douglas_gradient,
+    "markowitz": lambda model, params, p: [
+        2.0 * _dot(row, p) - model.risk_weight * m for row, m in zip(model.covariance, params)
+    ],
+    "separable": lambda model, params, p: [
+        interp(t.xs, t.ys, m) for t, m in zip(model.tables, params)
+    ],
+}
+
+_SENSITIVITIES = {
+    "exp_design": lambda model, p: [1.0 / (x * x) for x in p],
+    "cobb_douglas": lambda model, p: [1.0 / x for x in p],
+    "markowitz": lambda model, p: None if model.risk_weight == 1.0 else [model.risk_weight] * len(p),
+    "separable": lambda model, p: [t.lipschitz() for t in model.tables],
+}
+
+
+def gradient_from_params(model: LossModel, params: Sequence[float], p: Sequence[float]) -> list[float]:
+    """The family's gradient formula at one point with plugged-in `params`."""
+    return _GRADIENTS[model.kind](model, params, p)
+
+
+def loss_gradient(model: LossModel, p: Sequence[float]) -> list[float]:
+    """The gradient at one point with the true parameters, as a fresh list."""
+    return gradient_from_params(model, model.params, p)
+
+
+def sensitivity(model: LossModel, p: Sequence[float]) -> list[float] | None:
+    """Per-coordinate radius factors at one point; None when all are 1."""
+    formula = _SENSITIVITIES.get(model.kind)
+    return None if formula is None else formula(model, p)
+
+
+# ---------------------------------------------------------------- occupation, epsilon
+
+
+class OccupationState:
+    """Round count t and per-action pull counts of one trajectory, as exact
+    integers; `proportions` is a fresh list."""
+
+    __slots__ = ("t", "counts", "num_actions")
+
+    def __init__(self, num_actions: int):
+        if num_actions < 2:
+            raise ValueError(f"need at least 2 actions, got {num_actions}")
+        self.t = 0
+        self.num_actions = num_actions
+        self.counts = [0] * num_actions
+
+    def apply(self, action: int) -> "OccupationState":
+        counts = self.counts
+        if not 0 <= action < len(counts):
+            raise IndexError(f"action {action} out of range for {len(counts)} actions")
+        counts[action] += 1
+        self.t += 1
+        return self
+
+    def proportions(self) -> list[float]:
+        t = self.t
+        if t == 0:
+            raise ValueError("occupation measure is undefined before the first action")
+        return [c / t for c in self.counts]
+
+
+class StepDiagnostics(NamedTuple):
+    chosen: int
+    oracle_action: int
+    epsilon: float
+    fw_gap: float
+
+
+def epsilon_diagnostic(model: LossModel, p: Sequence[float], chosen: int) -> StepDiagnostics:
+    """Selection suboptimality eps = grad[chosen] - grad[oracle] >= 0 and the
+    Frank-Wolfe gap grad.(p - e_oracle) at the pre-action point p."""
+    g = loss_gradient(model, p)
+    star = argmin_tie_break(g)
+    gap = sum(gi * pi for gi, pi in zip(g, p)) - g[star]
+    return StepDiagnostics(
+        chosen=chosen, oracle_action=star, epsilon=g[chosen] - g[star], fw_gap=gap
+    )
+
+
+# ---------------------------------------------------------------- estimator state
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ucbfw import losses
+from ucbfw import checks, losses
 from ucbfw.cli import (
     CSV_HEADER,
     ConfigError,
@@ -206,6 +206,14 @@ ROUND_TRIP_CONFIGS = [
         "feedback": {"observation": "deterministic"},
         "horizons": [100],
         "seeds": {"count": 1, "base": 9},
+    },
+    {
+        # doubling_beta is kept for every kind, not only doubling_ucb_fw
+        "experiment": "beta_of_plain_ucb",
+        "model": {"kind": "linear", "mu": [0.1, 0.5]},
+        "policy": {"kind": "ucb_fw", "doubling_beta": 0.3},
+        "horizons": [100],
+        "seeds": {"count": 1, "base": 2},
     },
 ]
 
@@ -461,6 +469,39 @@ def test_run_command_rejects_non_finite_model_inputs(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"feedback": {"estimator": "bogus"}}, "feedback: unknown estimator 'bogus'"),
+        (
+            {"feedback": {"estimator": "centered_square"}},
+            "feedback: centered_square estimator only applies to exp_design",
+        ),
+        (
+            {
+                "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
+                "policy": {"kind": "presampled_ucb_fw", "presample": {"brackets": [[1.0, 2.0]]}},
+            },
+            "policy.presample.brackets: need one bracket per arm: 1 vs 2",
+        ),
+        (
+            {"policy": {"kind": "fixed_allocation", "weights": [0.5, 0.25, 0.25]}},
+            "policy.weights: need one weight per action: 3 vs 2",
+        ),
+    ],
+    ids=["unknown-estimator", "centered-square-off-exp-design", "bracket-count", "weight-count"],
+)
+def test_run_command_rejects_configs_that_would_fail_at_run_time(
+    tmp_path, capsys, overrides, message
+):
+    path = write_config(tmp_path, {**BASIC, **overrides})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rates_command_prints_slope(tmp_path, capsys):
     data = {**BASIC, "horizons": [100, 300, 900]}
     path = write_config(tmp_path, data)
@@ -506,6 +547,21 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--points", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") == 6
+
+
+def test_gradcheck_gives_the_recorded_errors():
+    # the exact worst relative errors at five points per family, recorded
+    # when the gradients were evaluated as lists one point at a time; the
+    # one-row block evaluation must give the same floats
+    got = {r.kind: r.max_rel_err for r in checks.gradcheck(points=5)}
+    assert got == {
+        "linear": 5.075159384584901e-11,
+        "quadratic": 3.27821220849673e-11,
+        "exp_design": 8.54246975159068e-11,
+        "cobb_douglas": 1.3225613635359832e-10,
+        "markowitz": 1.5988129160428198e-10,
+        "separable": 6.808179718310582e-11,
+    }
 
 
 def test_selftest_command(capsys):

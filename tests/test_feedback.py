@@ -291,34 +291,40 @@ def test_estimate_coverage_under_prop1_radius():
 # ---------------------------------------------------------------- sampling
 
 
+def one_seed(model, seed):
+    """A sampler for a one-seed block, drawing one float at a time."""
+    sampler = ObservationSampler(model, (seed,))
+    return lambda action: float(sampler.draw(action)[0])
+
+
 def test_deterministic_observations():
     model = ObservationModel(kind="deterministic", means=(0.7, 0.1))
-    sampler = ObservationSampler(model, trial_seed=1)
-    assert sampler.draw(0) == 0.7
-    assert sampler.draw(0) == 0.7
-    assert sampler.draw(1) == 0.1
+    draw = one_seed(model, 1)
+    assert draw(0) == 0.7
+    assert draw(0) == 0.7
+    assert draw(1) == 0.1
 
 
 def test_gaussian_streams_are_seed_deterministic():
     model = ObservationModel(kind="gaussian", means=(0.0, 1.0), sds=(1.0, 1.0))
-    a = ObservationSampler(model, trial_seed=42)
-    b = ObservationSampler(model, trial_seed=42)
-    seq_a = [a.draw(0) for _ in range(100)]
-    seq_b = [b.draw(0) for _ in range(100)]
+    a = one_seed(model, 42)
+    b = one_seed(model, 42)
+    seq_a = [a(0) for _ in range(100)]
+    seq_b = [b(0) for _ in range(100)]
     assert seq_a == seq_b
-    c = ObservationSampler(model, trial_seed=43)
-    assert [c.draw(0) for _ in range(100)] != seq_a
+    c = one_seed(model, 43)
+    assert [c(0) for _ in range(100)] != seq_a
 
 
 def test_draws_do_not_depend_on_interleaving():
     model = ObservationModel(kind="gaussian", means=(0.0, 1.0), sds=(1.0, 1.0))
-    plain = ObservationSampler(model, trial_seed=7)
-    seq = [plain.draw(0) for _ in range(50)]
-    inter = ObservationSampler(model, trial_seed=7)
+    plain = one_seed(model, 7)
+    seq = [plain(0) for _ in range(50)]
+    inter = one_seed(model, 7)
     got = []
     for i in range(50):
-        got.append(inter.draw(0))
-        inter.draw(1)  # interleaved pulls of the other action
+        got.append(inter(0))
+        inter(1)  # interleaved pulls of the other action
     assert got == seq
 
 
@@ -345,8 +351,8 @@ def test_draws_do_not_depend_on_chunk_or_block(kind, monkeypatch):
             draws.append(float(streams[a][used[a]]))
             used[a] += 1
         alone.append(draws)
-        one = ObservationSampler(model, trial_seed=seed)
-        assert [one.draw(int(a)) for a in actions[:, i]] == draws
+        one = one_seed(model, seed)
+        assert [one(int(a)) for a in actions[:, i]] == draws
     for chunk in (256, 7):
         monkeypatch.setattr(ObservationSampler, "CHUNK", chunk)
         block = ObservationSampler(model, seeds)
@@ -356,8 +362,8 @@ def test_draws_do_not_depend_on_chunk_or_block(kind, monkeypatch):
 
 def test_bernoulli_mean_concentrates():
     model = ObservationModel(kind="bernoulli", means=(0.5, 0.2))
-    sampler = ObservationSampler(model, trial_seed=5)
-    draws = [sampler.draw(0) for _ in range(100_000)]
+    draw = one_seed(model, 5)
+    draws = [draw(0) for _ in range(100_000)]
     assert set(draws) <= {0.0, 1.0}
     assert abs(sum(draws) / len(draws) - 0.5) < 0.01
 

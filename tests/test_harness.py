@@ -581,7 +581,7 @@ def _reference_actions(config, seed, t_max):
     spec = build_policy_spec(config.policy)
     sampler = reference_loop.ObservationSampler(build_observation_model(config.feedback, model), seed)
     policy = reference_loop.build_policy(spec, model, config.feedback, seed, t_max)
-    occ = OccupationState(model.num_actions)
+    occ = reference_loop.OccupationState(model.num_actions)
     trace = []
     for _ in range(t_max):
         a = policy.select(occ)

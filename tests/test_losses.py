@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_loop
 from ucbfw import checks, losses
 from ucbfw.losses import (
     PiecewiseLinear,
@@ -14,7 +15,6 @@ from ucbfw.losses import (
     hard_quadratic_family,
     interior_smoothness,
     linear_loss,
-    loss_gradient,
     loss_value,
     markowitz_loss,
     minimizer,
@@ -39,6 +39,24 @@ def all_models():
         markowitz_loss(((1.0, 0.2, 0.0), (0.2, 1.5, 0.1), (0.0, 0.1, 2.0)), 1.3, (1.0, 0.5, -0.2)),
         separable_loss((0.3, -1.0, 1.5), TABLES),
     ]
+
+
+# The step methods take a block of points; these evaluate one point as a
+# one-row block and return that row as a list.
+
+
+def loss_gradient(model, p):
+    return model.true_gradient(np.array([p], dtype=float))[0].tolist()
+
+
+def plug_in_gradient(model, params, p):
+    params, p = np.array([params], dtype=float), np.array([p], dtype=float)
+    return gradient_from_params(model, params, p)[0].tolist()
+
+
+def point_sensitivity(model, p):
+    sens = sensitivity(model, np.array([p], dtype=float))
+    return None if sens is None else np.broadcast_to(sens, (1, len(p)))[0].tolist()
 
 
 # ---------------------------------------------------------------- values
@@ -87,17 +105,17 @@ def test_markowitz_gradient():
 
 def test_gradient_from_params_linear_is_the_parameter():
     m = linear_loss((0.1, 0.5))
-    assert gradient_from_params(m, (0.2, 0.4), (0.9, 0.1)) == pytest.approx([0.2, 0.4])
+    assert plug_in_gradient(m, (0.2, 0.4), (0.9, 0.1)) == pytest.approx([0.2, 0.4])
 
 
 def test_gradient_from_params_exp_design():
     m = exp_design_loss((1.0, 4.0))
-    assert gradient_from_params(m, (2.0, 2.0), (0.5, 0.5)) == pytest.approx([-8.0, -8.0])
+    assert plug_in_gradient(m, (2.0, 2.0), (0.5, 0.5)) == pytest.approx([-8.0, -8.0])
 
 
 def test_gradient_from_params_quadratic():
     m = quadratic_loss((0.5, 0.5))
-    assert gradient_from_params(m, (0.3, 0.7), (0.5, 0.5)) == pytest.approx([0.2, -0.2])
+    assert plug_in_gradient(m, (0.3, 0.7), (0.5, 0.5)) == pytest.approx([0.2, -0.2])
 
 
 def test_gradients_match_finite_differences():
@@ -351,7 +369,7 @@ def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
         points += [[1.0 if i == j else 0.0 for i in range(k)] for j in range(k)]
         for p in points:
             params = rng.normal(size=k).tolist()
-            assert model.gradient(params, p) == _reference_markowitz_gradient(model, params, p)
+            assert plug_in_gradient(model, params, p) == _reference_markowitz_gradient(model, params, p)
             assert model.value(p) == _reference_markowitz_value(model, p)
 
 
@@ -378,22 +396,34 @@ def test_piecewise_linear_matches_numpy_interp_bit_for_bit():
         probes += [float(np.nextafter(x, -math.inf)) for x in xs]
         for x in probes:
             want = float(np.interp(x, xs, ys))
-            got = f(x)
-            assert type(got) is float
-            assert got == want or (math.isnan(got) and math.isnan(want)), (xs, ys, x)
+            # the tables' own evaluation, and the pure-Python port of it
+            # the reference loop evaluates the separable gradient with
+            for got in (f(x), reference_loop.interp(f.xs, f.ys, x)):
+                assert type(got) is float
+                assert got == want or (math.isnan(got) and math.isnan(want)), (xs, ys, x)
 
 
-def test_step_results_are_fresh_lists():
-    p = (0.2, 0.3, 0.5)
+def test_step_results_do_not_alias_model_state():
+    # a result is either a fresh array or read-only, so a caller that
+    # scales it in place cannot change what a later call returns
+    p = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
     for m in all_models():
-        for call in (loss_gradient, sensitivity):
-            first = call(m, p)
+        for call in (m.true_gradient, m.sensitivity):
+            first = call(p)
             if first is None:
                 continue
-            again = call(m, p)
-            assert first == again and first is not again, (m.kind, call.__name__)
-            first[0] = 1e9
-            assert call(m, p) == again, (m.kind, call.__name__)
+            want = call(p).tolist()
+            assert first.flags.writeable is not np.shares_memory(first, call(p)), m.kind
+            if first.flags.writeable:
+                first *= 2.0
+            else:
+                with pytest.raises(ValueError, match="read-only"):
+                    first *= 2.0
+            assert call(p).tolist() == want, (m.kind, call.__name__)
+    cached = [m.costs_array for m in all_models() if m.constant_gradient]
+    cached += [m.lipschitz_array for m in all_models() if m.kind == "separable"]
+    cached += [m.cov_array for m in all_models() if m.kind == "markowitz"]
+    assert len(cached) == 4 and not any(a.flags.writeable for a in cached)
 
 
 # ---------------------------------------------------------------- constants
@@ -440,14 +470,14 @@ def test_interior_smoothness_noop_for_globally_smooth_kind():
 
 
 def test_sensitivity_factors():
-    assert sensitivity(linear_loss((0.0, 1.0)), (0.5, 0.5)) is None
-    assert sensitivity(quadratic_loss((0.5, 0.5)), (0.5, 0.5)) is None
-    assert sensitivity(markowitz_loss(((1, 0), (0, 1)), 1.0, (1.0, 0.0)), (0.5, 0.5)) is None
-    assert sensitivity(markowitz_loss(((1, 0), (0, 1)), 2.0, (1.0, 0.0)), (0.5, 0.5)) == [2.0, 2.0]
-    assert sensitivity(exp_design_loss((1.0, 4.0)), (0.5, 0.25)) == pytest.approx([4.0, 16.0])
-    assert sensitivity(cobb_douglas_loss((0.5, 0.5)), (0.5, 0.25)) == pytest.approx([2.0, 4.0])
+    assert point_sensitivity(linear_loss((0.0, 1.0)), (0.5, 0.5)) is None
+    assert point_sensitivity(quadratic_loss((0.5, 0.5)), (0.5, 0.5)) is None
+    assert point_sensitivity(markowitz_loss(((1, 0), (0, 1)), 1.0, (1.0, 0.0)), (0.5, 0.5)) is None
+    assert point_sensitivity(markowitz_loss(((1, 0), (0, 1)), 2.0, (1.0, 0.0)), (0.5, 0.5)) == [2.0, 2.0]
+    assert point_sensitivity(exp_design_loss((1.0, 4.0)), (0.5, 0.25)) == pytest.approx([4.0, 16.0])
+    assert point_sensitivity(cobb_douglas_loss((0.5, 0.5)), (0.5, 0.25)) == pytest.approx([2.0, 4.0])
     m = separable_loss((0.3, -1.0, 1.5), TABLES)
-    assert sensitivity(m, (0.2, 0.3, 0.5)) == [t.lipschitz() for t in m.tables]
+    assert point_sensitivity(m, (0.2, 0.3, 0.5)) == [t.lipschitz() for t in m.tables]
 
 
 # ---------------------------------------------------------------- validation
@@ -586,7 +616,7 @@ def _block_case(model, rng, rows=9):
 @pytest.mark.parametrize("model", checks._check_instances(), ids=lambda m: m.kind)
 def test_block_methods_match_list_path_row_by_row(model):
     # the engine evaluates a block of seeds at once; every row must be the
-    # float the list path gives for that seed alone
+    # float the list formulas give for that seed alone
     rng = np.random.default_rng(31)
     params, p = _block_case(model, rng)
     grad = model.gradient(params, p)
@@ -594,9 +624,9 @@ def test_block_methods_match_list_path_row_by_row(model):
     sens = model.sensitivity(p)
     for row in range(len(p)):
         point = p[row].tolist()
-        assert grad[row].tolist() == model.gradient(params[row].tolist(), point)
-        assert true[row].tolist() == model.true_gradient(point)
-        want = model.sensitivity(point)
+        assert grad[row].tolist() == reference_loop.gradient_from_params(model, params[row].tolist(), point)
+        assert true[row].tolist() == reference_loop.loss_gradient(model, point)
+        want = reference_loop.sensitivity(model, point)
         if want is None:
             assert sens is None
         else:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loop
 from reference_loop import (
     FeedbackState,
+    OccupationState as ListOccupation,
     lcb_bandit_select,
     oracle_fw_select,
     route_and_update,
@@ -43,7 +45,7 @@ from ucbfw.simplex import OccupationState
 
 
 def make_occ(counts):
-    occ = OccupationState(len(counts))
+    occ = ListOccupation(len(counts))
     for i, n in enumerate(counts):
         for _ in range(n):
             occ.apply(i)
@@ -59,7 +61,7 @@ def identity_fb(spec, values_per_coeff):
 
 
 # The policy classes advance blocks of seeds; these helpers build one-seed
-# blocks and run them with plain-int actions.
+# blocks and run them with plain-int actions and float observations.
 
 
 def block_occ(counts):
@@ -183,7 +185,7 @@ def test_block_selection_matches_reference_with_sensitivity():
     fb = FeedbackState.fresh(2, spec, **kw)
     block = FeedbackBlock(1, 2, spec, **kw)
     rng = np.random.default_rng(6)
-    occ = OccupationState(2)
+    occ = ListOccupation(2)
     for a in rng.integers(0, 2, size=40):
         obs = float(rng.normal())
         route_and_update(fb, int(a), obs)
@@ -212,7 +214,7 @@ def test_linear_trace_equivalence():
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
 
     def run(policy_cls, *args):
-        sampler = ObservationSampler(obs_model, trial_seed=77)
+        sampler = ObservationSampler(obs_model, (77,))
         fb = FeedbackBlock(1, 2, spec)
         policy = policy_cls(*args, fb)
         occ = OccupationState(2, seeds=1)
@@ -220,7 +222,7 @@ def test_linear_trace_equivalence():
         for _ in range(2000):
             a = pick(policy, occ)
             actions.append(a)
-            step(policy, occ, a, sampler.draw(a))
+            step(policy, occ, a, sampler.draw(a)[0])
         return actions
 
     ucb_actions = run(lambda fb_: UcbFwPolicy(model, fb_))
@@ -240,14 +242,14 @@ def test_noiseless_ucb_collapses_to_oracle():
     obs_model = ObservationModel(kind="deterministic", means=theta)
 
     def run(make_policy):
-        sampler = ObservationSampler(obs_model, trial_seed=3)
+        sampler = ObservationSampler(obs_model, (3,))
         policy = make_policy()
         occ = OccupationState(3, seeds=1)
         actions = []
         for _ in range(500):
             a = pick(policy, occ)
             actions.append(a)
-            step(policy, occ, a, sampler.draw(a))
+            step(policy, occ, a, sampler.draw(a)[0])
         return actions
 
     ucb = run(lambda: UcbFwPolicy(model, FeedbackBlock(1, 3, DeviationSpec.noiseless())))
@@ -278,43 +280,47 @@ def test_fixed_allocation_tracks_weights_within_one():
 # ---------------------------------------------------------------- diagnostics
 
 
+def one_row_epsilon(model, p, chosen):
+    """`epsilon_diagnostic` at one point, as a one-row block."""
+    return epsilon_diagnostic(model, np.array([p], dtype=float), np.array([chosen]))
+
+
 def test_epsilon_examples():
     model = quadratic_loss((0.5, 0.5))
-    d = epsilon_diagnostic(model, (1.0, 0.0), chosen=0)
-    assert d.epsilon == pytest.approx(1.0)
-    assert d.oracle_action == 1
-    assert d.fw_gap == pytest.approx(1.0)
-    same = epsilon_diagnostic(model, (1.0, 0.0), chosen=1)
-    assert same.epsilon == 0.0
+    d = one_row_epsilon(model, (1.0, 0.0), chosen=0)
+    assert d.epsilon.tolist() == [pytest.approx(1.0)]
+    assert d.oracle_action.tolist() == [1]
+    same = one_row_epsilon(model, (1.0, 0.0), chosen=1)
+    assert same.epsilon.tolist() == [0.0]
 
 
 def test_epsilon_linear_equals_gap():
     model = linear_loss((0.1, 0.5))
-    d = epsilon_diagnostic(model, (0.5, 0.5), chosen=1)
-    assert d.epsilon == pytest.approx(0.4)
-    assert d.fw_gap == pytest.approx(0.2)
+    d = one_row_epsilon(model, (0.5, 0.5), chosen=1)
+    assert d.epsilon.tolist() == [pytest.approx(0.4)]
+    assert d.oracle_action == 0
 
 
 @given(
     st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
     st.integers(0, 2),
 )
-def test_epsilon_and_gap_nonnegative(raw, chosen):
+def test_epsilon_nonnegative_and_equal_to_reference(raw, chosen):
     total = sum(raw)
     p = tuple(x / total for x in raw)
     model = quadratic_loss((0.2, 0.3, 0.5))
-    d = epsilon_diagnostic(model, p, chosen)
-    assert d.epsilon >= 0.0
-    assert d.fw_gap >= -1e-15
+    eps = one_row_epsilon(model, p, chosen).epsilon.tolist()
+    assert eps == [reference_loop.epsilon_diagnostic(model, p, chosen).epsilon]
+    assert eps[0] >= 0.0
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=50))
 def test_epsilon_linear_in_gap_set(actions):
     model = linear_loss((0.1, 0.5))
-    occ = OccupationState(2)
+    occ = OccupationState(2, seeds=1)
     for a in actions:
-        d = epsilon_diagnostic(model, [0.5, 0.5], a)
-        assert d.epsilon in (0.0, pytest.approx(0.4))
+        d = one_row_epsilon(model, [0.5, 0.5], a)
+        assert d.epsilon[0] in (0.0, pytest.approx(0.4))
         occ.apply(a)
 
 
@@ -372,13 +378,13 @@ def test_doubling_boundaries_beta_half():
 
 
 def _run_policy(policy, obs_model, seed, t_max, k):
-    sampler = ObservationSampler(obs_model, trial_seed=seed)
+    sampler = ObservationSampler(obs_model, (seed,))
     occ = OccupationState(k, seeds=1)
     actions = []
     for _ in range(t_max):
         a = pick(policy, occ)
         actions.append(a)
-        step(policy, occ, a, sampler.draw(a))
+        step(policy, occ, a, sampler.draw(a)[0])
     return actions, occ
 
 
@@ -447,11 +453,11 @@ def test_presample_stopping_mode_reaches_tracking():
     _, inner = exp_design_inner()
     cfg = PresampleConfig(delta=0.1, variance_cap=8.0, horizon=3000)
     policy = PresampledUcbFwPolicy(inner, cfg, centers=(0.0, 0.0))
-    sampler = ObservationSampler(obs_model, trial_seed=30)
+    sampler = ObservationSampler(obs_model, (30,))
     occ = OccupationState(2, seeds=1)
     for _ in range(3000):
         a = pick(policy, occ)
-        step(policy, occ, a, sampler.draw(a))
+        step(policy, occ, a, sampler.draw(a)[0])
     assert policy.phase1_end_t[0] > 0
     assert all(policy.stopping_triggered[0])
     assert all(lo <= hi for lo, hi in policy.brackets_hat[0])

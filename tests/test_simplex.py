@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,26 +11,39 @@ from ucbfw.simplex import (
 
 
 def make_state(counts):
-    occ = OccupationState(len(counts))
-    occ.counts = list(counts)
+    """A one-seed block holding `counts`."""
+    occ = OccupationState(len(counts), seeds=1)
+    occ.counts[0] = counts
     occ.t = sum(counts)
     return occ
+
+
+def one_row(occ):
+    return occ.proportions()[0].tolist()
 
 
 def test_apply_increments_count_and_round():
     occ = make_state((1, 0))
     occ.apply(1)
-    assert occ.counts == [1, 1]
+    assert occ.counts.tolist() == [[1, 1]]
     assert occ.t == 2
-    assert occ.proportions() == [0.5, 0.5]
+    assert one_row(occ) == [0.5, 0.5]
 
 
 def test_apply_leaves_other_counts_untouched():
     occ = make_state((3, 1))
     occ.apply(0)
-    assert occ.counts == [4, 1]
+    assert occ.counts.tolist() == [[4, 1]]
     assert occ.t == 5
-    assert occ.proportions() == [0.8, 0.2]
+    assert one_row(occ) == [0.8, 0.2]
+
+
+def test_apply_takes_one_action_per_seed():
+    occ = OccupationState(3, seeds=4)
+    occ.apply(np.array([0, 2, 2, 1]))
+    occ.apply(np.array([0, 0, 2, 1]))
+    assert occ.counts.tolist() == [[2, 0, 0], [1, 0, 1], [0, 0, 2], [0, 2, 0]]
+    assert occ.proportions().tolist() == [[1, 0, 0], [0.5, 0, 0.5], [0, 0, 1], [0, 1, 0]]
 
 
 def test_update_matches_incremental_recurrence():
@@ -40,32 +54,24 @@ def test_update_matches_incremental_recurrence():
     p5 = [p + (e - p) / (t + 1) for p, e in zip(p4, e0)]
     occ = make_state((3, 1))
     occ.apply(0)
-    assert occ.proportions() == pytest.approx(p5, abs=1e-15)
-    assert occ.proportions() == [0.8, 0.2]
+    assert one_row(occ) == pytest.approx(p5, abs=1e-15)
+    assert one_row(occ) == [0.8, 0.2]
 
 
 def test_proportions_examples():
-    assert make_state((4, 1)).proportions() == [0.8, 0.2]
-    assert make_state((0, 7)).proportions() == [0.0, 1.0]
-    assert make_state((1, 1, 1)).proportions() == pytest.approx([1 / 3] * 3)
+    assert one_row(make_state((4, 1))) == [0.8, 0.2]
+    assert one_row(make_state((0, 7))) == [0.0, 1.0]
+    assert one_row(make_state((1, 1, 1))) == pytest.approx([1 / 3] * 3)
 
 
 def test_proportions_undefined_before_first_action():
     with pytest.raises(ValueError):
-        OccupationState(2).proportions()
-
-
-def test_action_out_of_range():
-    occ = OccupationState(3)
-    with pytest.raises(IndexError):
-        occ.apply(3)
-    with pytest.raises(IndexError):
-        occ.apply(-1)
+        OccupationState(2, seeds=1).proportions()
 
 
 def test_needs_at_least_two_actions():
     with pytest.raises(ValueError):
-        OccupationState(1)
+        OccupationState(1, seeds=1)
 
 
 def test_check_simplex_accepts_valid_point():
@@ -89,13 +95,13 @@ def test_float_recurrence_rejects_empty():
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=400))
 def test_counts_are_exact_for_any_action_sequence(actions):
-    occ = OccupationState(4)
+    occ = OccupationState(4, seeds=1)
     for a in actions:
         occ.apply(a)
     assert occ.t == len(actions)
-    assert occ.counts == [actions.count(i) for i in range(4)]
-    assert sum(occ.counts) == occ.t
-    p = occ.proportions()
+    assert occ.counts[0].tolist() == [actions.count(i) for i in range(4)]
+    assert occ.counts.sum() == occ.t
+    p = one_row(occ)
     assert all(v >= 0.0 for v in p)
     assert abs(sum(p) - 1.0) <= 1e-12
 
@@ -103,22 +109,20 @@ def test_counts_are_exact_for_any_action_sequence(actions):
 @settings(max_examples=50)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=2000))
 def test_float_recurrence_tracks_integer_counts(actions):
-    occ = OccupationState(3)
+    occ = OccupationState(3, seeds=1)
     for a in actions:
         occ.apply(a)
     folded = float_recurrence(actions, 3)
-    exact = occ.proportions()
+    exact = one_row(occ)
     assert max(abs(a - b) for a, b in zip(folded, exact)) <= 1e-9
 
 
 def test_float_recurrence_long_run_agreement():
-    import numpy as np
-
     rng = np.random.default_rng(515)
     actions = [int(a) for a in rng.integers(0, 4, size=100_000)]
-    occ = OccupationState(4)
+    occ = OccupationState(4, seeds=1)
     for a in actions:
         occ.apply(a)
     folded = float_recurrence(actions, 4)
-    exact = occ.proportions()
+    exact = one_row(occ)
     assert max(abs(a - b) for a, b in zip(folded, exact)) <= 1e-9
