@@ -305,8 +305,10 @@ def _validate_config(config: ExperimentConfig) -> None:
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     text = Path(path).read_text()
+    # the libyaml loader, where PyYAML was built with it, gives the same data
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid yaml in {path}: {exc}") from None
     return parse_config_data(data, source=str(path))
@@ -498,6 +500,10 @@ def _cmd_check_bounds(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if args.theorem == "lemma1" and not config.record_epsilon:
         config = dataclasses.replace(config, record_epsilon=True)
+        try:
+            _validate_experiment(config, build_model(config.model))
+        except ValueError as exc:
+            raise ConfigError(f"check-bounds --theorem lemma1: {exc}") from None
     records, agg = _run_and_collect(config, args.workers)
     model = build_model(config.model)
     report = bound_check(agg, model, args.theorem, records=records)

@@ -183,6 +183,8 @@ class FeedbackBlock:
         self._map = None if amap == tuple(range(num_coeffs)) else np.array(amap)
         self._centers = None if centers is None else np.array(centers, dtype=float)
         self._row = np.arange(num_seeds) * num_coeffs
+        # an array operand: a Python scalar costs a conversion every round
+        self._ones = np.ones(num_seeds)
         self._flat = (self.obs_counts.reshape(-1), self.means.reshape(-1), self.m2.reshape(-1))
         self.observed = False
 
@@ -230,7 +232,7 @@ class FeedbackBlock:
         flat = self._row + j
         counts, means, m2 = self._flat
         n = counts[flat]
-        n += 1.0
+        n += self._ones
         counts[flat] = n
         old = means[flat]
         delta = value - old
@@ -307,6 +309,8 @@ class ObservationSampler:
         self._next = np.arange(streams) * width
         self._end = self._next.copy()
         self._row = np.arange(len(seeds)) * k
+        # an array operand: a Python scalar costs a conversion every round
+        self._one = np.ones(len(seeds), dtype=self._next.dtype)
         self._until_top_up = 0
 
     def draw(self, action) -> np.ndarray:
@@ -319,7 +323,7 @@ class ObservationSampler:
         stream = self._row + action
         i = self._next[stream]
         obs = self._buf[i]
-        i += 1
+        i += self._one
         self._next[stream] = i
         return obs
 

@@ -360,6 +360,8 @@ def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | No
     occ = OccupationState(k, seeds=len(seeds))
     loss_star = info.loss_star
     record_eps = config.record_epsilon
+    # a constant-gradient epsilon does not read the points
+    eps_reads_p = not model.constant_gradient
 
     errors: list[list[float]] = []
     counts_snap: list[list[list[int]]] = []
@@ -374,7 +376,9 @@ def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | No
     apply_ = occ.apply
     for _ in range(t_max):
         if record_eps:
-            p_prev = uniform if occ.t == 0 else occ.proportions()
+            p_prev = None
+            if eps_reads_p:
+                p_prev = uniform if occ.t == 0 else occ.proportions()
             a = select(occ)
             eps_total += epsilon_diagnostic(model, p_prev, a).epsilon
         else:

@@ -121,6 +121,10 @@ class LossModel:
     precondition of the vertex fast rate (`constant_gradient`); and whether
     feedback draws gaussian observations whose variances are the parameters
     (`variance_feedback`).
+
+    A `constant_gradient` family holds its true gradient in the read-only
+    `costs_array`, and the engine passes p=None, not a block, to its
+    `gradient` and `sensitivity`: neither may read p.
     """
 
     kind: ClassVar[str]

@@ -129,17 +129,18 @@ class StepDiagnostics(NamedTuple):
     epsilon: np.ndarray
 
 
-def epsilon_diagnostic(model: LossModel, p: np.ndarray, chosen: np.ndarray) -> StepDiagnostics:
+def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarray) -> StepDiagnostics:
     """Selection suboptimality eps = grad[chosen] - grad[oracle] >= 0 at the
     pre-action points p, an (S, K) block with one chosen action per row.
 
     `epsilon` holds one entry per row, and so does `oracle_action` unless
-    every row has the same one (constant gradient, where one row's gradient
-    serves the block; its costs are finite, so its argmin is the
-    lowest-index minimum).
+    every row has the same one (constant gradient, where the model's cached
+    `costs_array` is the gradient at every point and p is not read, so it
+    may be None; the costs are finite, so their argmin is the lowest-index
+    minimum).
     """
     if model.constant_gradient:
-        g = model.true_gradient(p[:1])[0]
+        g = model.costs_array
         star = int(g.argmin())
         return StepDiagnostics(chosen, star, g[chosen] - g[star])
     g = model.true_gradient(p)
@@ -221,7 +222,8 @@ class UcbFwPolicy:
     Each seed pulls the action minimizing (gradient estimate - deviation
     radius), with the answer its trajectory alone would get.
     The round count, delta_t and log(t / delta_t) are shared by the block,
-    so the log is taken once per round.
+    so the log is taken once per round.  A constant-gradient model never
+    reads p, so the proportions are not formed for it.
     """
 
     def __init__(
@@ -234,6 +236,9 @@ class UcbFwPolicy:
         self.model = model
         self.fb = fb
         self.ties = _TieBreaker(tie_break, seeds)
+        self._reads_p = not model.constant_gradient
+        # an array operand: a Python scalar costs a conversion every round
+        self._inf = np.full(fb.obs_counts.shape, np.inf)
 
     def select(self, occ: OccupationState) -> np.ndarray:
         if self.fb.observed and occ.t >= self.fb.num_coeffs:
@@ -248,23 +253,27 @@ class UcbFwPolicy:
         fb = self.fb
         spec = fb.deviation_spec
         t = fb.rounds
-        p = occ.proportions()
+        p = occ.proportions() if self._reads_p else None
         est = fb.estimates()
         counts = fb.obs_counts
         if rows is not None:
-            p, est, counts = p[rows], est[rows], counts[rows]
+            est, counts = est[rows], counts[rows]
+            if p is not None:
+                p = p[rows]
         ghat = gradient_from_params(self.model, est, p)
         sens = sensitivity(self.model, p)
         radii = deviation_radii(spec, t, spec.delta_at(t), counts)
         if sens is not None:
             radii *= sens
-        scores = ghat - radii
+        # the radii are fresh, while ghat may be the running means themselves
+        scores = np.subtract(ghat, radii, out=radii)
         if self.ties.tie_break == TIE_SEEDED:
             return self.ties.argmin(scores, rows)
         # the lowest-index rule picks the first strict minimum and passes
         # NaN over (an all-NaN row gives 0); as +inf, NaN does the same in
         # numpy's argmin
-        return np.fmin(scores, np.inf, out=scores).argmin(axis=1)
+        inf = self._inf if rows is None else np.inf
+        return np.fmin(scores, inf, out=scores).argmin(axis=1)
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         self.fb.update(actions, obs)

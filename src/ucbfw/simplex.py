@@ -42,7 +42,7 @@ class OccupationState:
     Mutated only by the trial that owns it; counts never decrease.
     """
 
-    __slots__ = ("t", "counts", "num_actions", "_flat", "_row", "_p")
+    __slots__ = ("t", "counts", "num_actions", "_flat", "_row", "_ones", "_p")
 
     def __init__(self, num_actions: int, seeds: int):
         if num_actions < 2:
@@ -52,10 +52,12 @@ class OccupationState:
         self.counts = np.zeros((seeds, num_actions))
         self._flat = self.counts.reshape(-1)
         self._row = np.arange(seeds) * num_actions
+        # an array operand: a Python scalar costs a conversion every round
+        self._ones = np.ones(seeds)
         self._p = None
 
     def apply(self, action) -> "OccupationState":
-        self._flat[self._row + action] += 1.0
+        self._flat[self._row + action] += self._ones
         self._p = None
         self.t += 1
         return self

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import pickle
 import re
 import textwrap
@@ -137,6 +138,24 @@ def test_parse_config_file_and_yaml_error(tmp_path):
     assert parse_config(path).experiment == "vertex"
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: [unclosed")
+    with pytest.raises(ConfigError, match="invalid yaml"):
+        parse_config(bad)
+
+
+SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.yaml"))
+
+
+def test_shipped_configs_parse_alike_with_either_yaml_loader(tmp_path, monkeypatch):
+    # parse_config takes libyaml's loader where PyYAML has it; the pure
+    # Python SafeLoader must give an equal config for every shipped file
+    assert len(SHIPPED_CONFIGS) == 6
+    default = [parse_config(path) for path in SHIPPED_CONFIGS]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("model: [unclosed")
+    with pytest.raises(ConfigError, match="invalid yaml"):
+        parse_config(bad)
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    assert [parse_config(path) for path in SHIPPED_CONFIGS] == default
     with pytest.raises(ConfigError, match="invalid yaml"):
         parse_config(bad)
 
@@ -339,8 +358,6 @@ def test_emit_summary_payload():
 
 
 def test_golden_csv_is_stable(tmp_path):
-    import pathlib
-
     config = parse_config_data(
         {
             "experiment": "golden_vertex",
@@ -541,6 +558,25 @@ def test_check_bounds_pass_and_unsupported(tmp_path, capsys):
     path2 = write_config(tmp_path, floorless, "floorless.yaml")
     assert main(["check-bounds", "--config", str(path2), "--theorem", "thm1"]) == 2
     assert "unsupported" in capsys.readouterr().out
+
+
+def test_check_bounds_lemma1_needs_simplex_wide_gradients(tmp_path, capsys):
+    # lemma1 turns on the per-step epsilon diagnostic, which exp_design's
+    # gradient does not allow even with an interior floor: a config error,
+    # not a traceback
+    floored = {
+        "experiment": "floored",
+        "model": {"kind": "exp_design", "sigma2": [1.0, 4.0], "interior_floor": [0.1, 0.1]},
+        "policy": {"kind": "ucb_fw"},
+        "feedback": {"observation": "gaussian"},
+        "horizons": [50],
+        "seeds": {"count": 1, "base": 1},
+    }
+    path = write_config(tmp_path, floored)
+    assert main(["check-bounds", "--config", str(path), "--theorem", "lemma1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: check-bounds --theorem lemma1: ")
+    assert "exp_design" in err
 
 
 def test_gradcheck_command(capsys):

@@ -21,10 +21,13 @@ from ucbfw.feedback import (
     ObservationSampler,
 )
 from ucbfw.losses import (
+    FAMILIES,
     cobb_douglas_loss,
     exp_design_loss,
     linear_loss,
     quadratic_loss,
+    sensitivity,
+    separable_loss,
 )
 from ucbfw.policies import (
     DoublingUcbFwPolicy,
@@ -324,6 +327,48 @@ def test_epsilon_linear_in_gap_set(actions):
         occ.apply(a)
 
 
+def _constant_gradient_models():
+    mus = st.lists(st.floats(-2, 2), min_size=2, max_size=4)
+
+    def separable(mu):
+        lows = st.lists(st.floats(-1, 1), min_size=len(mu), max_size=len(mu))
+        return lows.map(
+            lambda lo: separable_loss(mu, [((-3.0, 0.0, 3.0), (v, v + 0.5, v + 2.0)) for v in lo])
+        )
+
+    return st.one_of(mus.map(linear_loss), mus.flatmap(separable))
+
+
+def test_constant_gradient_families_are_linear_and_separable():
+    # the property below draws instances of exactly these families
+    assert sorted(c.kind for c in FAMILIES.values() if c.constant_gradient) == ["linear", "separable"]
+
+
+@settings(max_examples=60)
+@given(_constant_gradient_models(), st.data())
+def test_constant_gradient_families_do_not_read_p(model, data):
+    # the engine passes p=None to these families and takes their epsilon
+    # from the cached costs; every answer must be the one at the points
+    k = model.num_actions
+    s = data.draw(st.integers(1, 5))
+    row = st.lists(st.floats(-3, 3), min_size=k, max_size=k)
+    params = np.array(data.draw(st.lists(row, min_size=s, max_size=s)))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(lambda w: sum(w) > 0.0)
+    p = np.array([[w / sum(ws) for w in ws] for ws in data.draw(st.lists(weights, min_size=s, max_size=s))])
+    chosen = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=s, max_size=s)))
+    assert model.gradient(params, None).tolist() == model.gradient(params, p).tolist()
+    at_none, at_p = sensitivity(model, None), sensitivity(model, p)
+    assert (at_none is None and at_p is None) or at_none.tolist() == at_p.tolist()
+    d = epsilon_diagnostic(model, None, chosen)
+    g = model.true_gradient(p)
+    star = g.argmin(axis=1)
+    assert d.oracle_action == star[0]
+    assert d.epsilon.tolist() == (g[np.arange(s), chosen] - g[np.arange(s), star]).tolist()
+    for i in range(s):
+        want = reference_loop.epsilon_diagnostic(model, p[i].tolist(), int(chosen[i]))
+        assert d.epsilon[i] == want.epsilon
+
+
 # ---------------------------------------------------------------- stopping
 
 
@@ -553,3 +598,9 @@ def test_plug_in_selection_passes_over_nan_scores():
     occ.t = 3
     policy = UcbFwPolicy(linear_loss((0.0, 0.0, 0.0)), fb)
     assert policy.select(occ).tolist() == [_strict_scan(r) for r in means]
+    # a subset of the seeds, as the pre-sampling wrapper selects them
+    rows = np.array([4, 1, 2])
+    assert policy.select_rows(occ, rows).tolist() == [_strict_scan(means[i]) for i in rows]
+    # the linear plug-in gradient is the running means themselves, which
+    # scoring must leave as they were
+    np.testing.assert_array_equal(fb.means, means)
