@@ -258,14 +258,18 @@ def parse_config_data(data: Any, source: str = "<config>") -> ExperimentConfig:
             if not isinstance(output["dir"], str):
                 raise ConfigError("output.dir: expected a string")
             out_dir = output["dir"]
+    seed_count = _int_value(seeds["count"], "seeds.count")
+    seed_base = _int_value(seeds["base"], "seeds.base")
+    if seed_base < 0:
+        raise ConfigError(f"seeds.base: must be >= 0, got {seed_base}")
     config = ExperimentConfig(
         experiment=experiment,
         model=model_cfg,
         policy=policy_cfg,
         feedback=feedback_cfg,
         horizons=horizons,
-        seed_count=_int_value(seeds["count"], "seeds.count"),
-        seed_base=_int_value(seeds["base"], "seeds.base"),
+        seed_count=seed_count,
+        seed_base=seed_base,
         record_epsilon=record_epsilon,
         out_dir=out_dir,
     )
@@ -540,6 +544,20 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else an error that argparse
+    reports under the flag's name."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ucbfw",
@@ -549,11 +567,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config (yaml)")
-        p.add_argument("--workers", type=int, default=1, help="parallel trial processes")
+        p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel trial processes")
 
     p_run = sub.add_parser("run", help="run an experiment and write csv + summary")
     add_common(p_run)
-    p_run.add_argument("--seed-base", type=int, default=None, help="override the seed base")
+    p_run.add_argument(
+        "--seed-base", type=_int_at_least(0), default=None, help="override the seed base"
+    )
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -414,14 +413,21 @@ def run_experiment(
     config: ExperimentConfig, workers: int = 1, seed_base: int | None = None
 ) -> list[TrialRecord]:
     """All seeded trials, returned in seed order regardless of worker layout."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _validate_experiment(config, build_model(config.model))
     base = config.seed_base if seed_base is None else seed_base
+    if base < 0:
+        raise ValueError(f"seed base must be >= 0, got {base}")
     seeds = tuple(base + i for i in range(config.seed_count))
     # at most `workers` blocks, none below MIN_BLOCK
     blocks = _split(seeds, max(1, min(workers, len(seeds) // MIN_BLOCK)))
     if len(blocks) == 1:
         records = run_trial(config, seeds)
     else:
+        # imported here, so that single-worker runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             done = pool.map(run_trial, [config] * len(blocks), blocks)
             records = [r for block in done for r in block]

@@ -29,6 +29,11 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+try:
+    from numpy._core.multiarray import interp as _interp
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import interp as _interp
+
 from .simplex import SIMPLEX_SUM_TOL
 
 # The exact Markowitz minimizer enumerates all 2^K - 1 supports, so its cost
@@ -123,8 +128,9 @@ class LossModel:
     (`variance_feedback`).
 
     A `constant_gradient` family holds its true gradient in the read-only
-    `costs_array`, and the engine passes p=None, not a block, to its
-    `gradient` and `sensitivity`: neither may read p.
+    `costs_array`, its lowest-index argmin in `star` and the read-only
+    `gaps` costs - costs[star]; the engine passes p=None, not a block, to
+    its `gradient` and `sensitivity`: neither may read p.
     """
 
     kind: ClassVar[str]
@@ -214,7 +220,7 @@ def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     `cumsum` adds left to right as `_dot` does; adding 0.0 turns the -0.0
     an all-zero product row can leave into the 0.0 `_dot` gives.
     """
-    return np.cumsum(p[:, None, :] * rows, axis=-1)[..., -1] + 0.0
+    return (p[:, None, :] * rows).cumsum(axis=-1)[..., -1] + 0.0
 
 
 def _require_interior(p, kind: str) -> None:
@@ -229,8 +235,8 @@ def _require_interior(p, kind: str) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class LinearLoss(LossModel):
-    """`costs` is the true gradient, which does not depend on p, computed
-    once per model."""
+    """`costs` is the true gradient, which does not depend on p; it and its
+    `star` and `gaps` are computed once per model."""
 
     kind = "linear"
     needs = ("mu",)
@@ -238,11 +244,16 @@ class LinearLoss(LossModel):
 
     costs: tuple[float, ...] = field(init=False, compare=False, repr=False)
     costs_array: np.ndarray = field(init=False, compare=False, repr=False)
+    star: int = field(init=False, compare=False, repr=False)
+    gaps: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        costs = self.gradient(np.array([self.params]), None)[0]
+        costs = self.gradient(np.array([self.params], dtype=float), None)[0]
+        star = int(costs.argmin())
         object.__setattr__(self, "costs", tuple(costs.tolist()))
         object.__setattr__(self, "costs_array", _read_only(costs))
+        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "gaps", _read_only(costs - costs[star]))
 
     @classmethod
     def build(cls, mu: Sequence[float]) -> LinearLoss:
@@ -256,7 +267,7 @@ class LinearLoss(LossModel):
 
     def gradient(self, params, p):
         # the plug-in gradient is the estimates themselves
-        return np.asarray(params, dtype=float)
+        return params
 
     def true_gradient(self, p):
         out = np.empty(p.shape)
@@ -573,8 +584,10 @@ class SeparableLoss(LinearLoss):
 
     def gradient(self, params, p):
         out = np.empty(params.shape)
+        # numpy's compiled interp, which np.interp calls for real tables
+        # after its Python-level dispatch
         for i, (xs, ys) in enumerate(self.table_arrays):
-            out[:, i] = np.interp(params[:, i], xs, ys)
+            out[:, i] = _interp(params[:, i], xs, ys)
         return out
 
     def sensitivity(self, p):

@@ -135,14 +135,12 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
 
     `epsilon` holds one entry per row, and so does `oracle_action` unless
     every row has the same one (constant gradient, where the model's cached
-    `costs_array` is the gradient at every point and p is not read, so it
-    may be None; the costs are finite, so their argmin is the lowest-index
-    minimum).
+    costs are the gradient at every point and p is not read, so it may be
+    None; the model caches their lowest-index argmin `star` and the `gaps`
+    costs - costs[star], the same subtraction made once).
     """
     if model.constant_gradient:
-        g = model.costs_array
-        star = int(g.argmin())
-        return StepDiagnostics(chosen, star, g[chosen] - g[star])
+        return StepDiagnostics(chosen, model.star, model.gaps[chosen])
     g = model.true_gradient(p)
     rows = np.arange(len(p))
     star = _TieBreaker().argmin(g)

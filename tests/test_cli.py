@@ -4,12 +4,15 @@ import math
 import pathlib
 import pickle
 import re
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 import yaml
 
+import ucbfw
 from ucbfw import checks, losses
 from ucbfw.cli import (
     CSV_HEADER,
@@ -403,6 +406,58 @@ def test_run_command_seed_base_override(tmp_path):
     main(["run", "--config", str(path), "--out", str(out), "--seed-base", "500"])
     csv_text = (out / "vertex.csv").read_text()
     assert ",500," in csv_text and ",7," not in csv_text
+
+
+def test_parse_rejects_a_negative_seed_base(tmp_path, capsys):
+    # SeedSequence takes non-negative seeds only
+    with pytest.raises(ConfigError, match=re.escape("seeds.base: must be >= 0, got -1")):
+        cfg_from(seeds={"count": 2, "base": -1})
+    assert cfg_from(seeds={"count": 2, "base": 0}).seed_base == 0
+    path = write_config(tmp_path, {**BASIC, "seeds": {"count": 2, "base": -1}})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config error: seeds.base" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed-base", "-5"],
+        ["run", "--workers", "0"],
+        ["run", "--workers", "-3"],
+        ["rates", "--workers", "0"],
+        ["check-bounds", "--theorem", "lemma1", "--workers", "-1"],
+    ],
+)
+def test_commands_reject_out_of_range_flags_by_name(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, BASIC)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "vertex.csv").exists()
+
+
+def test_run_experiment_rejects_fewer_than_one_worker_and_a_negative_seed_base():
+    config = cfg_from()
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(config, workers=workers)
+    with pytest.raises(ValueError, match="seed base must be >= 0, got -1"):
+        run_experiment(config, seed_base=-1)
+    with pytest.raises(ValueError, match="seed base must be >= 0, got -2"):
+        run_experiment(dataclasses.replace(config, seed_base=-2))
+
+
+def test_import_does_not_load_the_process_pool():
+    # the pool modules are imported only where a multi-block run starts one
+    src = str(pathlib.Path(ucbfw.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ucbfw.cli, ucbfw.harness; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_command_config_errors_exit_1(tmp_path, capsys):

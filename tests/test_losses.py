@@ -373,16 +373,20 @@ def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
             assert model.value(p) == _reference_markowitz_value(model, p)
 
 
+INTERP_TABLES = (
+    ((0.0, 0.5, 1.0), (1.0, 0.2, 0.0)),  # decreasing
+    ((0.0, 0.5, 1.0), (0.2, 0.4, 0.6)),  # increasing
+    ((-1.0, 0.0, 1.0, 2.0), (0.5, 0.5, 0.5, 0.5)),  # flat
+    ((-1.0, 0.0, 1.0), (-0.0, -0.0, -0.0)),  # flat at -0.0
+    ((-1.0, 0.0, 1.0, 2.0), (0.0, 0.3, 0.3, 0.9)),  # a flat middle segment
+    ((-1e308, 1e308), (-1e308, 1e308)),  # the slope overflows to nan
+    ((0.0, 1e-300), (0.0, 1e10)),  # the slope overflows to inf
+)
+
+
 def test_piecewise_linear_matches_numpy_interp_bit_for_bit():
     rng = np.random.default_rng(5)
-    tables = [
-        ((0.0, 0.5, 1.0), (1.0, 0.2, 0.0)),  # decreasing
-        ((0.0, 0.5, 1.0), (0.2, 0.4, 0.6)),  # increasing
-        ((-1.0, 0.0, 1.0, 2.0), (0.5, 0.5, 0.5, 0.5)),  # flat
-        ((-1.0, 0.0, 1.0, 2.0), (0.0, 0.3, 0.3, 0.9)),  # a flat middle segment
-        ((-1e308, 1e308), (-1e308, 1e308)),  # the slope overflows to nan
-        ((0.0, 1e-300), (0.0, 1e10)),  # the slope overflows to inf
-    ]
+    tables = list(INTERP_TABLES)
     for _ in range(40):
         n = int(rng.integers(2, 8))
         xs = np.sort(rng.uniform(-3.0, 3.0, size=n))
@@ -401,6 +405,45 @@ def test_piecewise_linear_matches_numpy_interp_bit_for_bit():
             for got in (f(x), reference_loop.interp(f.xs, f.ys, x)):
                 assert type(got) is float
                 assert got == want or (math.isnan(got) and math.isnan(want)), (xs, ys, x)
+
+
+def test_separable_gradient_matches_numpy_interp_bit_for_bit():
+    # the gradient calls numpy's compiled interp directly; every column of
+    # every block must be the bytes np.interp gives for that column
+    rng = np.random.default_rng(8)
+    tables = list(INTERP_TABLES)
+    for _ in range(12):
+        n = int(rng.integers(2, 8))
+        xs = np.sort(rng.uniform(-3.0, 3.0, size=n))
+        ys = np.sort(rng.normal(size=n)) * rng.choice([-1.0, 1.0])
+        tables.append((tuple(xs.tolist()), tuple(ys.tolist())))
+
+    def probes(xs):
+        out = [*xs, xs[0] - 1.0, xs[-1] + 1.0, -math.inf, math.inf, -0.0, 0.0, math.nan]
+        out += [float(np.nextafter(x, math.inf)) for x in xs]
+        out += [float(np.nextafter(x, -math.inf)) for x in xs]
+        if xs[-1] - xs[0] < 1e300:
+            out += rng.uniform(xs[0], xs[-1], size=8).tolist()
+        return out
+
+    for k in (2, 3, 4):
+        for _ in range(15):
+            pick = [tables[i] for i in rng.choice(len(tables), size=k, replace=False)]
+            model = separable_loss([0.0] * k, pick)
+            cols = [probes(t.xs) for t in model.tables]
+            s = max(len(c) for c in cols)
+            # each column holds every probe of its table, the rest drawn
+            # from them, in a random order
+            block = np.array(
+                [rng.permutation(c + rng.choice(c, size=s - len(c)).tolist()) for c in cols]
+            ).T
+            for params in (block, np.asfortranarray(block), block[: int(rng.integers(1, s))]):
+                want = np.empty(params.shape)
+                for i, (xs, ys) in enumerate(model.table_arrays):
+                    want[:, i] = np.interp(params[:, i], xs, ys)
+                got = model.gradient(params, None)
+                assert got.shape == params.shape
+                assert got.tobytes() == want.tobytes(), pick
 
 
 def test_step_results_do_not_alias_model_state():

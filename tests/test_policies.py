@@ -369,6 +369,43 @@ def test_constant_gradient_families_do_not_read_p(model, data):
         assert d.epsilon[i] == want.epsilon
 
 
+def _tied_constant_gradient_models():
+    # costs that tie often, -0.0 against 0.0 included; the test above pins
+    # the constant-gradient families to exactly these two
+    mus = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=2, max_size=5)
+    table = st.sampled_from(
+        [
+            ((-3.0, 0.0, 3.0), (1.0, 1.0, 1.0)),
+            ((-1.0, 1.0), (-0.0, 0.0)),
+            ((-1.0, 0.0, 1.0), (2.0, 0.5, 0.5)),
+            ((0.0, 1.0), (-1.0, 2.0)),
+        ]
+    )
+
+    def separable(mu):
+        tables = st.lists(table, min_size=len(mu), max_size=len(mu))
+        return tables.map(lambda t: separable_loss(mu, t))
+
+    return st.one_of(mus.map(linear_loss), mus.flatmap(separable))
+
+
+@settings(max_examples=100)
+@given(_tied_constant_gradient_models(), st.data())
+def test_constant_gradient_epsilon_reads_the_cached_gaps(model, data):
+    costs = model.costs_array.tolist()
+    star = costs.index(min(costs))  # the lowest index of a minimum
+    assert model.star == star
+    assert not model.gaps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        model.gaps[0] = 1.0
+    k = model.num_actions
+    chosen = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=6)))
+    d = epsilon_diagnostic(model, None, chosen)
+    assert d.oracle_action == star
+    want = np.array([costs[a] - costs[star] for a in chosen.tolist()])
+    assert d.epsilon.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- stopping
 
 
