@@ -4,120 +4,7 @@ A policy repeatedly picks one of K actions; the state after t rounds is the
 empirical proportion vector of the chosen actions.  The library provides the
 loss families, confidence-bound policies, and the experiment harness used to
 measure how fast the realized proportions drive a convex loss to its optimum.
+Its names are imported from the modules, e.g. `ucbfw.harness`.
 """
 
-from .feedback import (
-    DeviationSpec,
-    FeedbackBlock,
-    ObservationModel,
-    ObservationSampler,
-    deviation,
-    deviation_radius,
-)
-from .harness import (
-    AggregateResult,
-    BoundReport,
-    BoundRow,
-    ExperimentConfig,
-    FeedbackConfig,
-    ModelConfig,
-    PolicyConfig,
-    RateFit,
-    TrialRecord,
-    aggregate,
-    bound_check,
-    build_model,
-    build_policy,
-    fit_rate,
-    run_experiment,
-    run_trial,
-)
-from .losses import (
-    LossModel,
-    MinimizerInfo,
-    PiecewiseLinear,
-    cobb_douglas_loss,
-    exp_design_loss,
-    hard_quadratic_family,
-    interior_smoothness,
-    linear_loss,
-    loss_value,
-    markowitz_loss,
-    minimizer,
-    quadratic_loss,
-    sensitivity,
-    separable_loss,
-)
-from .policies import (
-    DoublingUcbFwPolicy,
-    FixedAllocationPolicy,
-    LcbBanditPolicy,
-    OracleFwPolicy,
-    PolicySpec,
-    PresampleConfig,
-    PresampledUcbFwPolicy,
-    StoppingResult,
-    UcbFwPolicy,
-    UniformPolicy,
-    doubling_boundaries,
-    epsilon_diagnostic,
-    variance_stopping_tau,
-)
-from .simplex import OccupationState, check_simplex, float_recurrence
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateResult",
-    "BoundReport",
-    "BoundRow",
-    "DeviationSpec",
-    "DoublingUcbFwPolicy",
-    "ExperimentConfig",
-    "FeedbackBlock",
-    "FeedbackConfig",
-    "FixedAllocationPolicy",
-    "LcbBanditPolicy",
-    "LossModel",
-    "MinimizerInfo",
-    "ModelConfig",
-    "ObservationModel",
-    "ObservationSampler",
-    "OccupationState",
-    "OracleFwPolicy",
-    "PiecewiseLinear",
-    "PolicyConfig",
-    "PolicySpec",
-    "PresampleConfig",
-    "PresampledUcbFwPolicy",
-    "RateFit",
-    "StoppingResult",
-    "TrialRecord",
-    "UcbFwPolicy",
-    "UniformPolicy",
-    "aggregate",
-    "bound_check",
-    "build_model",
-    "build_policy",
-    "check_simplex",
-    "cobb_douglas_loss",
-    "deviation",
-    "deviation_radius",
-    "doubling_boundaries",
-    "epsilon_diagnostic",
-    "exp_design_loss",
-    "fit_rate",
-    "float_recurrence",
-    "hard_quadratic_family",
-    "interior_smoothness",
-    "linear_loss",
-    "loss_value",
-    "markowitz_loss",
-    "minimizer",
-    "quadratic_loss",
-    "run_experiment",
-    "run_trial",
-    "sensitivity",
-    "separable_loss",
-    "variance_stopping_tau",
-]

@@ -115,7 +115,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     record("determinism", r1 == r2, "")
 
     # two-point deviation values
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     v = deviation(spec, t=100, n_obs=4, delta=1e-4)
     want = math.sqrt(4.0 * math.log(100 / 1e-4) / 4.0)
     record("deviation_standard", abs(v - want) <= 1e-12, f"value={v:.6f}")

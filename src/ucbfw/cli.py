@@ -1,8 +1,10 @@
 """Config parsing, result emission, and the command-line surface.
 
 Configs are YAML with strict keys; every parse error names the offending
-field.  CSV and summary emission format floats as %.12e so identical inputs
-produce byte-identical files regardless of worker count.
+field.  Each key is declared once, in the table of its section, from which
+both the parser and `normalize_config` work.  CSV and summary emission
+format floats as %.12e so identical inputs produce byte-identical files
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, NamedTuple
 
 import yaml
 
@@ -28,16 +31,13 @@ from .harness import (
     TrialRecord,
     aggregate,
     bound_check,
-    build_feedback_state,
     build_model,
-    build_observation_model,
-    build_policy_spec,
     fit_rate,
     run_experiment,
-    _check_subgaussian,
+    _experiment_problem,
     _validate_experiment,
 )
-from .policies import FIXED_ALLOCATION, PRESAMPLED_UCB_FW, PresampleConfig
+from .policies import PresampleConfig
 
 CSV_HEADER = "experiment,policy,loss,K,T,seed,error,sum_epsilon,bound_value,bound_pass"
 
@@ -48,263 +48,245 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configs."""
 
 
-def _expect_mapping(value: Any, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
-    return dict(value)
+class _Kind(NamedTuple):
+    """How the value of a key is read (`parse(value, where)`) and written
+    back as plain data (`dump`)."""
+
+    parse: Callable[[Any, str], Any]
+    dump: Callable[[Any], Any] = lambda value: value
 
 
-def _check_keys(section: dict, allowed: Sequence[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r} (allowed: {', '.join(allowed)})")
+class _Section:
+    """A mapping whose keys are table entries (key, field, kind).
 
+    `parse` reads each key given by its kind into its field (a key left out
+    leaves the field's default) and returns `build(**fields)`, or the fields
+    when `build` is None; `dump` writes back the fields that are not None.
+    An entry without a field fills several: its kind parses to a dict of
+    them and dumps from the enclosing config.
+    """
 
-def _float_tuple(value: Any, where: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where}: expected a list of numbers")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a list of numbers, got {value!r}") from None
+    def __init__(self, build, *entries, required=()):
+        self.build = build
+        self.entries = entries
+        self.kinds = {key: (field, kind) for key, field, kind in entries}
+        self.required = required
 
-
-def _int_value(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _float_value(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _parse_model(section: dict) -> ModelConfig:
-    _check_keys(
-        section,
-        ["kind", "mu", "theta", "sigma2", "beta", "covariance", "risk_weight",
-         "tables", "centers", "interior_floor"],
-        "model",
-    )
-    kind = section.get("kind")
-    if not isinstance(kind, str):
-        raise ConfigError("model.kind: required string")
-    kw: dict[str, Any] = {"kind": kind}
-    for name in ("mu", "theta", "sigma2", "beta", "centers", "interior_floor"):
-        if name in section:
-            kw[name] = _float_tuple(section[name], f"model.{name}")
-    if "covariance" in section:
-        rows = section["covariance"]
-        if not isinstance(rows, list):
-            raise ConfigError("model.covariance: expected a list of rows")
-        kw["covariance"] = tuple(
-            _float_tuple(row, f"model.covariance[{i}]") for i, row in enumerate(rows)
-        )
-    if "risk_weight" in section:
-        kw["risk_weight"] = _float_value(section["risk_weight"], "model.risk_weight")
-    if "tables" in section:
-        tables = section["tables"]
-        if not isinstance(tables, list):
-            raise ConfigError("model.tables: expected a list of {xs, ys} tables")
-        parsed = []
-        for i, tab in enumerate(tables):
-            tab = _expect_mapping(tab, f"model.tables[{i}]")
-            _check_keys(tab, ["xs", "ys"], f"model.tables[{i}]")
-            parsed.append(
-                (
-                    _float_tuple(tab.get("xs"), f"model.tables[{i}].xs"),
-                    _float_tuple(tab.get("ys"), f"model.tables[{i}].ys"),
-                )
-            )
-        kw["tables"] = tuple(parsed)
-    return ModelConfig(**kw)
-
-
-def _parse_presample(section: dict) -> PresampleConfig:
-    _check_keys(
-        section,
-        ["brackets", "delta", "variance_cap", "horizon", "max_rounds_per_arm"],
-        "policy.presample",
-    )
-    kw: dict[str, Any] = {}
-    if "brackets" in section:
-        rows = section["brackets"]
-        if not isinstance(rows, list):
-            raise ConfigError("policy.presample.brackets: expected a list of [lo, hi] pairs")
-        pairs = []
-        for i, row in enumerate(rows):
-            pair = _float_tuple(row, f"policy.presample.brackets[{i}]")
-            if len(pair) != 2:
-                raise ConfigError(
-                    f"policy.presample.brackets[{i}]: expected [lo, hi], got {row!r}"
-                )
-            pairs.append((pair[0], pair[1]))
-        kw["brackets"] = tuple(pairs)
-    if "delta" in section:
-        kw["delta"] = _float_value(section["delta"], "policy.presample.delta")
-    if "variance_cap" in section:
-        kw["variance_cap"] = _float_value(section["variance_cap"], "policy.presample.variance_cap")
-    if "horizon" in section:
-        kw["horizon"] = _int_value(section["horizon"], "policy.presample.horizon")
-    if "max_rounds_per_arm" in section and section["max_rounds_per_arm"] is not None:
-        kw["max_rounds_per_arm"] = _int_value(
-            section["max_rounds_per_arm"], "policy.presample.max_rounds_per_arm"
-        )
-    try:
-        return PresampleConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"policy.presample: {exc}") from None
-
-
-def _parse_policy(section: dict) -> PolicyConfig:
-    _check_keys(
-        section,
-        ["kind", "deviation", "sigma2", "delta_schedule", "delta_fixed",
-         "tie_break", "weights", "presample", "doubling_beta"],
-        "policy",
-    )
-    kw: dict[str, Any] = {}
-    if "kind" in section:
-        if not isinstance(section["kind"], str):
-            raise ConfigError("policy.kind: expected a string")
-        kw["kind"] = section["kind"]
-    if "deviation" in section:
-        dev = section["deviation"]
-        if isinstance(dev, str):
-            kw["deviation"] = dev
-        elif isinstance(dev, Mapping):
-            _check_keys(dict(dev), ["scale", "exponent"], "policy.deviation")
-            kw["deviation"] = "custom"
-            kw["deviation_scale"] = _float_value(dev.get("scale"), "policy.deviation.scale")
-            kw["deviation_exponent"] = _float_value(
-                dev.get("exponent"), "policy.deviation.exponent"
-            )
-        else:
-            raise ConfigError("policy.deviation: expected a preset name or {scale, exponent}")
-    if "sigma2" in section:
-        kw["sigma2"] = _float_value(section["sigma2"], "policy.sigma2")
-    if "delta_schedule" in section:
-        if section["delta_schedule"] not in ("inverse_t_squared", "fixed"):
+    def parse(self, data: Any, where: str, prefix: str | None = None):
+        data = {} if data is None else data
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
+        missing = [key for key in self.required if key not in data]
+        if missing:
             raise ConfigError(
-                f"policy.delta_schedule: expected inverse_t_squared or fixed, "
-                f"got {section['delta_schedule']!r}"
+                f"{where}: required keys {', '.join(self.required)}; missing {', '.join(missing)}"
             )
-        kw["delta_schedule"] = section["delta_schedule"]
-    if "delta_fixed" in section:
-        kw["delta_fixed"] = _float_value(section["delta_fixed"], "policy.delta_fixed")
-    if "tie_break" in section:
-        kw["tie_break"] = section["tie_break"]
-    if "weights" in section:
-        kw["weights"] = _float_tuple(section["weights"], "policy.weights")
-    if "presample" in section:
-        kw["presample"] = _parse_presample(_expect_mapping(section["presample"], "policy.presample"))
-    if "doubling_beta" in section:
-        kw["doubling_beta"] = _float_value(section["doubling_beta"], "policy.doubling_beta")
-    return PolicyConfig(**kw)
+        prefix = f"{where}." if prefix is None else prefix
+        fields: dict[str, Any] = {}
+        for key, value in data.items():
+            if key not in self.kinds:
+                raise ConfigError(f"{where}: unknown key {key!r} (allowed: {', '.join(self.kinds)})")
+            field, kind = self.kinds[key]
+            parsed = kind.parse(value, prefix + key)
+            if field is None:
+                fields.update(parsed)
+            else:
+                fields[field] = parsed
+        if self.build is None:
+            return fields
+        try:
+            return self.build(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+
+    def dump(self, obj: Any) -> dict:
+        # a built tuple holds the fields in entry order
+        values = dict(zip([f for _, f, _ in self.entries], obj)) if isinstance(obj, tuple) else vars(obj)
+        out = {}
+        for key, field, kind in self.entries:
+            if field is None:
+                value = kind.dump(obj)
+            elif values[field] is not None:
+                value = kind.dump(values[field])
+            else:
+                continue
+            if value != {}:
+                out[key] = value
+        return out
+
+    def key_of(self, path: Sequence[str]) -> str | None:
+        """The dotted key of a field path such as ("policy", "weights")."""
+        for key, field, kind in self.entries:
+            if field == path[0]:
+                return key if len(path) == 1 else f"{key}.{kind.key_of(path[1:])}"
+            inner = kind.key_of(path) if field is None and isinstance(kind, _Section) else None
+            if inner is not None:
+                return f"{key}.{inner}"
+        return None
 
 
-def _parse_feedback(section: dict) -> FeedbackConfig:
-    _check_keys(section, ["observation", "noise_sd", "map", "estimator"], "feedback")
-    kw: dict[str, Any] = {}
-    if "observation" in section:
-        kw["observation"] = section["observation"]
-    if "noise_sd" in section:
-        kw["noise_sd"] = _float_value(section["noise_sd"], "feedback.noise_sd")
-    if "map" in section:
-        entries = section["map"]
-        if not isinstance(entries, list):
-            raise ConfigError("feedback.map: expected a list of coefficient indices")
-        kw["action_map"] = tuple(_int_value(v, "feedback.map") for v in entries)
-    if "estimator" in section:
-        kw["estimator"] = section["estimator"]
-    return FeedbackConfig(**kw)
+class _Deviation(_Section):
+    """A preset name, or the {scale, exponent} of a custom radius."""
+
+    def parse(self, value: Any, where: str, prefix: str | None = None) -> dict:
+        if isinstance(value, str):
+            return {"deviation": value}
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where}: expected a preset name or {{scale, exponent}}")
+        return {"deviation": "custom", **super().parse(value, where)}
+
+    def dump(self, policy: PolicyConfig):
+        return super().dump(policy) if policy.deviation == "custom" else policy.deviation
+
+
+def _scalar(accepts: Callable[[Any], bool], what: str, convert: Callable = None) -> _Kind:
+    def parse(value: Any, where: str):
+        if not accepts(value):
+            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return _Kind(parse)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _at_least(low: int) -> _Kind:
+    def parse(value: Any, where: str) -> int:
+        value = _INT.parse(value, where)
+        if value < low:
+            raise ConfigError(f"{where}: must be >= {low}, got {value}")
+        return value
+
+    return _Kind(parse)
+
+
+def _list_of(item: _Kind, length: int | None = None) -> _Kind:
+    what = f"a list of {length}" if length else "a list"
+
+    def parse(value: Any, where: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != (length or len(value)):
+            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+        return tuple([item.parse(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+    return _Kind(parse, lambda value: [item.dump(v) for v in value])
+
+
+_STRING = _scalar(lambda v: isinstance(v, str) and v != "", "a nonempty string")
+_BOOL = _scalar(lambda v: isinstance(v, bool), "a boolean")
+_INT = _scalar(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_INT_OR_NULL = _Kind(lambda value, where: None if value is None else _INT.parse(value, where))
+_NUMBER = _scalar(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float)
+# model parameters, which their family checks, naming the one at fault
+_PARAM = _scalar(_is_number, "a number", float)
+
+
+def _params(value: Any, where: str) -> tuple[float, ...]:
+    """A list of model parameters, read in one pass (a Markowitz covariance has K^2)."""
+    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+        raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
+_PARAMS = _Kind(_params, list)
+
+_TABLE = _Section(
+    lambda xs, ys: (xs, ys),
+    ("xs", "xs", _PARAMS),
+    ("ys", "ys", _PARAMS),
+    required=("xs", "ys"),
+)
+
+_MODEL = _Section(
+    ModelConfig,
+    ("kind", "kind", _STRING),
+    ("mu", "mu", _PARAMS),
+    ("theta", "theta", _PARAMS),
+    ("sigma2", "sigma2", _PARAMS),
+    ("beta", "beta", _PARAMS),
+    ("covariance", "covariance", _list_of(_PARAMS)),
+    ("risk_weight", "risk_weight", _PARAM),
+    ("tables", "tables", _list_of(_TABLE)),
+    ("centers", "centers", _PARAMS),
+    ("interior_floor", "interior_floor", _PARAMS),
+    required=("kind",),
+)
+
+_PRESAMPLE = _Section(
+    PresampleConfig,
+    ("brackets", "brackets", _list_of(_list_of(_NUMBER, length=2))),
+    ("delta", "delta", _NUMBER),
+    ("variance_cap", "variance_cap", _NUMBER),
+    ("horizon", "horizon", _INT),
+    ("max_rounds_per_arm", "max_rounds_per_arm", _INT_OR_NULL),
+)
+
+_DEVIATION = _Deviation(
+    None,
+    ("scale", "deviation_scale", _NUMBER),
+    ("exponent", "deviation_exponent", _NUMBER),
+    required=("scale", "exponent"),
+)
+
+_POLICY = _Section(
+    PolicyConfig,
+    ("kind", "kind", _STRING),
+    ("deviation", None, _DEVIATION),
+    ("sigma2", "sigma2", _NUMBER),
+    ("delta_schedule", "delta_schedule", _STRING),
+    ("delta_fixed", "delta_fixed", _NUMBER),
+    ("tie_break", "tie_break", _STRING),
+    ("weights", "weights", _list_of(_NUMBER)),
+    ("presample", "presample", _PRESAMPLE),
+    ("doubling_beta", "doubling_beta", _NUMBER),
+)
+
+_FEEDBACK = _Section(
+    FeedbackConfig,
+    ("observation", "observation", _STRING),
+    ("noise_sd", "noise_sd", _NUMBER),
+    ("map", "action_map", _list_of(_INT)),
+    ("estimator", "estimator", _STRING),
+)
+
+_SEEDS = _Section(
+    None,
+    ("count", "seed_count", _at_least(1)),
+    ("base", "seed_base", _at_least(0)),
+    required=("count", "base"),
+)
+
+_EXPERIMENT = _Section(
+    # the policy and feedback sections may be left out, for their defaults
+    lambda policy=PolicyConfig(), feedback=FeedbackConfig(), **fields: ExperimentConfig(
+        policy=policy, feedback=feedback, **fields
+    ),
+    ("experiment", "experiment", _STRING),
+    ("model", "model", _MODEL),
+    ("policy", "policy", _POLICY),
+    ("feedback", "feedback", _FEEDBACK),
+    ("horizons", "horizons", _list_of(_INT)),
+    ("seeds", None, _SEEDS),
+    ("record_epsilon", "record_epsilon", _BOOL),
+    ("output", None, _Section(None, ("dir", "out_dir", _STRING))),
+    required=("experiment", "model", "horizons", "seeds"),
+)
 
 
 def parse_config_data(data: Any, source: str = "<config>") -> ExperimentConfig:
-    top = _expect_mapping(data, source)
-    _check_keys(
-        top,
-        ["experiment", "model", "policy", "feedback", "horizons", "seeds",
-         "record_epsilon", "output"],
-        source,
-    )
-    experiment = top.get("experiment")
-    if not isinstance(experiment, str) or not experiment:
-        raise ConfigError("experiment: required nonempty string")
-    if "model" not in top:
-        raise ConfigError("model: required section")
-    model_cfg = _parse_model(_expect_mapping(top["model"], "model"))
-    policy_cfg = _parse_policy(_expect_mapping(top.get("policy"), "policy"))
-    feedback_cfg = _parse_feedback(_expect_mapping(top.get("feedback"), "feedback"))
-    if "horizons" not in top or not isinstance(top["horizons"], list) or not top["horizons"]:
-        raise ConfigError("horizons: required nonempty list of integers")
-    horizons = tuple(_int_value(v, "horizons") for v in top["horizons"])
-    seeds = _expect_mapping(top.get("seeds"), "seeds")
-    _check_keys(seeds, ["count", "base"], "seeds")
-    if "count" not in seeds or "base" not in seeds:
-        raise ConfigError("seeds: required keys count and base")
-    record_epsilon = top.get("record_epsilon", False)
-    if not isinstance(record_epsilon, bool):
-        raise ConfigError("record_epsilon: expected a boolean")
-    out_dir = None
-    if "output" in top:
-        output = _expect_mapping(top["output"], "output")
-        _check_keys(output, ["dir"], "output")
-        if "dir" in output:
-            if not isinstance(output["dir"], str):
-                raise ConfigError("output.dir: expected a string")
-            out_dir = output["dir"]
-    seed_count = _int_value(seeds["count"], "seeds.count")
-    seed_base = _int_value(seeds["base"], "seeds.base")
-    if seed_base < 0:
-        raise ConfigError(f"seeds.base: must be >= 0, got {seed_base}")
-    config = ExperimentConfig(
-        experiment=experiment,
-        model=model_cfg,
-        policy=policy_cfg,
-        feedback=feedback_cfg,
-        horizons=horizons,
-        seed_count=seed_count,
-        seed_base=seed_base,
-        record_epsilon=record_epsilon,
-        out_dir=out_dir,
-    )
-    _validate_config(config)
-    return config
-
-
-def _validate_config(config: ExperimentConfig) -> None:
-    """Build every component once so invariant violations surface at parse time."""
+    """The config `data` describes; the model and the feedback state are
+    built once, so that a config that cannot run fails here, naming a key."""
+    config = _EXPERIMENT.parse(data, source, prefix="")
     try:
         model = build_model(config.model)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
-    try:
-        spec = build_policy_spec(config.policy)
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from None
-    k = model.num_actions
-    if spec.kind == FIXED_ALLOCATION and len(spec.weights) != k:
-        raise ConfigError(f"policy.weights: need one weight per action: {len(spec.weights)} vs {k}")
-    brackets = spec.presample.brackets if spec.kind == PRESAMPLED_UCB_FW else None
-    if brackets is not None and len(brackets) != k:
-        raise ConfigError(
-            f"policy.presample.brackets: need one bracket per arm: {len(brackets)} vs {k}"
-        )
-    try:
-        obs = build_observation_model(config.feedback, model)
-        _check_subgaussian(obs, spec.deviation, model)
-        build_feedback_state(config.feedback, model, spec.deviation)
-    except ValueError as exc:
-        raise ConfigError(f"feedback: {exc}") from None
-    try:
-        _validate_experiment(config, model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    problem = _experiment_problem(config, model)
+    if problem is not None:
+        path, message = problem
+        raise ConfigError(f"{_EXPERIMENT.key_of(path)}: {message}")
+    return config
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -320,63 +302,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def normalize_config(config: ExperimentConfig) -> dict:
     """Canonical plain-data form; parsing it back yields an equal config."""
-    model = {"kind": config.model.kind}
-    for name in ("mu", "theta", "sigma2", "beta", "centers", "interior_floor"):
-        value = getattr(config.model, name)
-        if value is not None:
-            model[name] = list(value)
-    if config.model.covariance is not None:
-        model["covariance"] = [list(row) for row in config.model.covariance]
-    if config.model.risk_weight is not None:
-        model["risk_weight"] = config.model.risk_weight
-    if config.model.tables is not None:
-        model["tables"] = [{"xs": list(xs), "ys": list(ys)} for xs, ys in config.model.tables]
-
-    pol = config.policy
-    policy: dict[str, Any] = {"kind": pol.kind}
-    if pol.deviation == "custom":
-        policy["deviation"] = {"scale": pol.deviation_scale, "exponent": pol.deviation_exponent}
-    else:
-        policy["deviation"] = pol.deviation
-    policy["sigma2"] = pol.sigma2
-    policy["delta_schedule"] = pol.delta_schedule
-    policy["delta_fixed"] = pol.delta_fixed
-    policy["tie_break"] = pol.tie_break
-    if pol.weights is not None:
-        policy["weights"] = list(pol.weights)
-    if pol.presample is not None:
-        pre: dict[str, Any] = {}
-        if pol.presample.brackets is not None:
-            pre["brackets"] = [list(b) for b in pol.presample.brackets]
-        pre["delta"] = pol.presample.delta
-        pre["variance_cap"] = pol.presample.variance_cap
-        pre["horizon"] = pol.presample.horizon
-        if pol.presample.max_rounds_per_arm is not None:
-            pre["max_rounds_per_arm"] = pol.presample.max_rounds_per_arm
-        policy["presample"] = pre
-    policy["doubling_beta"] = pol.doubling_beta
-
-    feedback: dict[str, Any] = {
-        "observation": config.feedback.observation,
-        "noise_sd": config.feedback.noise_sd,
-    }
-    if config.feedback.action_map is not None:
-        feedback["map"] = list(config.feedback.action_map)
-    if config.feedback.estimator is not None:
-        feedback["estimator"] = config.feedback.estimator
-
-    out: dict[str, Any] = {
-        "experiment": config.experiment,
-        "model": model,
-        "policy": policy,
-        "feedback": feedback,
-        "horizons": list(config.horizons),
-        "seeds": {"count": config.seed_count, "base": config.seed_base},
-        "record_epsilon": config.record_epsilon,
-    }
-    if config.out_dir is not None:
-        out["output"] = {"dir": config.out_dir}
-    return out
+    return _EXPERIMENT.dump(config)
 
 
 def emit_config(config: ExperimentConfig) -> str:

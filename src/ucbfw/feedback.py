@@ -37,7 +37,8 @@ class DeviationSpec:
 
     `sigma2` is the sub-Gaussian parameter the observation distributions are
     required to satisfy.  The schedule controls delta_t: 1/t^2 by default,
-    or a fixed confidence level.
+    or a fixed confidence level.  The default radius is the `theorem1`
+    preset of `harness.DEVIATION_PRESETS`.
     """
 
     scale: float = 4.0
@@ -47,36 +48,16 @@ class DeviationSpec:
     delta_fixed: float = 0.05
 
     def __post_init__(self):
-        if self.scale < 0.0:
-            raise ValueError(f"deviation scale must be nonnegative, got {self.scale}")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"deviation scale must be finite and nonnegative, got {self.scale}")
         if not 0.0 < self.exponent <= 0.5:
             raise ValueError(f"deviation exponent must be in (0, 1/2], got {self.exponent}")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
         if self.delta_schedule not in (DELTA_INVERSE_T_SQUARED, DELTA_FIXED):
-            raise ValueError(f"unknown delta schedule {self.delta_schedule!r}")
+            raise ValueError(f"delta_schedule must be inverse_t_squared or fixed, got {self.delta_schedule!r}")
         if not 0.0 < self.delta_fixed < 1.0:
             raise ValueError(f"fixed delta must be in (0, 1), got {self.delta_fixed}")
-
-    @classmethod
-    def standard(cls, **kw) -> "DeviationSpec":
-        """Radius 2*sqrt(log(t/delta)/n), the default used by the rate checks."""
-        return cls(scale=4.0, exponent=0.5, **kw)
-
-    @classmethod
-    def subgaussian(cls, sigma2: float = 1.0, **kw) -> "DeviationSpec":
-        """Radius sqrt(2*sigma2*log(t/delta)/n), the plain sub-Gaussian radius."""
-        return cls(scale=2.0 * sigma2, exponent=0.5, sigma2=sigma2, **kw)
-
-    @classmethod
-    def subgaussian_doubled(cls, sigma2: float = 1.0, **kw) -> "DeviationSpec":
-        """Radius 2*sqrt(2*sigma2*log(t/delta)/n)."""
-        return cls(scale=8.0 * sigma2, exponent=0.5, sigma2=sigma2, **kw)
-
-    @classmethod
-    def noiseless(cls, **kw) -> "DeviationSpec":
-        """Zero radius; selection reduces to plugging in the point estimates."""
-        return cls(scale=0.0, exponent=0.5, **kw)
 
     def delta_at(self, t: int) -> float:
         if self.delta_schedule == DELTA_FIXED:
@@ -262,8 +243,8 @@ class ObservationModel:
         if self.kind == "gaussian":
             if self.sds is None or len(self.sds) != len(self.means):
                 raise ValueError("gaussian observations need one sd per action")
-            if any(s < 0.0 for s in self.sds):
-                raise ValueError("gaussian sds must be nonnegative")
+            if any(not 0.0 <= s < math.inf for s in self.sds):
+                raise ValueError(f"gaussian sds must be finite and nonnegative, got {self.sds}")
         if self.kind == "bernoulli" and any(not 0.0 <= m <= 1.0 for m in self.means):
             raise ValueError("bernoulli means must be in [0, 1]")
 

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .feedback import (
+    DELTA_INVERSE_T_SQUARED,
     ESTIMATOR_CENTERED_SQUARE,
     ESTIMATOR_MEAN,
     DeviationSpec,
@@ -34,21 +35,23 @@ from .policies import (
     FIXED_ALLOCATION,
     LCB_BANDIT,
     ORACLE_FW,
+    POLICY_KINDS,
     PRESAMPLED_UCB_FW,
+    TIE_LOWEST,
+    TIE_SEEDED,
     UCB_FW,
     UNIFORM,
     DoublingUcbFwPolicy,
     FixedAllocationPolicy,
     LcbBanditPolicy,
     OracleFwPolicy,
-    PolicySpec,
     PresampleConfig,
     PresampledUcbFwPolicy,
     UcbFwPolicy,
     UniformPolicy,
     epsilon_diagnostic,
 )
-from .simplex import OccupationState
+from .simplex import OccupationState, check_simplex
 
 # Seeds per lockstep block.  `run_experiment` splits the seeds into at most
 # `workers` blocks, none smaller than MIN_BLOCK: a round costs about the
@@ -58,7 +61,18 @@ from .simplex import OccupationState
 MIN_BLOCK = 64
 MAX_BLOCK = 128
 
-DEVIATION_PRESETS = ("theorem1", "prop1", "prop1_doubled", "noiseless")
+# The radius scale each deviation preset sets from sigma2, at exponent 1/2.
+# A "custom" deviation gives its own scale and exponent instead.
+DEVIATION_PRESETS = {
+    # 2*sqrt(log(t/delta)/n), the default used by the rate checks
+    "theorem1": lambda sigma2: 4.0,
+    # sqrt(2*sigma2*log(t/delta)/n), the plain sub-Gaussian radius
+    "prop1": lambda sigma2: 2.0 * sigma2,
+    # 2*sqrt(2*sigma2*log(t/delta)/n)
+    "prop1_doubled": lambda sigma2: 8.0 * sigma2,
+    # zero: selection reduces to plugging in the point estimates
+    "noiseless": lambda sigma2: 0.0,
+}
 
 
 @dataclass(frozen=True)
@@ -96,19 +110,50 @@ class FeedbackConfig:
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Primitive description of a policy (see build_policy)."""
+    """Primitive description of a policy (see build_policy), checked when
+    made.  `deviation_spec` is the radius the deviation fields describe:
+    a preset of DEVIATION_PRESETS, or "custom" with a scale and exponent."""
 
     kind: str = UCB_FW
     deviation: str = "theorem1"
     deviation_scale: float | None = None
     deviation_exponent: float | None = None
     sigma2: float = 1.0
-    delta_schedule: str = "inverse_t_squared"
+    delta_schedule: str = DELTA_INVERSE_T_SQUARED
     delta_fixed: float = 0.05
-    tie_break: str = "lowest_index"
+    tie_break: str = TIE_LOWEST
     weights: tuple[float, ...] | None = None
     presample: PresampleConfig | None = None
     doubling_beta: float = 0.5
+    deviation_spec: DeviationSpec = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in POLICY_KINDS:
+            raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.tie_break not in (TIE_LOWEST, TIE_SEEDED):
+            raise ValueError(f"unknown tie break {self.tie_break!r}")
+        # weights and presample are read by one kind each, which needs them
+        if (self.kind == FIXED_ALLOCATION) != (self.weights is not None):
+            raise ValueError(f"{self.kind} policy {'needs' if self.weights is None else 'takes no'} weights")
+        if (self.kind == PRESAMPLED_UCB_FW) != (self.presample is not None):
+            raise ValueError(f"{self.kind} policy {'needs' if self.presample is None else 'takes no'} presample")
+        if self.weights is not None:
+            check_simplex(self.weights)
+        if not 0.0 < self.doubling_beta <= 0.5:
+            raise ValueError(f"doubling beta must be in (0, 1/2], got {self.doubling_beta}")
+        if self.deviation == "custom":
+            if self.deviation_scale is None or self.deviation_exponent is None:
+                raise ValueError("custom deviation needs deviation_scale and deviation_exponent")
+            scale, exponent = self.deviation_scale, self.deviation_exponent
+        elif self.deviation in DEVIATION_PRESETS:
+            scale, exponent = DEVIATION_PRESETS[self.deviation](self.sigma2), 0.5
+        else:
+            raise ValueError(
+                f"unknown deviation preset {self.deviation!r}; "
+                f"use one of {tuple(DEVIATION_PRESETS)} or 'custom'"
+            )
+        spec = DeviationSpec(scale, exponent, self.sigma2, self.delta_schedule, self.delta_fixed)
+        object.__setattr__(self, "deviation_spec", spec)
 
 
 @dataclass(frozen=True)
@@ -182,36 +227,15 @@ def build_model(cfg: ModelConfig) -> LossModel:
         missing = [name for name in family.needs if getattr(cfg, name) is None]
         if missing:
             raise ValueError(f"{cfg.kind} model needs {', '.join(missing)}")
+        takes = ("kind",) + family.needs + family.options
+        unread = [name for name, value in vars(cfg).items() if value is not None and name not in takes]
+        if unread:
+            raise ValueError(f"{cfg.kind} model takes {', '.join(takes[1:])}, not {', '.join(unread)}")
         model = family.build(**{name: getattr(cfg, name) for name in family.needs + family.options})
         # `built` is a cache, not part of the description, so it is set
         # past the frozen dataclass's __setattr__
         object.__setattr__(cfg, "built", model)
     return cfg.built
-
-
-def build_deviation_spec(cfg: PolicyConfig) -> DeviationSpec:
-    kw = dict(
-        sigma2=cfg.sigma2,
-        delta_schedule=cfg.delta_schedule,
-        delta_fixed=cfg.delta_fixed,
-    )
-    if cfg.deviation == "custom":
-        if cfg.deviation_scale is None or cfg.deviation_exponent is None:
-            raise ValueError("custom deviation needs deviation_scale and deviation_exponent")
-        return DeviationSpec(scale=cfg.deviation_scale, exponent=cfg.deviation_exponent, **kw)
-    if cfg.deviation == "theorem1":
-        return DeviationSpec.standard(**kw)
-    if cfg.deviation == "prop1":
-        del kw["sigma2"]
-        return DeviationSpec.subgaussian(cfg.sigma2, **kw)
-    if cfg.deviation == "prop1_doubled":
-        del kw["sigma2"]
-        return DeviationSpec.subgaussian_doubled(cfg.sigma2, **kw)
-    if cfg.deviation == "noiseless":
-        return DeviationSpec.noiseless(**kw)
-    raise ValueError(
-        f"unknown deviation preset {cfg.deviation!r}; use one of {DEVIATION_PRESETS} or 'custom'"
-    )
 
 
 def build_observation_model(fb_cfg: FeedbackConfig, model: LossModel) -> ObservationModel:
@@ -221,17 +245,10 @@ def build_observation_model(fb_cfg: FeedbackConfig, model: LossModel) -> Observa
             raise ValueError("exp_design feedback draws gaussian observations")
         sds = tuple(math.sqrt(model.params[j]) for j in amap)
         means = tuple(model.centers[j] for j in amap)
-        return ObservationModel(kind="gaussian", means=means, sds=sds)
-    means = tuple(model.params[j] for j in amap)
-    if fb_cfg.observation == "gaussian":
-        return ObservationModel(
-            kind="gaussian", means=means, sds=tuple(fb_cfg.noise_sd for _ in means)
-        )
-    if fb_cfg.observation == "bernoulli":
-        return ObservationModel(kind="bernoulli", means=means)
-    if fb_cfg.observation == "deterministic":
-        return ObservationModel(kind="deterministic", means=means)
-    raise ValueError(f"unknown observation kind {fb_cfg.observation!r}")
+    else:
+        means = tuple(model.params[j] for j in amap)
+        sds = tuple(fb_cfg.noise_sd for _ in means) if fb_cfg.observation == "gaussian" else None
+    return ObservationModel(kind=fb_cfg.observation, means=means, sds=sds)
 
 
 def build_feedback_state(
@@ -254,76 +271,80 @@ def build_feedback_state(
     )
 
 
-def _check_subgaussian(obs_model: ObservationModel, dev_spec: DeviationSpec, model: LossModel):
-    # the radius calibration assumes routed values are sub-gaussian with the
-    # declared parameter; squared-draw estimators are covered by the
-    # sensitivity factors instead, so only mean estimators are checked
-    if model.variance_feedback:
-        return
-    par = obs_model.subgaussian_parameter()
-    if par > dev_spec.sigma2 + 1e-12:
-        raise ValueError(
-            f"observation sub-gaussian parameter {par} exceeds the declared "
-            f"deviation sigma2 {dev_spec.sigma2}"
-        )
-
-
-def build_policy_spec(cfg: PolicyConfig) -> PolicySpec:
-    return PolicySpec(
-        kind=cfg.kind,
-        deviation=build_deviation_spec(cfg),
-        tie_break=cfg.tie_break,
-        weights=cfg.weights,
-        presample=cfg.presample,
-        doubling_beta=cfg.doubling_beta,
-    )
-
-
 def build_policy(
-    spec: PolicySpec,
+    cfg: PolicyConfig,
     model: LossModel,
     fb_cfg: FeedbackConfig,
     seeds: Sequence[int],
     t_max: int,
 ):
     """The policy for a lockstep block of trials, one per seed."""
-    if spec.kind == UNIFORM:
+    if cfg.kind == UNIFORM:
         return UniformPolicy(model.num_actions, seeds)
-    if spec.kind == FIXED_ALLOCATION:
-        return FixedAllocationPolicy(spec.weights)
-    if spec.kind == ORACLE_FW:
+    if cfg.kind == FIXED_ALLOCATION:
+        return FixedAllocationPolicy(cfg.weights)
+    if cfg.kind == ORACLE_FW:
         return OracleFwPolicy(model)
-    fb = build_feedback_state(fb_cfg, model, spec.deviation, len(seeds))
-    if spec.kind == LCB_BANDIT:
-        return LcbBanditPolicy(fb, spec.tie_break, seeds)
-    inner = UcbFwPolicy(model, fb, spec.tie_break, seeds)
-    if spec.kind == UCB_FW:
+    fb = build_feedback_state(fb_cfg, model, cfg.deviation_spec, len(seeds))
+    if cfg.kind == LCB_BANDIT:
+        return LcbBanditPolicy(fb, cfg.tie_break, seeds)
+    inner = UcbFwPolicy(model, fb, cfg.tie_break, seeds)
+    if cfg.kind == UCB_FW:
         return inner
-    if spec.kind == DOUBLING_UCB_FW:
-        return DoublingUcbFwPolicy(inner, spec.doubling_beta, t_max)
-    if spec.kind == PRESAMPLED_UCB_FW:
-        centers = model.centers if model.variance_feedback else (0.0,) * model.num_actions
-        return PresampledUcbFwPolicy(inner, spec.presample, centers)
-    raise ValueError(f"unknown policy kind {spec.kind!r}")
+    if cfg.kind == DOUBLING_UCB_FW:
+        return DoublingUcbFwPolicy(inner, cfg.doubling_beta, t_max)
+    centers = model.centers if model.variance_feedback else (0.0,) * model.num_actions
+    return PresampledUcbFwPolicy(inner, cfg.presample, centers)
 
 
-def _validate_experiment(config: ExperimentConfig, model: LossModel) -> None:
-    if not config.horizons:
-        raise ValueError("need at least one horizon")
-    if any(b <= a for a, b in zip(config.horizons, config.horizons[1:])):
-        raise ValueError(f"horizons must be strictly increasing, got {config.horizons}")
-    if config.horizons[0] < model.num_actions:
-        raise ValueError(
-            f"first horizon {config.horizons[0]} is shorter than the forced "
-            f"round robin over {model.num_actions} actions"
+def _experiment_problem(config: ExperimentConfig, model: LossModel) -> tuple[tuple[str, ...], str] | None:
+    """The first way `config` cannot run with `model` (its horizons,
+    seeds, diagnostics, policy fields or feedback), as the path of the
+    config field at fault and a message; None when it can."""
+    horizons, k = config.horizons, model.num_actions
+    if not horizons:
+        return ("horizons",), "need at least one horizon"
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        return ("horizons",), f"horizons must be strictly increasing, got {horizons}"
+    if horizons[0] < k:
+        return ("horizons",), (
+            f"first horizon {horizons[0]} is shorter than the forced round robin over {k} actions"
         )
     if config.seed_count < 1:
-        raise ValueError(f"seed count must be >= 1, got {config.seed_count}")
+        return ("seed_count",), f"seed count must be >= 1, got {config.seed_count}"
     if config.record_epsilon and not model.smooth_on_simplex:
-        raise ValueError(
+        return ("record_epsilon",), (
             "per-step gradient diagnostics need a loss with simplex-wide "
             f"gradients; {model.kind} is undefined at the early boundary points"
         )
+    weights = config.policy.weights
+    if weights is not None and len(weights) != k:
+        return ("policy", "weights"), f"need one weight per action: {len(weights)} vs {k}"
+    brackets = config.policy.presample and config.policy.presample.brackets
+    if brackets is not None and len(brackets) != k:
+        return ("policy", "presample", "brackets"), f"need one bracket per arm: {len(brackets)} vs {k}"
+    deviation = config.policy.deviation_spec
+    try:
+        observations = build_observation_model(config.feedback, model)
+        build_feedback_state(config.feedback, model, deviation)
+    except ValueError as exc:
+        return ("feedback",), str(exc)
+    # the radius calibration assumes routed values are sub-gaussian with the
+    # declared parameter; squared-draw estimators are covered by the
+    # sensitivity factors instead, so only mean estimators are checked
+    par = observations.subgaussian_parameter()
+    if not model.variance_feedback and par > deviation.sigma2 + 1e-12:
+        return ("feedback",), (
+            f"observation sub-gaussian parameter {par} exceeds the declared "
+            f"deviation sigma2 {deviation.sigma2}"
+        )
+    return None
+
+
+def _validate_experiment(config: ExperimentConfig, model: LossModel) -> None:
+    problem = _experiment_problem(config, model)
+    if problem is not None:
+        raise ValueError(problem[1])
 
 
 def run_trial(
@@ -350,11 +371,8 @@ def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | No
     horizons = tuple(sorted(config.horizons))
     if t_max is None:
         t_max = horizons[-1]
-    spec = build_policy_spec(config.policy)
-    obs_model = build_observation_model(config.feedback, model)
-    _check_subgaussian(obs_model, spec.deviation, model)
-    sampler = ObservationSampler(obs_model, seeds)
-    policy = build_policy(spec, model, config.feedback, seeds, t_max)
+    sampler = ObservationSampler(build_observation_model(config.feedback, model), seeds)
+    policy = build_policy(config.policy, model, config.feedback, seeds, t_max)
     k = model.num_actions
     occ = OccupationState(k, seeds=len(seeds))
     loss_star = info.loss_star

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .feedback import DeviationSpec, FeedbackBlock, deviation_radii
+from .feedback import FeedbackBlock, deviation_radii
 from .losses import LossModel, gradient_from_params, sensitivity
 from .simplex import OccupationState, check_simplex
 
@@ -71,40 +71,14 @@ class PresampleConfig:
     def __post_init__(self):
         if self.brackets is not None:
             for i, (lo, hi) in enumerate(self.brackets):
-                if not 0.0 <= lo <= hi:
-                    raise ValueError(f"bracket {i} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+                if not 0.0 <= lo <= hi < math.inf:
+                    raise ValueError(f"bracket {i} must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.variance_cap <= 0.0:
-            raise ValueError(f"variance cap must be positive, got {self.variance_cap}")
+        if not 0.0 < self.variance_cap < math.inf:
+            raise ValueError(f"variance cap must be finite and positive, got {self.variance_cap}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Policy kind plus its knobs; the harness builds policy instances from it."""
-
-    kind: str = UCB_FW
-    deviation: DeviationSpec = DeviationSpec.standard()
-    tie_break: str = TIE_LOWEST
-    weights: tuple[float, ...] | None = None
-    presample: PresampleConfig | None = None
-    doubling_beta: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.tie_break not in (TIE_LOWEST, TIE_SEEDED):
-            raise ValueError(f"unknown tie break {self.tie_break!r}")
-        if self.kind == FIXED_ALLOCATION:
-            if self.weights is None:
-                raise ValueError("fixed allocation needs weights")
-            check_simplex(self.weights)
-        if self.kind == PRESAMPLED_UCB_FW and self.presample is None:
-            raise ValueError("presampled policy needs a presample config")
-        if not 0.0 < self.doubling_beta <= 0.5:
-            raise ValueError(f"doubling beta must be in (0, 1/2], got {self.doubling_beta}")
 
 
 def argmin_tie_break(values: Sequence[float], tie_break: str = TIE_LOWEST, rng=None) -> int:

@@ -37,12 +37,11 @@ from ucbfw.feedback import (
 from ucbfw.harness import (
     ExperimentConfig,
     FeedbackConfig,
+    PolicyConfig,
     TrialRecord,
-    _check_subgaussian,
     _validate_experiment,
     build_model,
     build_observation_model,
-    build_policy_spec,
 )
 from ucbfw.losses import LossModel, loss_value, minimizer
 from ucbfw.policies import (
@@ -55,7 +54,6 @@ from ucbfw.policies import (
     TIE_SEEDED,
     UCB_FW,
     UNIFORM,
-    PolicySpec,
     PresampleConfig,
     argmin_tie_break,
     doubling_boundaries,
@@ -691,35 +689,35 @@ def build_feedback_state(
 
 
 def build_policy(
-    spec: PolicySpec,
+    cfg: PolicyConfig,
     model: LossModel,
     fb_cfg: FeedbackConfig,
     trial_seed: int,
     t_max: int,
 ):
-    if spec.kind == UNIFORM:
+    if cfg.kind == UNIFORM:
         return UniformPolicy(model.num_actions, trial_seed)
-    if spec.kind == FIXED_ALLOCATION:
-        return FixedAllocationPolicy(spec.weights)
-    if spec.kind == ORACLE_FW:
+    if cfg.kind == FIXED_ALLOCATION:
+        return FixedAllocationPolicy(cfg.weights)
+    if cfg.kind == ORACLE_FW:
         return OracleFwPolicy(model)
     rng = None
-    if spec.tie_break == TIE_SEEDED:
+    if cfg.tie_break == TIE_SEEDED:
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((int(trial_seed), _TIE_STREAM_TAG)))
         )
-    fb = build_feedback_state(fb_cfg, model, spec.deviation)
-    if spec.kind == LCB_BANDIT:
-        return LcbBanditPolicy(fb, spec.tie_break, rng)
-    inner = UcbFwPolicy(model, fb, spec.tie_break, rng)
-    if spec.kind == UCB_FW:
+    fb = build_feedback_state(fb_cfg, model, cfg.deviation_spec)
+    if cfg.kind == LCB_BANDIT:
+        return LcbBanditPolicy(fb, cfg.tie_break, rng)
+    inner = UcbFwPolicy(model, fb, cfg.tie_break, rng)
+    if cfg.kind == UCB_FW:
         return inner
-    if spec.kind == DOUBLING_UCB_FW:
-        return DoublingUcbFwPolicy(inner, spec.doubling_beta, t_max)
-    if spec.kind == PRESAMPLED_UCB_FW:
+    if cfg.kind == DOUBLING_UCB_FW:
+        return DoublingUcbFwPolicy(inner, cfg.doubling_beta, t_max)
+    if cfg.kind == PRESAMPLED_UCB_FW:
         centers = model.centers if model.variance_feedback else (0.0,) * model.num_actions
-        return PresampledUcbFwPolicy(inner, spec.presample, centers)
-    raise ValueError(f"unknown policy kind {spec.kind!r}")
+        return PresampledUcbFwPolicy(inner, cfg.presample, centers)
+    raise ValueError(f"unknown policy kind {cfg.kind!r}")
 
 
 def run_trial(config: ExperimentConfig, seed: int, t_max: int | None = None) -> TrialRecord:
@@ -730,11 +728,8 @@ def run_trial(config: ExperimentConfig, seed: int, t_max: int | None = None) -> 
     horizons = tuple(sorted(config.horizons))
     if t_max is None:
         t_max = horizons[-1]
-    spec = build_policy_spec(config.policy)
-    obs_model = build_observation_model(config.feedback, model)
-    _check_subgaussian(obs_model, spec.deviation, model)
-    sampler = ObservationSampler(obs_model, seed)
-    policy = build_policy(spec, model, config.feedback, seed, t_max)
+    sampler = ObservationSampler(build_observation_model(config.feedback, model), seed)
+    policy = build_policy(config.policy, model, config.feedback, seed, t_max)
     occ = OccupationState(model.num_actions)
     loss_star = info.loss_star
     record_eps = config.record_epsilon

@@ -31,7 +31,6 @@ from ucbfw.harness import (
     build_model,
     build_observation_model,
     build_policy,
-    build_policy_spec,
     fit_rate,
     run_experiment,
 )
@@ -127,7 +126,7 @@ def test_criterion_03_oracle_meets_pathwise_envelope_at_every_t(report):
 
 def test_criterion_04_scalar_bandit_trace_equivalence(report):
     t0 = time.perf_counter()
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     model = build_model(ModelConfig(kind="linear", mu=(0.0, 0.5)))
     obs = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
     ucb, _ = run_loop(UcbFwPolicy(model, FeedbackBlock(1, 2, spec)), obs, SEED_BASE, 10_000, 2)
@@ -324,7 +323,6 @@ def test_criterion_10_presample_occupancy_floors(report):
         seed_base=SEED_BASE,
     )
     model = build_model(config.model)
-    spec = build_policy_spec(config.policy)
     obs = build_observation_model(config.feedback, model)
     t0 = time.perf_counter()
     worst = math.inf
@@ -332,7 +330,7 @@ def test_criterion_10_presample_occupancy_floors(report):
     # after its phase 1 ends (phase1_end_t is -1 until then)
     seeds = tuple(config.seed_base + s for s in range(config.seed_count))
     sampler = ObservationSampler(obs, seeds)
-    policy = build_policy(spec, model, config.feedback, seeds, 10_000)
+    policy = build_policy(config.policy, model, config.feedback, seeds, 10_000)
     occ = OccupationState(model.num_actions, seeds=len(seeds))
     for _ in range(10_000):
         a = policy.select(occ)

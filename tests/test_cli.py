@@ -11,9 +11,11 @@ import textwrap
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ucbfw
-from ucbfw import checks, losses
+from ucbfw import checks, cli, losses
 from ucbfw.cli import (
     CSV_HEADER,
     ConfigError,
@@ -28,12 +30,13 @@ from ucbfw.cli import (
 from ucbfw.harness import (
     aggregate,
     bound_check,
-    build_deviation_spec,
     build_model,
     fit_rate,
     run_experiment,
 )
-from ucbfw.losses import minimizer
+from ucbfw.harness import DEVIATION_PRESETS
+from ucbfw.losses import FAMILIES, minimizer
+from ucbfw.policies import POLICY_KINDS
 
 BASIC = {
     "experiment": "vertex",
@@ -70,7 +73,7 @@ def test_parse_basic_config():
     assert (config.seed_count, config.seed_base) == (2, 7)
     gaps = minimizer(build_model(config.model)).gaps
     assert gaps == pytest.approx((0.0, 0.4))
-    assert build_deviation_spec(config.policy).scale == 4.0
+    assert config.policy.deviation_spec.scale == 4.0
 
 
 def test_parse_rejects_off_simplex_theta():
@@ -246,6 +249,136 @@ def test_normalized_config_round_trips(data):
     normalized = normalize_config(config)
     assert parse_config_data(normalized) == config
     # and through the yaml emitter as well
+    assert parse_config_data(yaml.safe_load(emit_config(config))) == config
+
+
+def _table_keys(section, prefix=""):
+    """Every key of the parser's tables, dotted; a section is walked into,
+    except the deviation, whose value is a preset or a mapping."""
+    for key, _, kind in section.entries:
+        if isinstance(kind, cli._Section) and not isinstance(kind, cli._Deviation):
+            yield from _table_keys(kind, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def _simplex(k):
+    return st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any).map(
+        lambda w: [v / sum(w) for v in w]
+    )
+
+
+def _floats(lo, hi, k=None):
+    one = st.floats(lo, hi, allow_nan=False)
+    return one if k is None else st.lists(one, min_size=k, max_size=k)
+
+
+def _table():
+    # strictly increasing xs, monotone ys
+    xs = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4, unique=True).map(sorted)
+    steps = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+    return st.tuples(xs, steps, st.booleans()).map(
+        lambda t: {
+            "xs": t[0],
+            "ys": [(-1.0 if t[2] else 1.0) * sum(t[1][:i]) for i in range(len(t[0]))],
+        }
+    )
+
+
+def _value_strategies(k, family, kind):
+    """A strategy of valid values for each key of the tables, for K actions."""
+    variance = family == "exp_design"
+    cov = st.lists(_floats(-0.1, 0.1), min_size=k * k, max_size=k * k).map(
+        lambda e: [[1.5 if i == j else e[min(i, j) * k + max(i, j)] for j in range(k)] for i in range(k)]
+    )
+    return {
+        "experiment": st.text("abcxyz_", min_size=1, max_size=8),
+        "model.kind": st.just(family),
+        "model.mu": _floats(0.0, 1.0, k),
+        "model.theta": _simplex(k),
+        "model.sigma2": _floats(0.5, 4.0, k),
+        "model.beta": _floats(0.05, 0.95, k),
+        "model.covariance": cov,
+        "model.risk_weight": _floats(0.0, 2.0),
+        "model.tables": st.lists(_table(), min_size=k, max_size=k),
+        "model.centers": _floats(-1.0, 1.0, k),
+        "model.interior_floor": _floats(0.01, 1.0 / (k + 1), k),
+        "policy.kind": st.just(kind),
+        "policy.deviation": st.one_of(
+            st.sampled_from(sorted(DEVIATION_PRESETS)),
+            st.fixed_dictionaries({"scale": _floats(0.0, 5.0), "exponent": _floats(0.05, 0.5)}),
+        ),
+        # at least the noise below and its default of 1.0
+        "policy.sigma2": _floats(1.0, 4.0),
+        "policy.delta_schedule": st.sampled_from(["inverse_t_squared", "fixed"]),
+        "policy.delta_fixed": _floats(0.001, 0.5),
+        "policy.tie_break": st.sampled_from(["lowest_index", "seeded_random"]),
+        "policy.weights": _simplex(k),
+        "policy.presample.brackets": st.lists(
+            st.tuples(_floats(0.0, 2.0), _floats(0.0, 2.0)).map(sorted), min_size=k, max_size=k
+        ),
+        "policy.presample.delta": _floats(0.01, 0.5),
+        "policy.presample.variance_cap": _floats(0.5, 10.0),
+        "policy.presample.horizon": st.integers(1, 10_000),
+        "policy.presample.max_rounds_per_arm": st.integers(1, 100),
+        "policy.doubling_beta": _floats(0.01, 0.5),
+        "feedback.observation": st.just("gaussian")
+        if variance
+        else st.sampled_from(["gaussian", "bernoulli", "deterministic"]),
+        "feedback.noise_sd": _floats(0.0, 1.0),
+        "feedback.map": st.lists(st.integers(0, k - 1), min_size=k, max_size=k),
+        "feedback.estimator": st.sampled_from(
+            ["centered_square", "sample_variance"] if variance else ["mean", "sample_variance"]
+        ),
+        "horizons": st.lists(st.integers(k, 10**6), min_size=1, max_size=4, unique=True).map(sorted),
+        "seeds.count": st.integers(1, 1000),
+        "seeds.base": st.integers(0, 2**32),
+        "record_epsilon": st.booleans() if FAMILIES[family].smooth_on_simplex else st.just(False),
+        "output.dir": st.text("abc/_", min_size=1, max_size=8),
+    }
+
+
+@st.composite
+def table_configs(draw):
+    """Config data drawn from the parser's own tables: every family, every
+    policy kind, each required key present and each other key the chosen
+    family and policy read either present or absent."""
+    k = draw(st.integers(2, 4))
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    values = _value_strategies(k, family, kind)
+    reads = {f"model.{name}" for name in ("kind",) + FAMILIES[family].needs}
+    if kind != "ucb_fw":  # the default kind may be left out
+        reads.update(("policy", "policy.kind"))
+    owned = {"policy.weights": "fixed_allocation", "policy.presample": "presampled_ucb_fw"}
+
+    def section(table, prefix):
+        data = {}
+        for key, _, sub in table.entries:
+            path = prefix + key
+            if path.startswith("model.") and path not in reads:
+                if key not in FAMILIES[family].options or not draw(st.booleans()):
+                    continue
+            elif path in owned:
+                if kind != owned[path]:
+                    continue
+            elif key not in table.required and path not in reads and not draw(st.booleans()):
+                continue
+            data[key] = draw(values[path]) if path in values else section(sub, path + ".")
+        return data
+
+    return section(cli._EXPERIMENT, "")
+
+
+def test_table_drawn_configs_cover_every_key():
+    assert set(_value_strategies(3, "linear", "ucb_fw")) == set(_table_keys(cli._EXPERIMENT))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_configs())
+def test_table_drawn_configs_round_trip(data):
+    config = parse_config_data(data)
+    assert parse_config_data(normalize_config(config)) == config
     assert parse_config_data(yaml.safe_load(emit_config(config))) == config
 
 
@@ -560,8 +693,62 @@ def test_run_command_rejects_non_finite_model_inputs(
             {"policy": {"kind": "fixed_allocation", "weights": [0.5, 0.25, 0.25]}},
             "policy.weights: need one weight per action: 3 vs 2",
         ),
+        # a non-finite number is refused by name; nan or inf radii would pin
+        # every seed to action 0, and an infinite cap zeroes the floors
+        ({"policy": {"sigma2": math.nan}}, "policy.sigma2: expected a finite number, got nan"),
+        (
+            {"policy": {"deviation": "prop1", "sigma2": math.inf}},
+            "policy.sigma2: expected a finite number, got inf",
+        ),
+        ({"feedback": {"noise_sd": math.nan}}, "feedback.noise_sd: expected a finite number, got nan"),
+        (
+            {"policy": {"deviation": {"scale": math.inf, "exponent": 0.5}}},
+            "policy.deviation.scale: expected a finite number, got inf",
+        ),
+        (
+            {"policy": {"deviation": {"scale": math.nan, "exponent": 0.5}}},
+            "policy.deviation.scale: expected a finite number, got nan",
+        ),
+        (
+            {
+                "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
+                "policy": {
+                    "kind": "presampled_ucb_fw",
+                    "presample": {"variance_cap": math.inf, "horizon": 1000},
+                },
+                "horizons": [1000],
+            },
+            "policy.presample.variance_cap: expected a finite number, got inf",
+        ),
+        # the experiment checks name the key at fault
+        ({"seeds": {"count": 0, "base": 7}}, "seeds.count: must be >= 1, got 0"),
+        ({"horizons": [100, 100]}, "horizons: horizons must be strictly increasing, got (100, 100)"),
+        (
+            {"horizons": [1, 100]},
+            "horizons: first horizon 1 is shorter than the forced round robin over 2 actions",
+        ),
+        (
+            {"model": {"kind": "exp_design", "sigma2": [1.0, 4.0]}, "record_epsilon": True},
+            "record_epsilon: per-step gradient diagnostics need a loss with simplex-wide "
+            "gradients; exp_design is undefined at the early boundary points",
+        ),
     ],
-    ids=["unknown-estimator", "centered-square-off-exp-design", "bracket-count", "weight-count"],
+    ids=[
+        "unknown-estimator",
+        "centered-square-off-exp-design",
+        "bracket-count",
+        "weight-count",
+        "nan-sigma2",
+        "inf-sigma2-prop1",
+        "nan-noise-sd",
+        "inf-deviation-scale",
+        "nan-deviation-scale",
+        "inf-variance-cap",
+        "zero-seed-count",
+        "repeated-horizon",
+        "short-first-horizon",
+        "record-epsilon-off-simplex",
+    ],
 )
 def test_run_command_rejects_configs_that_would_fail_at_run_time(
     tmp_path, capsys, overrides, message
@@ -572,6 +759,35 @@ def test_run_command_rejects_configs_that_would_fail_at_run_time(
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"model": {"kind": "linear", "mu": [0.1, 0.5], "interior_floor": [0.3, 0.3]}},
+            "model: linear model takes mu, not interior_floor",
+        ),
+        (
+            {"model": {"kind": "linear", "mu": [0.1, 0.5], "theta": [0.5, 0.5]}},
+            "model: linear model takes mu, not theta",
+        ),
+        (
+            {"model": {"kind": "quadratic", "theta": [0.5, 0.5], "mu": [0.1, 0.5]}},
+            "model: quadratic model takes theta, not mu",
+        ),
+        ({"policy": {"kind": "ucb_fw", "weights": [0.5, 0.5]}}, "policy: ucb_fw policy takes no weights"),
+        (
+            {"policy": {"kind": "ucb_fw", "presample": {"horizon": 100}}},
+            "policy: ucb_fw policy takes no presample",
+        ),
+    ],
+    ids=["floor-on-linear", "theta-on-linear", "mu-on-quadratic", "weights-on-ucb_fw", "presample-on-ucb_fw"],
+)
+def test_parse_rejects_fields_the_model_or_policy_never_reads(overrides, message):
+    # such a field used to parse and change nothing in the records
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg_from(**overrides)
 
 
 def test_rates_command_prints_slope(tmp_path, capsys):

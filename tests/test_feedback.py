@@ -16,13 +16,14 @@ from ucbfw.feedback import (
     deviation_radii,
     deviation_radius,
 )
+from ucbfw.harness import PolicyConfig
 from ucbfw.losses import exp_design_loss, linear_loss, markowitz_loss
 
 # ---------------------------------------------------------------- radii
 
 
 def test_standard_radius_worked_value():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     v = deviation(spec, t=100, n_obs=4, delta=1e-4)
     assert v == pytest.approx(2.0 * math.sqrt(math.log(1e6) / 4.0))
     assert round(v, 4) == 3.7169  # ~3.7170 at the quoted precision
@@ -34,17 +35,17 @@ def test_general_radius_formula():
 
 
 def test_zero_scale_collapses_to_zero():
-    spec = DeviationSpec.noiseless()
+    spec = DeviationSpec(scale=0.0)
     assert deviation(spec, t=50, n_obs=1, delta=0.5) == 0.0
 
 
 def test_zero_count_yields_infinite_sentinel():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     assert deviation(spec, t=10, n_obs=0, delta=0.5) == INFINITE_DEVIATION
 
 
 def test_radius_argument_validation():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     with pytest.raises(ValueError):
         deviation(spec, t=0, n_obs=1, delta=0.5)
     with pytest.raises(ValueError):
@@ -66,17 +67,28 @@ def test_spec_validation():
         DeviationSpec(delta_schedule="fixed", delta_fixed=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_and_observation_model_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match="deviation scale must be finite"):
+        DeviationSpec(scale=value)
+    with pytest.raises(ValueError, match="sigma2 must be finite"):
+        DeviationSpec(sigma2=value)
+    with pytest.raises(ValueError, match="sds must be finite"):
+        ObservationModel(kind="gaussian", means=(0.0, 0.0), sds=(1.0, value))
+
+
 def test_presets():
-    assert DeviationSpec.standard().scale == 4.0
-    assert DeviationSpec.subgaussian(2.0).scale == 4.0
-    assert DeviationSpec.subgaussian_doubled(2.0).scale == 16.0
-    assert DeviationSpec.noiseless().scale == 0.0
+    # the default spec is the theorem1 preset's radius
+    assert PolicyConfig().deviation_spec == DeviationSpec()
+    assert PolicyConfig(deviation="prop1", sigma2=2.0).deviation_spec == DeviationSpec(scale=4.0, sigma2=2.0)
+    assert PolicyConfig(deviation="prop1_doubled", sigma2=2.0).deviation_spec.scale == 16.0
+    assert PolicyConfig(deviation="noiseless").deviation_spec == DeviationSpec(scale=0.0)
 
 
 def test_delta_schedule():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     assert spec.delta_at(10) == pytest.approx(1e-2)
-    fixed = DeviationSpec.standard(delta_schedule="fixed", delta_fixed=0.05)
+    fixed = DeviationSpec(delta_schedule="fixed", delta_fixed=0.05)
     assert fixed.delta_at(10) == 0.05
 
 
@@ -108,14 +120,14 @@ def test_radius_uses_sqrt_at_exponent_one_half():
     # x ** 0.5 and sqrt(x) differ in the last bit for some x; every radius
     # path uses sqrt
     x = 4.0 * math.log(100 / 1e-4) / 3
-    assert deviation(DeviationSpec.standard(), 100, 3, 1e-4) == math.sqrt(x)
+    assert deviation(DeviationSpec(), 100, 3, 1e-4) == math.sqrt(x)
 
 
 # ---------------------------------------------------------------- routing
 
 
 def test_running_mean_update():
-    fb = FeedbackState.fresh(2, DeviationSpec.standard())
+    fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 1, 0.2)
     route_and_update(fb, 1, 0.4)
     assert fb.obs_counts == [0, 2]
@@ -123,7 +135,7 @@ def test_running_mean_update():
 
 
 def test_mixed_map_routes_to_mapped_coefficient():
-    fb = FeedbackState.fresh(3, DeviationSpec.standard(), action_to_coeff=(2, 0, 1))
+    fb = FeedbackState.fresh(3, DeviationSpec(), action_to_coeff=(2, 0, 1))
     j = route_and_update(fb, 0, 5.0)
     assert j == 2
     assert fb.obs_counts == [0, 0, 1]
@@ -133,7 +145,7 @@ def test_mixed_map_routes_to_mapped_coefficient():
 def test_starved_coefficient_map_only_updates_through_its_action():
     # two noise actions feed one coefficient, the third feeds another; the
     # remaining coefficient can never receive an observation
-    fb = FeedbackState.fresh(3, DeviationSpec.standard(), action_to_coeff=(2, 2, 0))
+    fb = FeedbackState.fresh(3, DeviationSpec(), action_to_coeff=(2, 2, 0))
     route_and_update(fb, 0, 0.1)
     route_and_update(fb, 1, -0.1)
     assert fb.obs_counts == [0, 0, 2]
@@ -154,7 +166,7 @@ def test_starved_coefficient_map_only_updates_through_its_action():
 )
 def test_observation_count_conservation(args):
     k, amap, pulls = args
-    fb = FeedbackState.fresh(k, DeviationSpec.standard(), action_to_coeff=amap)
+    fb = FeedbackState.fresh(k, DeviationSpec(), action_to_coeff=amap)
     for action, obs in pulls:
         route_and_update(fb, action, obs)
     assert fb.rounds() == len(pulls)
@@ -163,7 +175,7 @@ def test_observation_count_conservation(args):
 
 def test_means_match_plain_average():
     rng = np.random.default_rng(3)
-    fb = FeedbackState.fresh(2, DeviationSpec.standard())
+    fb = FeedbackState.fresh(2, DeviationSpec())
     values = rng.normal(size=200)
     for v in values:
         route_and_update(fb, 0, float(v))
@@ -173,7 +185,7 @@ def test_means_match_plain_average():
 def test_sample_variance_estimator_matches_statistics():
     rng = np.random.default_rng(4)
     fb = FeedbackState.fresh(
-        2, DeviationSpec.standard(), estimator="sample_variance"
+        2, DeviationSpec(), estimator="sample_variance"
     )
     values = [float(v) for v in rng.normal(2.0, 1.5, size=50)]
     for v in values:
@@ -186,7 +198,7 @@ def test_sample_variance_estimator_matches_statistics():
 def test_centered_square_estimator():
     fb = FeedbackState.fresh(
         2,
-        DeviationSpec.standard(),
+        DeviationSpec(),
         estimator="centered_square",
         centers=(1.0, 0.0),
     )
@@ -197,17 +209,17 @@ def test_centered_square_estimator():
 
 def test_state_validation():
     with pytest.raises(ValueError, match="entries"):
-        FeedbackState.fresh(3, DeviationSpec.standard(), action_to_coeff=(0, 1))
+        FeedbackState.fresh(3, DeviationSpec(), action_to_coeff=(0, 1))
     with pytest.raises(ValueError, match="in \\[0, 3\\)"):
-        FeedbackState.fresh(3, DeviationSpec.standard(), action_to_coeff=(0, 1, 3))
+        FeedbackState.fresh(3, DeviationSpec(), action_to_coeff=(0, 1, 3))
     with pytest.raises(ValueError, match="estimator"):
-        FeedbackState.fresh(2, DeviationSpec.standard(), estimator="median")
+        FeedbackState.fresh(2, DeviationSpec(), estimator="median")
     with pytest.raises(ValueError, match="centers"):
-        FeedbackState.fresh(2, DeviationSpec.standard(), estimator="centered_square")
+        FeedbackState.fresh(2, DeviationSpec(), estimator="centered_square")
 
 
 def test_reset_forgets_observations():
-    fb = FeedbackState.fresh(2, DeviationSpec.standard())
+    fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 0, 1.0)
     fb.reset()
     assert fb.obs_counts == [0, 0]
@@ -218,7 +230,7 @@ def test_reset_forgets_observations():
 
 
 def test_gradient_estimate_linear():
-    fb = FeedbackState.fresh(2, DeviationSpec.standard())
+    fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 0, 0.2)
     route_and_update(fb, 1, 0.4)
     ghat, radii = gradient_estimate(fb, linear_loss((0.0, 1.0)), (0.5, 0.5))
@@ -229,7 +241,7 @@ def test_gradient_estimate_linear():
 
 def test_gradient_estimate_exp_design_sensitivity():
     fb = FeedbackState.fresh(
-        2, DeviationSpec.standard(), estimator="centered_square", centers=(0.0, 0.0)
+        2, DeviationSpec(), estimator="centered_square", centers=(0.0, 0.0)
     )
     # centered squares of 2.0 are 4.0 -> sigma2 estimates (4, 4)... use
     # sqrt(2) draws for estimates (2, 2)
@@ -244,7 +256,7 @@ def test_gradient_estimate_exp_design_sensitivity():
 
 
 def test_gradient_estimate_markowitz_risk_weight_sensitivity():
-    fb = FeedbackState.fresh(2, DeviationSpec.standard())
+    fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 0, 0.5)
     route_and_update(fb, 1, 0.5)
     model = markowitz_loss(((1.0, 0.0), (0.0, 1.0)), 2.0, (0.4, 0.6))
@@ -255,7 +267,7 @@ def test_gradient_estimate_markowitz_risk_weight_sensitivity():
 
 
 def test_gradient_estimate_requires_every_coefficient_observed():
-    fb = FeedbackState.fresh(2, DeviationSpec.standard())
+    fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 0, 0.2)
     with pytest.raises(ValueError, match="coefficient 1"):
         gradient_estimate(fb, linear_loss((0.0, 1.0)), (0.5, 0.5))
@@ -266,7 +278,7 @@ def test_estimate_coverage_under_prop1_radius():
     # radius must cover the estimation error in all but ~delta of trials
     mu = (0.1, 0.5, -0.3)
     model = linear_loss(mu)
-    spec = DeviationSpec.subgaussian(1.0, delta_schedule="fixed", delta_fixed=0.05)
+    spec = DeviationSpec(scale=2.0, sigma2=1.0, delta_schedule="fixed", delta_fixed=0.05)
     counts = (10, 15, 25)
     t_eval = 1000
     delta = 0.05

@@ -14,12 +14,10 @@ from ucbfw.harness import (
     TrialRecord,
     aggregate,
     bound_check,
-    build_deviation_spec,
     build_feedback_state,
     build_model,
     build_observation_model,
     build_policy,
-    build_policy_spec,
     fit_rate,
     run_experiment,
     run_trial,
@@ -67,19 +65,50 @@ def test_build_model_missing_params():
         build_model(ModelConfig(kind="entropy"))
 
 
+def test_build_model_rejects_fields_its_family_never_reads():
+    with pytest.raises(ValueError, match="linear model takes mu, not theta, interior_floor"):
+        build_model(ModelConfig(kind="linear", mu=(0.1, 0.5), theta=(0.5, 0.5), interior_floor=(0.3, 0.3)))
+    with pytest.raises(ValueError, match="exp_design model takes sigma2, centers, interior_floor, not mu"):
+        build_model(ModelConfig(kind="exp_design", sigma2=(1.0, 4.0), mu=(0.1, 0.5)))
+    # a family's options are taken
+    floored = ModelConfig(kind="exp_design", sigma2=(1.0, 4.0), centers=(0.0, 1.0), interior_floor=(0.1, 0.1))
+    assert build_model(floored).interior_floor == (0.1, 0.1)
+
+
 def test_build_deviation_presets():
-    assert build_deviation_spec(PolicyConfig(deviation="theorem1")).scale == 4.0
-    assert build_deviation_spec(PolicyConfig(deviation="prop1", sigma2=2.0)).scale == 4.0
-    assert build_deviation_spec(PolicyConfig(deviation="prop1_doubled", sigma2=2.0)).scale == 16.0
-    assert build_deviation_spec(PolicyConfig(deviation="noiseless")).scale == 0.0
-    custom = build_deviation_spec(
-        PolicyConfig(deviation="custom", deviation_scale=1.5, deviation_exponent=0.25)
-    )
+    assert PolicyConfig(deviation="theorem1").deviation_spec.scale == 4.0
+    assert PolicyConfig(deviation="prop1", sigma2=2.0).deviation_spec.scale == 4.0
+    assert PolicyConfig(deviation="prop1_doubled", sigma2=2.0).deviation_spec.scale == 16.0
+    assert PolicyConfig(deviation="noiseless").deviation_spec.scale == 0.0
+    custom = PolicyConfig(deviation="custom", deviation_scale=1.5, deviation_exponent=0.25).deviation_spec
     assert (custom.scale, custom.exponent) == (1.5, 0.25)
     with pytest.raises(ValueError, match="custom deviation"):
-        build_deviation_spec(PolicyConfig(deviation="custom"))
+        PolicyConfig(deviation="custom")
     with pytest.raises(ValueError, match="preset"):
-        build_deviation_spec(PolicyConfig(deviation="hoeffding"))
+        PolicyConfig(deviation="hoeffding")
+
+
+def test_policy_config_validation():
+    with pytest.raises(ValueError, match="kind"):
+        PolicyConfig(kind="greedy")
+    with pytest.raises(ValueError, match="tie break"):
+        PolicyConfig(tie_break="coin_flip")
+    with pytest.raises(ValueError, match="fixed_allocation policy needs weights"):
+        PolicyConfig(kind="fixed_allocation")
+    with pytest.raises(ValueError, match="presampled_ucb_fw policy needs presample"):
+        PolicyConfig(kind="presampled_ucb_fw")
+    with pytest.raises(ValueError, match="beta"):
+        PolicyConfig(doubling_beta=0.9)
+    # a field the kind never reads is refused rather than ignored
+    with pytest.raises(ValueError, match="ucb_fw policy takes no weights"):
+        PolicyConfig(weights=(0.5, 0.5))
+    with pytest.raises(ValueError, match="doubling_ucb_fw policy takes no presample"):
+        PolicyConfig(kind="doubling_ucb_fw", presample=PresampleConfig())
+    for sigma2 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
+            PolicyConfig(deviation="theorem1", sigma2=sigma2)
+    with pytest.raises(ValueError, match="deviation scale must be finite"):
+        PolicyConfig(deviation="custom", deviation_scale=math.nan, deviation_exponent=0.5)
 
 
 def test_observation_model_follows_action_map():
@@ -110,7 +139,7 @@ def test_exp_design_observation_model_uses_model_variances():
 
 
 def test_estimator_defaults_and_rejections():
-    dev = build_deviation_spec(PolicyConfig())
+    dev = PolicyConfig().deviation_spec
     exp_model = build_model(ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)))
     fb = build_feedback_state(FeedbackConfig(), exp_model, dev)
     assert fb.estimator == "centered_square"
@@ -191,7 +220,7 @@ def test_per_family_answers(kind):
     else:
         assert rep.supported
 
-    fb = build_feedback_state(FeedbackConfig(), model, build_deviation_spec(PolicyConfig()))
+    fb = build_feedback_state(FeedbackConfig(), model, PolicyConfig().deviation_spec)
     assert fb.estimator == ("centered_square" if kind == "exp_design" else "mean")
 
 
@@ -515,8 +544,9 @@ def _grid_cases():
                 policy=PolicyConfig(
                     kind=kind,
                     tie_break=tie,
-                    weights=(0.2, 0.3, 0.5),
-                    presample=GRID_PRESAMPLE[(j // 2 + f) % 2],
+                    # each kind gets the fields it reads, and no others
+                    weights=(0.2, 0.3, 0.5) if kind == "fixed_allocation" else None,
+                    presample=GRID_PRESAMPLE[(j // 2 + f) % 2] if kind == "presampled_ucb_fw" else None,
                     **GRID_DEVIATIONS[(j + f) % 4],
                 ),
                 feedback=FeedbackConfig(
@@ -561,9 +591,8 @@ def _outcome(run):
 
 def _engine_actions(config, seeds, t_max):
     model = build_model(config.model)
-    spec = build_policy_spec(config.policy)
     sampler = ObservationSampler(build_observation_model(config.feedback, model), seeds)
-    policy = build_policy(spec, model, config.feedback, seeds, t_max)
+    policy = build_policy(config.policy, model, config.feedback, seeds, t_max)
     occ = OccupationState(model.num_actions, seeds=len(seeds))
     rounds = []
     for _ in range(t_max):
@@ -578,9 +607,8 @@ def _reference_actions(config, seed, t_max):
     import reference_loop
 
     model = build_model(config.model)
-    spec = build_policy_spec(config.policy)
     sampler = reference_loop.ObservationSampler(build_observation_model(config.feedback, model), seed)
-    policy = reference_loop.build_policy(spec, model, config.feedback, seed, t_max)
+    policy = reference_loop.build_policy(config.policy, model, config.feedback, seed, t_max)
     occ = reference_loop.OccupationState(model.num_actions)
     trace = []
     for _ in range(t_max):

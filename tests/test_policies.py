@@ -34,7 +34,6 @@ from ucbfw.policies import (
     FixedAllocationPolicy,
     LcbBanditPolicy,
     OracleFwPolicy,
-    PolicySpec,
     PresampleConfig,
     PresampledUcbFwPolicy,
     UcbFwPolicy,
@@ -125,14 +124,14 @@ def test_argmin_seeded_tie_without_rng_errors():
 
 
 def test_cold_start_forces_unobserved_coefficient():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     fb = identity_fb(spec, [[0.1, 0.2, 0.3], [], [0.4, 0.5]])
     occ = make_occ((3, 0, 2))
     assert ucb_fw_select(fb, occ, linear_loss((0.0, 0.0, 0.0))) == 1
 
 
 def test_round_robin_prefix():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     model = linear_loss((0.3, 0.1, 0.2, 0.4))
     fb = FeedbackBlock(1, 4, spec)
     policy = UcbFwPolicy(model, fb)
@@ -146,14 +145,14 @@ def test_round_robin_prefix():
 
 
 def test_noiseless_selection_is_argmin_of_estimates():
-    spec = DeviationSpec.noiseless()
+    spec = DeviationSpec(scale=0.0)
     fb = identity_fb(spec, [[0.5], [0.2], [0.9]])
     occ = make_occ((1, 1, 1))
     assert ucb_fw_select(fb, occ, linear_loss((0.0, 0.0, 0.0))) == 1
 
 
 def test_less_explored_action_wins_on_equal_estimates():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     fb = identity_fb(spec, [[0.5] * 5, [0.5]])
     occ = make_occ((5, 1))
     assert ucb_fw_select(fb, occ, linear_loss((0.0, 0.0))) == 1
@@ -170,7 +169,7 @@ def test_less_explored_action_wins_on_equal_estimates():
     )
 )
 def test_block_selection_matches_reference_selection(groups):
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     values = [g[0] for g in groups]
     model = linear_loss((0.0,) * len(values))
     counts = [len(v) for v in values]
@@ -182,7 +181,7 @@ def test_block_selection_matches_reference_selection(groups):
 
 def test_block_selection_matches_reference_with_sensitivity():
     # exp_design multiplies the radius by 1/p_i^2; both paths must agree
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     model = exp_design_loss((1.0, 4.0))
     kw = dict(estimator="centered_square", centers=(0.0, 0.0))
     fb = FeedbackState.fresh(2, spec, **kw)
@@ -202,7 +201,7 @@ def test_block_selection_matches_reference_with_sensitivity():
 
 
 def test_lcb_bandit_examples():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     fb = identity_fb(spec, [[0.3], [0.3]])
     assert lcb_bandit_select(fb, make_occ((1, 1))) == 0
     fb2 = identity_fb(spec, [[], [0.1] * 5])
@@ -212,7 +211,7 @@ def test_lcb_bandit_examples():
 def test_linear_trace_equivalence():
     # on a linear loss the plug-in gradient IS the empirical mean vector, so
     # the scalar bandit and the FW policy pick identical actions pathwise
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     model = linear_loss((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
 
@@ -255,7 +254,7 @@ def test_noiseless_ucb_collapses_to_oracle():
             step(policy, occ, a, sampler.draw(a)[0])
         return actions
 
-    ucb = run(lambda: UcbFwPolicy(model, FeedbackBlock(1, 3, DeviationSpec.noiseless())))
+    ucb = run(lambda: UcbFwPolicy(model, FeedbackBlock(1, 3, DeviationSpec(scale=0.0))))
     oracle = run(lambda: OracleFwPolicy(model))
     assert ucb == oracle
 
@@ -471,7 +470,7 @@ def _run_policy(policy, obs_model, seed, t_max, k):
 
 
 def test_doubling_matches_inner_before_first_boundary():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     model = linear_loss((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
     plain, _ = _run_policy(
@@ -483,7 +482,7 @@ def test_doubling_matches_inner_before_first_boundary():
 
 
 def test_doubling_resets_estimator_but_not_occupation():
-    spec = DeviationSpec.standard()
+    spec = DeviationSpec()
     model = linear_loss((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
     inner = UcbFwPolicy(model, FeedbackBlock(1, 2, spec))
@@ -501,7 +500,7 @@ def test_doubling_resets_estimator_but_not_occupation():
 def exp_design_inner(spec=None):
     model = exp_design_loss((1.0, 4.0))
     fb = FeedbackBlock(
-        1, 2, spec or DeviationSpec.standard(), estimator="centered_square", centers=(0.0, 0.0)
+        1, 2, spec or DeviationSpec(), estimator="centered_square", centers=(0.0, 0.0)
     )
     return model, UcbFwPolicy(model, fb)
 
@@ -566,17 +565,12 @@ def test_presample_config_validation():
         )
 
 
-def test_policy_spec_validation():
-    with pytest.raises(ValueError, match="kind"):
-        PolicySpec(kind="greedy")
-    with pytest.raises(ValueError, match="tie break"):
-        PolicySpec(tie_break="coin_flip")
-    with pytest.raises(ValueError, match="weights"):
-        PolicySpec(kind="fixed_allocation")
-    with pytest.raises(ValueError, match="presample"):
-        PolicySpec(kind="presampled_ucb_fw")
-    with pytest.raises(ValueError, match="beta"):
-        PolicySpec(doubling_beta=0.9)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_presample_config_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="variance cap must be finite"):
+        PresampleConfig(variance_cap=value)
+    with pytest.raises(ValueError, match="bracket 0 must satisfy"):
+        PresampleConfig(brackets=((0.5, value),))
 
 
 # ---------------------------------------------------------------- block argmin
@@ -626,7 +620,7 @@ def test_plug_in_selection_passes_over_nan_scores():
         [-math.inf, math.nan, 0.0],
         [math.inf, math.nan, math.inf],
     ]
-    fb = FeedbackBlock(len(means), 3, DeviationSpec.noiseless())
+    fb = FeedbackBlock(len(means), 3, DeviationSpec(scale=0.0))
     fb.obs_counts[:] = 1.0
     fb.means[:] = means
     fb.rounds = 3
