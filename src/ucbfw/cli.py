@@ -22,6 +22,7 @@ import yaml
 
 from . import checks
 from .harness import (
+    BOUNDS,
     AggregateResult,
     BoundReport,
     ExperimentConfig,
@@ -40,8 +41,6 @@ from .harness import (
 from .policies import PresampleConfig
 
 CSV_HEADER = "experiment,policy,loss,K,T,seed,error,sum_epsilon,bound_value,bound_pass"
-
-BOUND_SELECTORS = ("lemma1", "thm1", "prop2", "thm4")
 
 
 class ConfigError(ValueError):
@@ -176,7 +175,7 @@ def _list_of(item: _Kind, length: int | None = None) -> _Kind:
 _STRING = _scalar(lambda v: isinstance(v, str) and v != "", "a nonempty string")
 _BOOL = _scalar(lambda v: isinstance(v, bool), "a boolean")
 _INT = _scalar(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_INT_OR_NULL = _Kind(lambda value, where: None if value is None else _INT.parse(value, where))
+_POSITIVE_OR_NULL = _Kind(lambda value, where: None if value is None else _at_least(1).parse(value, where))
 _NUMBER = _scalar(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float)
 # model parameters, which their family checks, naming the one at fault
 _PARAM = _scalar(_is_number, "a number", float)
@@ -219,7 +218,7 @@ _PRESAMPLE = _Section(
     ("delta", "delta", _NUMBER),
     ("variance_cap", "variance_cap", _NUMBER),
     ("horizon", "horizon", _INT),
-    ("max_rounds_per_arm", "max_rounds_per_arm", _INT_OR_NULL),
+    ("max_rounds_per_arm", "max_rounds_per_arm", _POSITIVE_OR_NULL),
 )
 
 _DEVIATION = _Deviation(
@@ -428,12 +427,12 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 def _cmd_check_bounds(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
-    if args.theorem == "lemma1" and not config.record_epsilon:
+    if BOUNDS[args.theorem].pathwise and not config.record_epsilon:
         config = dataclasses.replace(config, record_epsilon=True)
         try:
             _validate_experiment(config, build_model(config.model))
         except ValueError as exc:
-            raise ConfigError(f"check-bounds --theorem lemma1: {exc}") from None
+            raise ConfigError(f"check-bounds --theorem {args.theorem}: {exc}") from None
     records, agg = _run_and_collect(config, args.workers)
     model = build_model(config.model)
     report = bound_check(agg, model, args.theorem, records=records)
@@ -509,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("check-bounds", help="compare mean errors to a bound envelope")
     add_common(p_bounds)
-    p_bounds.add_argument("--theorem", required=True, choices=BOUND_SELECTORS)
+    p_bounds.add_argument("--theorem", required=True, choices=tuple(BOUNDS))
     p_bounds.set_defaults(func=_cmd_check_bounds)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every loss gradient")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,6 +146,11 @@ class PolicyConfig:
                 raise ValueError("custom deviation needs deviation_scale and deviation_exponent")
             scale, exponent = self.deviation_scale, self.deviation_exponent
         elif self.deviation in DEVIATION_PRESETS:
+            if self.deviation_scale is not None or self.deviation_exponent is not None:
+                raise ValueError(
+                    f"deviation_scale and deviation_exponent are read only by a custom deviation, "
+                    f"not by the {self.deviation!r} preset"
+                )
             scale, exponent = DEVIATION_PRESETS[self.deviation](self.sigma2), 0.5
         else:
             raise ValueError(
@@ -508,8 +513,85 @@ def fit_rate(horizons: Sequence[int], mean_errors: Sequence[float]) -> RateFit:
     )
 
 
-def _unsupported(selector: str, reason: str) -> BoundReport:
-    return BoundReport(selector=selector, supported=False, reason=reason, rows=())
+_INFINITE_C = "smoothness constant is infinite without an interior floor"
+
+
+def _lemma1(model: LossModel, info, records):
+    c = model.smoothness_C
+    if not math.isfinite(c):
+        return _INFINITE_C
+    if not records or any(r.sum_epsilon is None for r in records):
+        return "pathwise check needs records with epsilon sums"
+    return lambda t, sum_epsilon: sum_epsilon / t + c * math.log(math.e * t) / t
+
+
+def _thm1(model: LossModel, info, records):
+    c = model.smoothness_C
+    lam = 2.0 * model.sup_grad + model.sup_loss
+    if not (math.isfinite(c) and math.isfinite(lam)):
+        return "needs finite smoothness and sup norms"
+    k = model.num_actions
+    return lambda t: (
+        4.0 * math.sqrt(3.0 * k * math.log(t) / t)
+        + c * math.log(math.e * t) / t
+        + (math.pi**2 / 6.0 + k) * lam / t
+    )
+
+
+def _prop2(model: LossModel, info, records):
+    if not model.constant_gradient:
+        return "applies to losses with constant gradient (vertex case)"
+    gaps = model.gaps.tolist()
+    if not all(g > 1e-12 for i, g in enumerate(gaps) if i != model.star):
+        return "needs a unique vertex minimizer with positive gaps"
+    inv_gaps = sum(1.0 / g for i, g in enumerate(gaps) if i != model.star)
+    k = model.num_actions
+    scale = model.sup_grad
+    return lambda t: 48.0 * math.log(t) / t * inv_gaps + 3.0 * (
+        math.pi**2 / 3.0 + k
+    ) * math.sqrt(k) * scale / t
+
+
+def _thm4(model: LossModel, info, records):
+    mu = model.strong_convexity
+    eta = info.eta
+    c = model.smoothness_C
+    if mu <= 0.0:
+        return "needs a strongly convex loss"
+    if eta <= 0.0:
+        return "needs an interior minimizer (eta > 0)"
+    if not math.isfinite(c):
+        return _INFINITE_C
+    k = model.num_actions
+    c1 = 96.0 * k / (mu * eta**2)
+    c2 = 24.0 / (mu * eta**3) + c
+    c3 = 24.0 * (20.0 / (mu * eta**2)) ** 2 * k + mu * eta**2 / 2.0 + c
+    def env(t: float) -> float:
+        lt = math.log(t)
+        return c1 * lt * lt / t + c2 * lt / t + c3 / t
+    return env
+
+
+class Bound(NamedTuple):
+    """A rate envelope.  `check(model, minimizer info, records)` gives the
+    precondition the model fails, as a reason, or the envelope: a function
+    of the horizon t, and for a pathwise bound also of a trial's epsilon sum
+    up to t.  A pathwise bound is compared with each record, so the run
+    must record epsilon sums; any other bound with the mean error."""
+
+    check: Callable
+    pathwise: bool = False
+
+
+# The bound selectors: `lemma1` (pathwise), `thm1` (slow rate), `prop2`
+# (vertex fast rate for losses with constant gradient), `thm4` (strongly
+# convex fast rate).
+BOUNDS = {
+    "lemma1": Bound(_lemma1, pathwise=True),
+    "thm1": Bound(_thm1),
+    "prop2": Bound(_prop2),
+    "thm4": Bound(_thm4),
+}
 
 
 def bound_check(
@@ -519,91 +601,25 @@ def bound_check(
     records: Sequence[TrialRecord] | None = None,
     tol: float = 1e-9,
 ) -> BoundReport:
-    """Compare empirical errors against an evaluated theoretical envelope.
+    """Compare empirical errors against the envelope of BOUNDS[selector].
 
-    Selectors: `lemma1` (pathwise, per trial, needs epsilon sums), `thm1`
-    (slow rate), `prop2` (vertex fast rate for losses with constant
-    gradient), `thm4` (strongly convex fast rate).  Missing constants make
-    the bound unsupported rather than an error.
+    Each row is the candidate with the smallest margin at its horizon (the
+    first one on a tie).  A model that fails the bound's precondition makes
+    it unsupported rather than an error.
     """
-    info = minimizer(model)
-    k = model.num_actions
-    if selector == "lemma1":
-        c = model.smoothness_C
-        if not math.isfinite(c):
-            return _unsupported(selector, "smoothness constant is infinite without an interior floor")
-        if not records or any(r.sum_epsilon is None for r in records):
-            return _unsupported(selector, "pathwise check needs records with epsilon sums")
-        rows = []
-        for i, t in enumerate(agg.horizons):
-            worst_margin = math.inf
-            worst_err = 0.0
-            worst_bound = 0.0
-            for r in records:
-                bound = r.sum_epsilon[i] / t + c * math.log(math.e * t) / t
-                margin = bound - r.errors[i]
-                if margin < worst_margin:
-                    worst_margin = margin
-                    worst_err = r.errors[i]
-                    worst_bound = bound
-            rows.append(
-                BoundRow(
-                    horizon=t,
-                    empirical=worst_err,
-                    bound=worst_bound,
-                    margin=worst_margin,
-                    passed=worst_margin >= -tol,
-                )
-            )
-        return BoundReport(selector=selector, supported=True, reason="", rows=tuple(rows))
-
-    if selector == "thm1":
-        c = model.smoothness_C
-        lam = 2.0 * model.sup_grad + model.sup_loss
-        if not (math.isfinite(c) and math.isfinite(lam)):
-            return _unsupported(selector, "needs finite smoothness and sup norms")
-        def env(t: float) -> float:
-            return (
-                4.0 * math.sqrt(3.0 * k * math.log(t) / t)
-                + c * math.log(math.e * t) / t
-                + (math.pi**2 / 6.0 + k) * lam / t
-            )
-    elif selector == "prop2":
-        if not model.constant_gradient:
-            return _unsupported(selector, "applies to losses with constant gradient (vertex case)")
-        if info.gap_min is None:
-            return _unsupported(selector, "needs a unique vertex minimizer with positive gaps")
-        star = info.gaps.index(0.0)
-        inv_gaps = sum(1.0 / g for i, g in enumerate(info.gaps) if i != star)
-        scale = model.sup_grad
-        def env(t: float) -> float:
-            return 48.0 * math.log(t) / t * inv_gaps + 3.0 * (
-                math.pi**2 / 3.0 + k
-            ) * math.sqrt(k) * scale / t
-    elif selector == "thm4":
-        mu = model.strong_convexity
-        eta = info.eta
-        c = model.smoothness_C
-        if mu <= 0.0:
-            return _unsupported(selector, "needs a strongly convex loss")
-        if eta <= 0.0:
-            return _unsupported(selector, "needs an interior minimizer (eta > 0)")
-        if not math.isfinite(c):
-            return _unsupported(selector, "smoothness constant is infinite without an interior floor")
-        c1 = 96.0 * k / (mu * eta**2)
-        c2 = 24.0 / (mu * eta**3) + c
-        c3 = 24.0 * (20.0 / (mu * eta**2)) ** 2 * k + mu * eta**2 / 2.0 + c
-        def env(t: float) -> float:
-            lt = math.log(t)
-            return c1 * lt * lt / t + c2 * lt / t + c3 / t
-    else:
+    if selector not in BOUNDS:
         raise ValueError(f"unknown bound selector {selector!r}")
-
+    bound = BOUNDS[selector]
+    envelope = bound.check(model, minimizer(model), records)
+    if isinstance(envelope, str):
+        return BoundReport(selector=selector, supported=False, reason=envelope, rows=())
     rows = []
-    for t, err in zip(agg.horizons, agg.mean_error):
-        bound = env(float(t))
-        margin = bound - err
-        rows.append(
-            BoundRow(horizon=t, empirical=err, bound=bound, margin=margin, passed=margin >= -tol)
-        )
+    for i, t in enumerate(agg.horizons):
+        if bound.pathwise:
+            candidates = [(r.errors[i], envelope(t, r.sum_epsilon[i])) for r in records]
+        else:
+            candidates = [(agg.mean_error[i], envelope(t))]
+        err, value = min(candidates, key=lambda c: c[1] - c[0])
+        margin = value - err
+        rows.append(BoundRow(horizon=t, empirical=err, bound=value, margin=margin, passed=margin >= -tol))
     return BoundReport(selector=selector, supported=True, reason="", rows=tuple(rows))

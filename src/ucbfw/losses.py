@@ -4,8 +4,7 @@ Each family is one `LossModel` subclass, listed by config name in
 `FAMILIES`.  It exposes the loss value, the gradient as a function of
 parameters (exact with the true ones, a plug-in estimate with estimated
 ones), and a closed-form or exactly-solved minimizer with the quantities
-the rate bounds need (minimum coordinate, per-vertex gaps, curvature
-constants).
+the rate bounds need (minimum coordinate, curvature constants).
 
 `gradient`, `true_gradient` and `sensitivity` take an (S, K) array of
 points, one seed per row (a single point is a one-row block), and return
@@ -23,7 +22,6 @@ over such a box.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
@@ -75,38 +73,19 @@ class PiecewiseLinear:
 
 @dataclass(frozen=True)
 class MinimizerInfo:
-    """Minimizer of a loss over the simplex and bound-relevant derived values.
-
-    `eta` is the smallest coordinate of the reported minimizer.  `gaps` are
-    the per-coordinate gradient gaps at a vertex minimizer (None when the
-    minimizer is not a vertex); `gap_min` is the smallest positive gap.
-    """
+    """Minimizer of a loss over the simplex; `eta` is its smallest coordinate."""
 
     p_star: tuple[float, ...]
     loss_star: float
     eta: float
-    unique: bool
-    gaps: tuple[float, ...] | None = None
-    gap_min: float | None = None
 
 
 def _vertex_info(costs: Sequence[float]) -> MinimizerInfo:
-    k = len(costs)
+    """The first vertex whose cost is within 1e-12 of the lowest."""
     low = min(costs)
-    winners = [i for i, c in enumerate(costs) if c <= low + 1e-12]
-    star = winners[0]
-    p = tuple(1.0 if i == star else 0.0 for i in range(k))
-    gaps = tuple(c - low for c in costs)
-    positive = [g for i, g in enumerate(gaps) if i != star and g > 1e-12]
-    gap_min = min(positive) if len(positive) == k - 1 else None
-    return MinimizerInfo(
-        p_star=p,
-        loss_star=low,
-        eta=0.0,
-        unique=len(winners) == 1,
-        gaps=gaps,
-        gap_min=gap_min,
-    )
+    star = next(i for i, c in enumerate(costs) if c <= low + 1e-12)
+    p = tuple(1.0 if i == star else 0.0 for i in range(len(costs)))
+    return MinimizerInfo(p_star=p, loss_star=low, eta=0.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -313,15 +292,7 @@ class QuadraticLoss(LossModel):
         return p - params
 
     def minimizer(self):
-        th = self.params
-        # the gradient vanishes at p* = theta, so even when theta is a
-        # vertex the per-coordinate gaps are all zero and gap-based
-        # quantities stay undefined
-        is_vertex = any(abs(v - 1.0) <= 1e-12 for v in th)
-        gaps = tuple(0.0 for _ in th) if is_vertex else None
-        return MinimizerInfo(
-            p_star=th, loss_star=0.0, eta=min(th), unique=True, gaps=gaps
-        )
+        return MinimizerInfo(p_star=self.params, loss_star=0.0, eta=min(self.params))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -387,7 +358,7 @@ class ExpDesignLoss(LossModel):
         sig = [math.sqrt(v) for v in self.params]
         total = sum(sig)
         p = tuple(s / total for s in sig)
-        return MinimizerInfo(p_star=p, loss_star=total * total, eta=min(p), unique=True)
+        return MinimizerInfo(p_star=p, loss_star=total * total, eta=min(p))
 
     def smoothness_over(self, floor):
         return max(2.0 * s / f**3 for s, f in zip(self.params, floor))
@@ -438,7 +409,7 @@ class CobbDouglasLoss(LossModel):
         total = sum(b)
         p = tuple(v / total for v in b)
         loss = -sum(v * math.log(x) for v, x in zip(b, p))
-        return MinimizerInfo(p_star=p, loss_star=loss, eta=min(p), unique=True)
+        return MinimizerInfo(p_star=p, loss_star=loss, eta=min(p))
 
     def smoothness_over(self, floor):
         return max(b / f**2 for b, f in zip(self.params, floor))
@@ -522,19 +493,8 @@ class MarkowitzLoss(LossModel):
         return np.full(p.shape[1], lam)
 
     def minimizer(self):
-        sig = np.asarray(self.covariance)
         p_star, loss = self.qp_solution
-        p = np.asarray(p_star)
-        eigs = np.linalg.eigvalsh(sig)
-        info = MinimizerInfo(
-            p_star=p_star, loss_star=loss, eta=float(p.min()), unique=bool(eigs[0] > 1e-12)
-        )
-        if any(abs(v - 1.0) <= 1e-10 for v in p):
-            # gaps of the gradient at the vertex, as for a constant-gradient loss
-            grad = 2.0 * sig @ p - self.risk_weight * np.asarray(self.params)
-            vertex = _vertex_info(grad.tolist())
-            info = replace(info, gaps=vertex.gaps, gap_min=vertex.gap_min)
-        return info
+        return MinimizerInfo(p_star=p_star, loss_star=loss, eta=min(p_star))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -740,38 +700,3 @@ def _simplex_qp(sig: np.ndarray, lam: float, mu: np.ndarray) -> tuple[np.ndarray
         raise RuntimeError("active-set enumeration found no KKT point")
     return best_p, best_loss
 
-
-def hard_quadratic_family(
-    num_actions: int, nu: float, horizon: int, signs: Sequence[int]
-) -> LossModel:
-    """Paired-perturbation quadratic instance used for worst-case studies.
-
-    Centers sit at 1/K with paired offsets +-sqrt(nu*K/horizon): coordinate
-    2i gets +signs[i]*offset and coordinate 2i+1 the opposite, so the center
-    stays on the simplex.  The regime conditions on nu and the horizon are
-    advisory and only warn.
-    """
-    if num_actions < 2 or num_actions % 2 != 0:
-        raise ValueError(f"paired construction needs even K >= 2, got {num_actions}")
-    sgn = [int(s) for s in signs]
-    if len(sgn) != num_actions // 2 or any(s not in (-1, 1) for s in sgn):
-        raise ValueError("signs must be +-1 with one entry per coordinate pair")
-    if not 0.0 < nu < 1.0 / 29.0:
-        warnings.warn(f"nu={nu} outside the analyzed range (0, 1/29)", stacklevel=2)
-    if horizon <= 4.0 * nu**2 * num_actions**4:
-        warnings.warn(
-            f"horizon {horizon} <= 4*nu^2*K^4 = {4.0 * nu**2 * num_actions**4}, "
-            "outside the analyzed regime",
-            stacklevel=2,
-        )
-    offset = math.sqrt(nu * num_actions / horizon)
-    base = 1.0 / num_actions
-    if offset > base:
-        raise ValueError(
-            f"offset {offset} exceeds 1/K = {base}; center would leave the simplex"
-        )
-    theta = []
-    for i, s in enumerate(sgn):
-        theta.append(base + s * offset)
-        theta.append(base - s * offset)
-    return quadratic_loss(theta)

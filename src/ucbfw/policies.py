@@ -59,7 +59,9 @@ class PresampleConfig:
 
     Either `brackets` gives known per-arm standard-deviation ranges, or the
     policy estimates them by running the variance stopping rule per arm on
-    squared centered draws scaled into [0, 1] by `variance_cap`.
+    squared centered draws scaled into [0, 1] by `variance_cap`.  Each
+    arm's stopping rule ends after at most `max_rounds_per_arm` draws
+    (`horizon` draws when None).
     """
 
     brackets: tuple[tuple[float, float], ...] | None = None
@@ -79,14 +81,15 @@ class PresampleConfig:
             raise ValueError(f"variance cap must be finite and positive, got {self.variance_cap}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.max_rounds_per_arm is not None and self.max_rounds_per_arm < 1:
+            raise ValueError(f"max_rounds_per_arm must be >= 1, got {self.max_rounds_per_arm}")
 
 
 def argmin_tie_break(values: Sequence[float], tie_break: str = TIE_LOWEST, rng=None) -> int:
-    best = min(values)
     if tie_break == TIE_LOWEST:
-        for i, v in enumerate(values):
-            if v == best:
-                return i
+        # NaN counts as +inf, as in `np.fmin(values, inf).argmin()`
+        return min(range(len(values)), key=lambda i: math.inf if math.isnan(values[i]) else values[i])
+    best = min(values)
     ties = [i for i, v in enumerate(values) if v == best]
     if len(ties) == 1:
         return ties[0]

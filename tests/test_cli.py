@@ -35,7 +35,7 @@ from ucbfw.harness import (
     run_experiment,
 )
 from ucbfw.harness import DEVIATION_PRESETS
-from ucbfw.losses import FAMILIES, minimizer
+from ucbfw.losses import FAMILIES
 from ucbfw.policies import POLICY_KINDS
 
 BASIC = {
@@ -71,8 +71,7 @@ def test_parse_basic_config():
     assert config.model.mu == (0.1, 0.5)
     assert config.horizons == (100, 300)
     assert (config.seed_count, config.seed_base) == (2, 7)
-    gaps = minimizer(build_model(config.model)).gaps
-    assert gaps == pytest.approx((0.0, 0.4))
+    assert build_model(config.model).gaps == pytest.approx((0.0, 0.4))
     assert config.policy.deviation_spec.scale == 4.0
 
 
@@ -720,6 +719,21 @@ def test_run_command_rejects_non_finite_model_inputs(
             },
             "policy.presample.variance_cap: expected a finite number, got inf",
         ),
+        # a stopping rule needs at least one draw; null means the presample horizon
+        *(
+            (
+                {
+                    "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
+                    "policy": {
+                        "kind": "presampled_ucb_fw",
+                        "presample": {"horizon": 1000, "max_rounds_per_arm": rounds},
+                    },
+                    "horizons": [1000],
+                },
+                f"policy.presample.max_rounds_per_arm: must be >= 1, got {rounds}",
+            )
+            for rounds in (-5, 0)
+        ),
         # the experiment checks name the key at fault
         ({"seeds": {"count": 0, "base": 7}}, "seeds.count: must be >= 1, got 0"),
         ({"horizons": [100, 100]}, "horizons: horizons must be strictly increasing, got (100, 100)"),
@@ -744,6 +758,8 @@ def test_run_command_rejects_non_finite_model_inputs(
         "inf-deviation-scale",
         "nan-deviation-scale",
         "inf-variance-cap",
+        "negative-max-rounds-per-arm",
+        "zero-max-rounds-per-arm",
         "zero-seed-count",
         "repeated-horizon",
         "short-first-horizon",

@@ -109,6 +109,15 @@ def test_policy_config_validation():
             PolicyConfig(deviation="theorem1", sigma2=sigma2)
     with pytest.raises(ValueError, match="deviation scale must be finite"):
         PolicyConfig(deviation="custom", deviation_scale=math.nan, deviation_exponent=0.5)
+    # a preset sets its own radius; a scale or exponent beside it is refused
+    fields = "deviation_scale and deviation_exponent are read only by a custom deviation"
+    with pytest.raises(ValueError, match=f"{fields}, not by the 'theorem1' preset"):
+        PolicyConfig(deviation="theorem1", deviation_scale=9.0)
+    with pytest.raises(ValueError, match=fields):
+        PolicyConfig(deviation="prop1", deviation_exponent=0.25)
+    # a NaN weight fails the simplex check
+    with pytest.raises(ValueError, match="simplex coordinate 0"):
+        PolicyConfig(kind="fixed_allocation", weights=(math.nan, 1.0))
 
 
 def test_observation_model_follows_action_map():

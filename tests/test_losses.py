@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from ucbfw.losses import (
     cobb_douglas_loss,
     exp_design_loss,
     gradient_from_params,
-    hard_quadratic_family,
     interior_smoothness,
     linear_loss,
     loss_value,
@@ -169,19 +167,19 @@ def test_markowitz_minimizer():
 
 
 def test_linear_minimizer_gaps():
-    info = minimizer(linear_loss((0.1, 0.5)))
+    model = linear_loss((0.1, 0.5))
+    info = minimizer(model)
     assert info.p_star == (1.0, 0.0)
     assert info.loss_star == pytest.approx(0.1)
-    assert info.gaps == pytest.approx((0.0, 0.4))
-    assert info.gap_min == pytest.approx(0.4)
-    assert info.unique
+    # the model holds the gaps, which prop2 reads
+    assert model.star == 0
+    assert model.gaps == pytest.approx((0.0, 0.4))
 
 
 def test_linear_tied_minimizer_reports_nonunique():
-    info = minimizer(linear_loss((0.2, 0.2, 0.9)))
-    assert info.p_star == (1.0, 0.0, 0.0)
-    assert not info.unique
-    assert info.gap_min is None
+    model = linear_loss((0.2, 0.2, 0.9))
+    assert minimizer(model).p_star == (1.0, 0.0, 0.0)
+    assert model.gaps.tolist().count(0.0) == 2
 
 
 def test_quadratic_minimizer_interior():
@@ -189,13 +187,14 @@ def test_quadratic_minimizer_interior():
     assert info.p_star == (0.2, 0.3, 0.5)
     assert info.loss_star == 0.0
     assert info.eta == pytest.approx(0.2)
-    assert info.gaps is None
 
 
 def test_quadratic_minimizer_at_vertex_has_zero_gaps():
-    info = minimizer(quadratic_loss((1.0, 0.0)))
-    assert info.gaps == (0.0, 0.0)
-    assert info.gap_min is None
+    # the gradient vanishes at p* = theta even when theta is a vertex
+    model = quadratic_loss((1.0, 0.0))
+    info = minimizer(model)
+    assert info.eta == 0.0
+    assert model.true_gradient(np.array([info.p_star])).tolist() == [[0.0, 0.0]]
 
 
 def test_minimizer_beats_random_points_and_is_stationary():
@@ -215,9 +214,10 @@ def test_minimizer_beats_random_points_and_is_stationary():
 
 def test_gaps_satisfy_kkt_sign():
     for model in all_models():
-        info = minimizer(model)
-        if info.gaps is not None:
-            assert all(g >= -1e-12 for g in info.gaps)
+        if model.constant_gradient:
+            assert model.gaps[model.star] == 0.0
+            assert (model.gaps >= 0.0).all()
+            assert minimizer(model).p_star[model.star] == 1.0
 
 
 def test_markowitz_agrees_with_grid_search():
@@ -599,44 +599,6 @@ def test_separable_minimizer_uses_table_values():
     info = minimizer(m)
     assert info.p_star[costs.index(min(costs))] == 1.0
     assert info.loss_star == pytest.approx(min(costs))
-
-
-# ---------------------------------------------------------------- hard family
-
-
-def test_hard_quadratic_center_k4():
-    m = hard_quadratic_family(4, 0.01, 10_000, (1, -1))
-    assert m.params == pytest.approx((0.252, 0.248, 0.248, 0.252))
-
-
-def test_hard_quadratic_center_k2():
-    m = hard_quadratic_family(2, 0.01, 10**6, (1,))
-    assert m.params == pytest.approx((0.50014142135, 0.49985857864), abs=1e-10)
-
-
-def test_hard_quadratic_center_sums_to_one_exactly():
-    for k, signs in ((2, (1,)), (4, (1, 1)), (6, (-1, 1, -1))):
-        m = hard_quadratic_family(k, 0.005, 50_000, signs)
-        assert math.fsum(m.params) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_hard_quadratic_rejects_odd_k():
-    with pytest.raises(ValueError, match="even"):
-        hard_quadratic_family(3, 0.01, 1000, (1,))
-
-
-def test_hard_quadratic_warns_outside_analyzed_regime():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hard_quadratic_family(2, 0.2, 10**6, (1,))
-    assert any("range" in str(w.message) for w in caught)
-
-
-def test_hard_quadratic_rejects_offsets_leaving_the_simplex():
-    with pytest.raises(ValueError, match="simplex"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hard_quadratic_family(2, 0.9, 5, (1,))
 
 
 # ---------------------------------------------------------------- blocks

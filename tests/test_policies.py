@@ -100,6 +100,25 @@ def test_argmin_lowest_index():
     assert argmin_tie_break([-0.2, 0.45, 0.1]) == 0
 
 
+def test_argmin_lowest_index_passes_over_nan_as_fmin_does():
+    # the plug-in selection's rule: NaN counts as +inf, an all-NaN row gives 0
+    nan = math.nan
+    rows = [
+        [nan, 0.5, 0.2],
+        [nan, 0.1, 0.1],
+        [0.3, nan, 0.1],
+        [0.1, nan, 0.1],
+        [0.4, 0.2, nan],
+        [0.2, 0.2, nan],
+        [nan, nan, nan],
+        [nan, math.inf, 0.0],
+        [math.inf, nan, math.inf],
+        [nan, -math.inf, nan],
+    ]
+    for row in rows:
+        assert argmin_tie_break(row) == np.fmin(np.array(row), np.inf).argmin(), row
+
+
 def test_argmin_seeded_is_reproducible():
     rng1 = np.random.default_rng(9)
     rng2 = np.random.default_rng(9)
@@ -558,6 +577,11 @@ def test_presample_config_validation():
         PresampleConfig(variance_cap=0.0)
     with pytest.raises(ValueError, match="horizon"):
         PresampleConfig(horizon=0)
+    # None, not 0, means the presample horizon
+    for rounds in (0, -5):
+        with pytest.raises(ValueError, match=f"max_rounds_per_arm must be >= 1, got {rounds}"):
+            PresampleConfig(max_rounds_per_arm=rounds)
+    assert PresampleConfig(max_rounds_per_arm=1).max_rounds_per_arm == 1
     _, inner = exp_design_inner()
     with pytest.raises(ValueError, match="one bracket per arm"):
         PresampledUcbFwPolicy(
@@ -597,10 +621,8 @@ def test_block_argmin_follows_the_scalar_rules_row_by_row():
     values[9, 3] = np.inf
     seeds = tuple(range(500, 540))
     lowest = _TieBreaker("lowest_index", seeds)
-    clean = np.delete(values, [6], axis=0)
-    assert lowest.argmin(clean).tolist() == [argmin_tie_break(r) for r in clean.tolist()]
-    with pytest.raises(ValueError):
-        lowest.argmin(values[6:7])  # an all-NaN row fails as it does alone
+    # row 6 is all NaN, which gives action 0 as it does alone
+    assert lowest.argmin(values).tolist() == [argmin_tie_break(r) for r in values.tolist()]
     seeded = _TieBreaker("seeded_random", seeds)
     rows = np.arange(0, 40, 2)  # rows of a subset, named by their seed index
     finite = np.nan_to_num(values[rows], nan=5.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,15 @@ def test_check_simplex_names_negative_coordinate():
 def test_check_simplex_rejects_bad_sum():
     with pytest.raises(ValueError, match="sum"):
         check_simplex((0.3, 0.3))
+
+
+def test_check_simplex_rejects_nan():
+    # comparisons with NaN are false, so both tests are written to fail on it
+    for coords in ((math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="coordinate"):
+            check_simplex(coords)
+    with pytest.raises(ValueError, match="sum"):
+        check_simplex((0.5, 0.5), tol=math.nan)
 
 
 def test_float_recurrence_rejects_empty():
