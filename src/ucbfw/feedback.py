@@ -65,27 +65,6 @@ class DeviationSpec:
         return 1.0 / (t * t)
 
 
-def deviation_radius(scale: float, exponent: float, t: int, n_obs: int, delta: float) -> float:
-    """Bare radius formula (scale * log(t/delta) / n_obs) ** exponent.
-
-    Exposed separately from DeviationSpec because the formula itself is
-    meaningful for any positive exponent, while specs used by policies are
-    restricted to exponents in (0, 1/2].
-    """
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    if n_obs < 0:
-        raise ValueError(f"observation count must be >= 0, got {n_obs}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if n_obs == 0:
-        return INFINITE_DEVIATION
-    if scale == 0.0:
-        return 0.0
-    x = scale * math.log(t / delta) / n_obs
-    return math.sqrt(x) if exponent == 0.5 else x**exponent
-
-
 def deviation_radii(spec: DeviationSpec, t: int, delta: float, counts: np.ndarray) -> np.ndarray:
     """`deviation(spec, t, n, delta)` for every count n of an array of positive counts.
 
@@ -106,7 +85,18 @@ def deviation(spec: DeviationSpec, t: int, n_obs: int, delta: float) -> float:
     Returns the infinite sentinel when n_obs = 0, which forces exploration
     of the unobserved coefficient.
     """
-    return deviation_radius(spec.scale, spec.exponent, t, n_obs, delta)
+    if t < 1:
+        raise ValueError(f"round index must be >= 1, got {t}")
+    if n_obs < 0:
+        raise ValueError(f"observation count must be >= 0, got {n_obs}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if n_obs == 0:
+        return INFINITE_DEVIATION
+    if spec.scale == 0.0:
+        return 0.0
+    x = spec.scale * math.log(t / delta) / n_obs
+    return math.sqrt(x) if spec.exponent == 0.5 else x**spec.exponent
 
 
 def check_action_map(action_map: Sequence[int] | None, num_coeffs: int) -> tuple[int, ...]:

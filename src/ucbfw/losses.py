@@ -34,11 +34,6 @@ except ImportError:  # numpy 1.x
 
 from .simplex import SIMPLEX_SUM_TOL
 
-# The exact Markowitz minimizer enumerates all 2^K - 1 supports, so its cost
-# doubles with every action; above this K it is refused rather than left to
-# run for minutes.
-MARKOWITZ_MAX_ACTIONS = 16
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -442,11 +437,6 @@ class MarkowitzLoss(LossModel):
         sig = np.asarray(covariance, dtype=float)
         if sig.shape != (k, k):
             raise ValueError(f"covariance must be {k}x{k}, got {sig.shape}")
-        if k > MARKOWITZ_MAX_ACTIONS:
-            raise ValueError(
-                f"covariance is {k}x{k}, above the limit of {MARKOWITZ_MAX_ACTIONS} actions "
-                "of the exact minimizer, which enumerates 2^K supports"
-            )
         if not np.isfinite(sig).all():
             raise ValueError("covariance has a non-finite entry")
         if not np.allclose(sig, sig.T, atol=1e-10):
@@ -584,20 +574,6 @@ def minimizer(model: LossModel) -> MinimizerInfo:
     return model.minimizer()
 
 
-def interior_smoothness(model: LossModel, lower_bounds: Sequence[float]) -> float:
-    """Curvature constant restricted to the box {p : p_i >= lower_bounds_i}."""
-    return model.smoothness_over(_check_floor(lower_bounds, model.num_actions))
-
-
-# Extra tolerance of the batched screen in `_simplex_qp`, relative to the
-# scale of the gradient terms, so that rounding differences between the
-# batched and the per-support arithmetic never drop a support that the
-# exact checks of `_support_candidate` would accept.
-_SCREEN_SLACK = 1e-7
-# Supports per batched solve; bounds the screen's memory at a few MB.
-_SCREEN_BATCH = 256
-
-
 def _support_candidate(
     sig: np.ndarray, lam: float, mu: np.ndarray, support: list[int]
 ) -> tuple[np.ndarray, float] | None:
@@ -630,73 +606,80 @@ def _support_candidate(
     return p, float(p @ sig @ p - lam * mu @ p)
 
 
-def _screen(sig: np.ndarray, lam: float, mu: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Which supports of one size may pass `_support_candidate`'s checks.
-
-    `supports` holds one support per row as ascending indices.  All of them
-    are solved in one batched call and given the feasibility and KKT tests
-    with `_SCREEN_SLACK` added to each tolerance; a support is dropped only
-    when a test fails by more than that.  A batch holding a singular system
-    keeps every row, so the exact code's least-squares branch still sees
-    them.
-    """
-    n, m = supports.shape
-    a = np.zeros((n, m + 1, m + 1))
-    a[:, :m, :m] = 2.0 * sig[supports[:, :, None], supports[:, None, :]]
-    a[:, :m, m] = 1.0
-    a[:, m, :m] = 1.0
-    b = np.zeros((n, m + 1, 1))
-    b[:, :m, 0] = lam * mu[supports]
-    b[:, m, 0] = 1.0
-    try:
-        p_sub = np.linalg.solve(a, b)[:, :m, 0]
-    except np.linalg.LinAlgError:
-        return np.ones(n, dtype=bool)
-    rows = np.arange(n)[:, None]
-    slack = _SCREEN_SLACK * (1.0 + 2.0 * np.abs(sig).max() + np.abs(lam * mu).max())
-    p = np.zeros((n, len(mu)))
-    p[rows, supports] = np.clip(p_sub, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p /= p.sum(axis=1, keepdims=True)
-        grad = 2.0 * p @ sig.T - lam * mu
-        nu = -grad[rows, supports].mean(axis=1)
-        kkt = grad + nu[:, None]
-    kkt[rows, supports] = 0.0
-    # comparisons with NaN are false, so rows that are not finite survive
-    rejected = (p_sub < -1e-10 - slack).any(axis=1) | (kkt < -1e-8 - slack).any(axis=1)
-    return ~rejected
+def _move(p: np.ndarray, free: np.ndarray, d: np.ndarray, limit: float) -> bool:
+    """Step the free coordinates of p along d, by at most `limit` times d
+    and no further than the first coordinate to reach 0.  Coordinates that
+    end at 0 leave the free set; returns whether any did."""
+    s = np.flatnonzero(free)
+    down = d < 0.0
+    ratios = -p[s][down] / d[down]
+    step = min(limit, ratios.min(initial=math.inf))
+    p[s] += step * d
+    p[s[down][ratios == step]] = 0.0
+    hit = s[p[s] <= 0.0]
+    p[hit] = 0.0
+    free[hit] = False
+    return hit.size > 0
 
 
 def _simplex_qp(sig: np.ndarray, lam: float, mu: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize p'Sig p - lam*mu.p over the simplex by active-set enumeration.
+    """Minimize p'Sig p - lam*mu.p over the simplex by a primal active-set method.
 
-    Every support set is solved as an equality-constrained QP and kept when
-    it is feasible and satisfies the KKT sign conditions; the best candidate
-    wins, ties going to the lowest support bitmask.  The supports of each
-    size are first screened in batched passes (`_screen`); only those that
-    survive are solved exactly, in ascending bitmask order, so the result is
-    the one a full enumeration gives.  Exact for K up to
-    MARKOWITZ_MAX_ACTIONS.
+    The free set starts as the lowest-index cheapest vertex.  Each round
+    steps to the minimizer of the loss over the face of the free
+    coordinates, or, when the reduced Hessian of that face is singular and
+    the gradient has a component along its null space, follows that
+    zero-curvature descent direction; either move stops at the first
+    coordinate to reach 0, which leaves the free set.  At the face's
+    minimizer the coordinate with the most negative KKT multiplier, lowest
+    index on ties, joins the free set, until none is below -1e-8, the
+    tolerance of `_support_candidate`.  That function then solves the final
+    support exactly, as the enumeration over all 2^K supports did, and
+    checks it; p_star and loss_star are its arithmetic.
+
+    When the minimizer is not unique the answer is the one this path
+    reaches from its starting vertex; it is not claimed to be the lowest
+    support bitmask an enumeration would pick.  Non-finite input, a path
+    that runs past its iteration cap or a final support that fails the
+    exact checks raise RuntimeError.
     """
     k = len(mu)
-    masks = np.arange(1, 1 << k, dtype=np.int32)
-    members = (masks[:, None] >> np.arange(k, dtype=np.int32) & 1).astype(bool)
-    sizes = members.sum(axis=1)
-    survivors: list[int] = []
-    for m in range(1, k + 1):
-        of_size = masks[sizes == m]
-        supports = np.nonzero(members[sizes == m])[1].reshape(-1, m)
-        for start in range(0, len(of_size), _SCREEN_BATCH):
-            batch = slice(start, start + _SCREEN_BATCH)
-            kept = _screen(sig, lam, mu, supports[batch])
-            survivors.extend(of_size[batch][kept].tolist())
-    best_loss = math.inf
-    best_p: np.ndarray | None = None
-    for mask in sorted(survivors):
-        found = _support_candidate(sig, lam, mu, [i for i in range(k) if mask >> i & 1])
-        if found is not None and found[1] < best_loss - 1e-14:
-            best_p, best_loss = found
-    if best_p is None:
-        raise RuntimeError("active-set enumeration found no KKT point")
-    return best_p, best_loss
-
+    if not (np.isfinite(sig).all() and np.isfinite(mu).all() and math.isfinite(lam)):
+        raise RuntimeError("active-set method found no KKT point: non-finite input")
+    p = np.zeros(k)
+    free = np.zeros(k, dtype=bool)
+    start = int((np.diag(sig) - lam * mu).argmin())
+    p[start] = 1.0
+    free[start] = True
+    flat_tol = 1e-10 * np.abs(sig).max()
+    # each round drops a coordinate, adds one or reaches a face's minimizer,
+    # so a path this long is cycling
+    rounds = 50 * k
+    for _ in range(rounds):
+        s = np.flatnonzero(free)
+        g = 2.0 * sig @ p - lam * mu
+        # orthonormal basis of the directions within the face (sum zero)
+        basis = np.linalg.qr(np.ones((len(s), 1)), mode="complete")[0][:, 1:]
+        # the reduced Hessian is symmetric PSD, so its SVD is an eigen-
+        # decomposition; with threaded OpenBLAS, `eigh` took 16 ms at 40x40
+        # on a 2-CPU Xeon, against 1 ms for `svd`
+        v, w, _ = np.linalg.svd(basis.T @ (2.0 * sig[np.ix_(s, s)]) @ basis)
+        flat = w <= flat_tol
+        gr = v.T @ (basis.T @ g[s])
+        if np.abs(gr[flat]).max(initial=0.0) > 1e-12 * (1.0 + np.abs(g[s]).max()):
+            # the loss falls linearly along the null space, down to the boundary
+            _move(p, free, -basis @ (v[:, flat] @ gr[flat]), math.inf)
+            continue
+        if _move(p, free, -basis @ (v[:, ~flat] @ (gr[~flat] / w[~flat])), 1.0):
+            continue
+        g = 2.0 * sig @ p - lam * mu
+        kkt = np.where(free, math.inf, g - np.mean(g[free]))
+        j = int(kkt.argmin())
+        if kkt[j] < -1e-8:
+            free[j] = True
+            continue
+        found = _support_candidate(sig, lam, mu, s.tolist())
+        if found is None:
+            raise RuntimeError(f"active-set method found no KKT point: support {s.tolist()} fails")
+        return found
+    raise RuntimeError(f"active-set method found no KKT point in {rounds} rounds")

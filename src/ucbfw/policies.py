@@ -86,11 +86,21 @@ class PresampleConfig:
 
 
 def argmin_tie_break(values: Sequence[float], tie_break: str = TIE_LOWEST, rng=None) -> int:
+    """Index of the smallest value, NaN counting as +inf.
+
+    Under seeded_random, ties are broken with `rng`, and NaN joins a tie
+    only in an all-NaN row: where the smallest number is +inf, the +inf
+    entries tie among themselves.
+    """
     if tie_break == TIE_LOWEST:
-        # NaN counts as +inf, as in `np.fmin(values, inf).argmin()`
+        # as in `np.fmin(values, inf).argmin()`
         return min(range(len(values)), key=lambda i: math.inf if math.isnan(values[i]) else values[i])
-    best = min(values)
-    ties = [i for i, v in enumerate(values) if v == best]
+    numbers = [v for v in values if not math.isnan(v)]
+    if numbers:
+        best = min(numbers)
+        ties = [i for i, v in enumerate(values) if v == best]
+    else:
+        ties = list(range(len(values)))
     if len(ties) == 1:
         return ties[0]
     if rng is None:

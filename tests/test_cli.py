@@ -108,16 +108,11 @@ def test_parse_rejects_bad_action_map():
         cfg_from(feedback={"map": [0, 5]})
 
 
-def test_parse_rejects_markowitz_above_the_action_limit():
-    k = losses.MARKOWITZ_MAX_ACTIONS + 1
-    model = {
-        "kind": "markowitz",
-        "covariance": np.eye(k).tolist(),
-        "risk_weight": 1.0,
-        "mu": [0.0] * k,
-    }
-    with pytest.raises(ConfigError, match=r"^model: covariance is 17x17, above the limit of 16"):
-        cfg_from(model=model)
+def test_parse_accepts_markowitz_with_17_actions():
+    k = 17
+    model = {"kind": "markowitz", "covariance": np.eye(k).tolist(), "risk_weight": 1.0, "mu": [0.0] * k}
+    info = cfg_from(model=model).model.built.minimizer()
+    assert info.p_star == pytest.approx([1.0 / k] * k)
 
 
 def test_parse_rejects_unknown_policy_and_deviation():

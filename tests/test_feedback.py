@@ -14,7 +14,6 @@ from ucbfw.feedback import (
     ObservationSampler,
     deviation,
     deviation_radii,
-    deviation_radius,
 )
 from ucbfw.harness import PolicyConfig
 from ucbfw.losses import exp_design_loss, linear_loss, markowitz_loss
@@ -30,8 +29,9 @@ def test_standard_radius_worked_value():
 
 
 def test_general_radius_formula():
-    # scale 1, exponent 1, log(t/delta) = 1, two observations
-    assert deviation_radius(1.0, 1.0, t=1, n_obs=2, delta=math.exp(-1)) == pytest.approx(0.5)
+    # scale 1, exponent 1/4, log(t/delta) = 1, two observations
+    spec = DeviationSpec(scale=1.0, exponent=0.25)
+    assert deviation(spec, t=1, n_obs=2, delta=math.exp(-1)) == pytest.approx(0.5**0.25)
 
 
 def test_zero_scale_collapses_to_zero():

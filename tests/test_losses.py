@@ -1,8 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_loop
 from ucbfw import checks, losses
@@ -11,7 +12,6 @@ from ucbfw.losses import (
     cobb_douglas_loss,
     exp_design_loss,
     gradient_from_params,
-    interior_smoothness,
     linear_loss,
     loss_value,
     markowitz_loss,
@@ -240,7 +240,8 @@ def test_markowitz_agrees_with_grid_search():
 
 
 def _reference_simplex_qp(sig, lam, mu):
-    """The full 2^K enumeration the screened `_simplex_qp` must reproduce bit for bit."""
+    """The full 2^K enumeration: every support solved and checked, the best
+    loss kept, ties going to the lowest support bitmask."""
     k = len(mu)
     best_loss = math.inf
     best_p = None
@@ -323,23 +324,34 @@ def test_simplex_qp_raises_where_full_enumeration_raises():
             losses._simplex_qp(sig, 1.0, mu)
 
 
-def test_screen_keeps_every_support_the_exact_code_accepts():
-    rng = np.random.default_rng(7)
-    cases = 0
-    for k in range(2, 8):
-        for rank in (0, 1, 2):
-            b = rng.normal(size=(k, rank))
-            for mu in (rng.uniform(0.4, 0.6, size=k), np.full(k, 0.5)):
-                for lam in (0.0, 1.0):
-                    sig = b @ b.T
-                    for m in range(1, k + 1):
-                        supports = np.array(list(itertools.combinations(range(k), m)))
-                        kept = losses._screen(sig, lam, mu, supports)
-                        for support, keep in zip(supports, kept):
-                            found = losses._support_candidate(sig, lam, mu, list(support))
-                            assert keep or found is None, (k, rank, lam, support)
-                            cases += found is not None
-    assert cases > 0
+def _assert_kkt(sig, lam, mu, p):
+    """p lies on the simplex and satisfies the KKT conditions of the QP."""
+    assert p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12
+    g = 2.0 * sig @ p - lam * mu
+    support = p > 0.0
+    nu = -g[support].mean()
+    assert np.abs(g[support] + nu).max() <= 1e-8
+    assert (g[~support] + nu).min(initial=0.0) >= -1e-8
+
+
+_ENTRIES = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_simplex_qp_agrees_with_full_enumeration(data):
+    k = data.draw(st.integers(2, 8), label="K")
+    rank = data.draw(st.integers(0, k), label="rank")
+    b = np.array(data.draw(st.lists(_ENTRIES, min_size=k * rank, max_size=k * rank), label="b"))
+    mu = np.array(data.draw(st.lists(_ENTRIES, min_size=k, max_size=k), label="mu"))
+    lam = data.draw(st.floats(0.0, 4.0), label="lam")
+    sig = b.reshape(k, rank) @ b.reshape(k, rank).T
+    p_ref, loss_ref = _reference_simplex_qp(sig, lam, mu)
+    p, loss = losses._simplex_qp(sig, lam, mu)
+    assert abs(loss - loss_ref) <= 1e-12 * (1.0 + abs(loss_ref))
+    if np.linalg.eigvalsh(sig)[0] > 1e-3:  # full rank: the minimizer is unique
+        assert np.abs(p - p_ref).max() <= 1e-9
+    _assert_kkt(sig, lam, mu, p)
 
 
 # ---------------------------------------------------------------- step formulas
@@ -502,14 +514,14 @@ def test_exp_design_constants_with_floor():
 
 
 def test_interior_smoothness_examples():
-    assert interior_smoothness(exp_design_loss((1.0, 1.0)), (0.5, 0.5)) == pytest.approx(16.0)
-    assert interior_smoothness(exp_design_loss((1.0, 4.0)), (1 / 3, 2 / 3)) == pytest.approx(54.0)
-    assert interior_smoothness(cobb_douglas_loss((0.5, 0.5)), (0.25, 0.25)) == pytest.approx(8.0)
+    assert exp_design_loss((1.0, 1.0)).smoothness_over((0.5, 0.5)) == pytest.approx(16.0)
+    assert exp_design_loss((1.0, 4.0)).smoothness_over((1 / 3, 2 / 3)) == pytest.approx(54.0)
+    assert cobb_douglas_loss((0.5, 0.5)).smoothness_over((0.25, 0.25)) == pytest.approx(8.0)
 
 
 def test_interior_smoothness_noop_for_globally_smooth_kind():
     m = quadratic_loss((0.5, 0.5))
-    assert interior_smoothness(m, (0.1, 0.1)) == m.smoothness_C
+    assert m.smoothness_over((0.1, 0.1)) == m.smoothness_C
 
 
 def test_sensitivity_factors():
@@ -550,10 +562,12 @@ def test_markowitz_requires_symmetric_psd():
         markowitz_loss(((1.0, 2.0), (2.0, 1.0)), 1.0, (0.0, 1.0))
 
 
-def test_markowitz_rejects_more_actions_than_the_limit():
-    k = losses.MARKOWITZ_MAX_ACTIONS + 1
-    with pytest.raises(ValueError, match=r"covariance is 17x17, above the limit of 16 actions"):
-        markowitz_loss(np.eye(k), 1.0, [0.0] * k)
+def test_markowitz_builds_64_actions_to_a_kkt_point():
+    # a rank-2 covariance leaves most of the reduced Hessian singular
+    rng = np.random.default_rng(64)
+    b = rng.normal(size=(64, 2))
+    sig, mu = b @ b.T, rng.uniform(0.4, 0.6, size=64)
+    _assert_kkt(sig, 1.0, mu, np.array(markowitz_loss(sig, 1.0, mu).minimizer().p_star))
 
 
 def test_separable_requires_one_table_per_coordinate():

@@ -139,6 +139,16 @@ def test_argmin_seeded_tie_without_rng_errors():
         argmin_tie_break([0.1, 0.1], "seeded_random")
 
 
+def test_argmin_seeded_passes_over_nan_as_lowest_index_does():
+    nan, inf = math.nan, math.inf
+    rng = np.random.default_rng(1)
+    assert argmin_tie_break([nan, 1.0], "seeded_random", rng) == 1
+    assert argmin_tie_break([nan, 0.2, nan, 0.3], "seeded_random") == 1
+    assert argmin_tie_break([nan, 0.2, nan, 0.2], "seeded_random", rng) in (1, 3)
+    assert argmin_tie_break([inf, nan, inf], "seeded_random", rng) in (0, 2)
+    assert argmin_tie_break([nan, nan, nan], "seeded_random", rng) in (0, 1, 2)
+
+
 # ---------------------------------------------------------------- selection
 
 
@@ -619,17 +629,18 @@ def test_block_argmin_follows_the_scalar_rules_row_by_row():
     values[6] = np.nan
     values[8, 0] = -np.inf
     values[9, 3] = np.inf
+    values[10, 0] = np.nan
     seeds = tuple(range(500, 540))
     lowest = _TieBreaker("lowest_index", seeds)
     # row 6 is all NaN, which gives action 0 as it does alone
     assert lowest.argmin(values).tolist() == [argmin_tie_break(r) for r in values.tolist()]
     seeded = _TieBreaker("seeded_random", seeds)
     rows = np.arange(0, 40, 2)  # rows of a subset, named by their seed index
-    finite = np.nan_to_num(values[rows], nan=5.0)
-    picked = seeded.argmin(finite, rows)
+    # rows 6 and 10 start with NaN, which the seeded rule passes over too
+    picked = seeded.argmin(values[rows], rows)
     for i, row in enumerate(rows.tolist()):
         gen = np.random.default_rng(np.random.SeedSequence((seeds[row], _TIE_STREAM_TAG)))
-        assert picked[i] == argmin_tie_break(finite[i].tolist(), "seeded_random", gen)
+        assert picked[i] == argmin_tie_break(values[row].tolist(), "seeded_random", gen)
 
 
 def test_plug_in_selection_passes_over_nan_scores():
