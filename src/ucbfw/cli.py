@@ -512,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_check_bounds)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every loss gradient")
-    p_grad.add_argument("--seed", type=int, default=20240901)
-    p_grad.add_argument("--points", type=int, default=100)
+    p_grad.add_argument("--seed", type=_int_at_least(0), default=20240901)
+    p_grad.add_argument("--points", type=_int_at_least(1), default=100)
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_self = sub.add_parser("selftest", help="run the quick invariant suite")

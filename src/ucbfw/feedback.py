@@ -30,6 +30,17 @@ ESTIMATOR_SAMPLE_VARIANCE = "sample_variance"
 
 ESTIMATORS = (ESTIMATOR_MEAN, ESTIMATOR_CENTERED_SQUARE, ESTIMATOR_SAMPLE_VARIANCE)
 
+# Keys of the policies' own streams: above every action index, so they never
+# name an observation stream.
+POLICY_STREAM_TAG = 1 << 31
+TIE_STREAM_TAG = (1 << 31) + 1
+
+
+def seeded_stream(seed: int, key: int) -> np.random.Generator:
+    """The random stream of (trial seed, key): `key` is an action index for
+    that action's observations, or one of the stream tags above."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), key))))
+
 
 @dataclass(frozen=True)
 class DeviationSpec:
@@ -249,12 +260,12 @@ class ObservationModel:
 class ObservationSampler:
     """Materialized observation streams of a block of seeds.
 
-    Stream (s, a) is generated from SeedSequence((s, a)) and consumed in
-    pull order, so draw n of action a for seed s is reproducible in
-    isolation.  Each `draw` call is one round.  Every CHUNK rounds, each
-    stream holding fewer than CHUNK unused draws gets CHUNK more, so no
-    stream runs dry before the next top-up and the buffers hold under
-    2 * CHUNK values per stream.  Chunking does not change the values.
+    Stream (s, a) is `seeded_stream(s, a)`, consumed in pull order, so
+    draw n of action a for seed s is reproducible in isolation.  Each
+    `draw` call is one round.  Every CHUNK rounds, each stream holding
+    fewer than CHUNK unused draws gets CHUNK more, so no stream runs dry
+    before the next top-up and the buffers hold under 2 * CHUNK values per
+    stream.  Chunking does not change the values.
 
     `draw` takes one action per seed (an int array; a plain int draws that
     action for every seed) and returns the seeds' observations as an array.
@@ -264,14 +275,9 @@ class ObservationSampler:
 
     def __init__(self, obs_model: ObservationModel, seeds: Sequence[int]):
         self.obs_model = obs_model
-        seeds = tuple(int(s) for s in seeds)
         k = len(obs_model.means)
         self._k = k
-        self._gens = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((s, a))))
-            for s in seeds
-            for a in range(k)
-        ]
+        self._gens = [seeded_stream(s, a) for s in seeds for a in range(k)]
         streams = len(seeds) * k
         width = 2 * self.CHUNK
         self._buf = np.empty(streams * width)

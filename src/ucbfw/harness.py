@@ -29,7 +29,7 @@ from .feedback import (
     ObservationSampler,
     check_action_map,
 )
-from .losses import FAMILIES, LossModel, loss_value, minimizer
+from .losses import FAMILIES, LossModel, fold_sum, loss_value, minimizer
 from .policies import (
     DOUBLING_UCB_FW,
     FIXED_ALLOCATION,
@@ -544,7 +544,7 @@ def _prop2(model: LossModel, info, records):
     gaps = model.gaps.tolist()
     if not all(g > 1e-12 for i, g in enumerate(gaps) if i != model.star):
         return "needs a unique vertex minimizer with positive gaps"
-    inv_gaps = sum(1.0 / g for i, g in enumerate(gaps) if i != model.star)
+    inv_gaps = fold_sum(1.0 / g for i, g in enumerate(gaps) if i != model.star)
     k = model.num_actions
     scale = model.sup_grad
     return lambda t: 48.0 * math.log(t) / t * inv_gaps + 3.0 * (

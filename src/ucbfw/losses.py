@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -73,14 +73,6 @@ class MinimizerInfo:
     p_star: tuple[float, ...]
     loss_star: float
     eta: float
-
-
-def _vertex_info(costs: Sequence[float]) -> MinimizerInfo:
-    """The first vertex whose cost is within 1e-12 of the lowest."""
-    low = min(costs)
-    star = next(i for i, c in enumerate(costs) if c <= low + 1e-12)
-    p = tuple(1.0 if i == star else 0.0 for i in range(len(costs)))
-    return MinimizerInfo(p_star=p, loss_star=low, eta=0.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -167,8 +159,8 @@ def _check_floor(floor: Sequence[float], k: int) -> tuple[float, ...]:
     for i, v in enumerate(f):
         if not 0.0 < v < 1.0:
             raise ValueError(f"interior floor coordinate {i} must be in (0, 1), got {v}")
-    if sum(f) > 1.0 + SIMPLEX_SUM_TOL:
-        raise ValueError(f"interior floor sums to {sum(f)} > 1, box is empty")
+    if fold_sum(f) > 1.0 + SIMPLEX_SUM_TOL:
+        raise ValueError(f"interior floor sums to {fold_sum(f)} > 1, box is empty")
     return f
 
 
@@ -179,13 +171,20 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
-def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sum of products, left to right from 0.0, as `sum()` did before
-    Python 3.12 made float sums compensated."""
+def fold_sum(xs: Iterable[float]) -> float:
+    """Sum of `xs`, left to right from 0.0, as `sum()` did before Python
+    3.12 made float sums compensated.  Every float sum of a loss value, a
+    minimizer or a bound constant is taken this way, so output bytes do not
+    depend on the Python version."""
     acc = 0.0
-    for x, y in zip(xs, ys):
-        acc += x * y
+    for x in xs:
+        acc += x
     return acc
+
+
+def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sum of products, left to right from 0.0."""
+    return fold_sum(x * y for x, y in zip(xs, ys))
 
 
 def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -237,7 +236,7 @@ class LinearLoss(LossModel):
         return cls(params=m, sup_loss=bound, sup_grad=bound)
 
     def value(self, p):
-        return sum(c * x for c, x in zip(self.costs, p))
+        return _dot(self.costs, p)
 
     def gradient(self, params, p):
         # the plug-in gradient is the estimates themselves
@@ -249,7 +248,9 @@ class LinearLoss(LossModel):
         return out
 
     def minimizer(self):
-        return _vertex_info(self.costs)
+        star = self.star
+        p = tuple(1.0 if i == star else 0.0 for i in range(self.num_actions))
+        return MinimizerInfo(p_star=p, loss_star=self.costs[star], eta=0.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -264,11 +265,11 @@ class QuadraticLoss(LossModel):
         for i, v in enumerate(th):
             if v < 0.0:
                 raise ValueError(f"theta coordinate {i} is negative: {v}")
-        if abs(sum(th) - 1.0) > SIMPLEX_SUM_TOL:
-            raise ValueError(f"theta must lie on the simplex, sums to {sum(th)}")
+        if abs(fold_sum(th) - 1.0) > SIMPLEX_SUM_TOL:
+            raise ValueError(f"theta must lie on the simplex, sums to {fold_sum(th)}")
         # max of the convex loss over the simplex is attained at a vertex
         sup_loss = 0.5 * max(
-            sum(((1.0 if i == j else 0.0) - th[i]) ** 2 for i in range(len(th)))
+            fold_sum(((1.0 if i == j else 0.0) - th[i]) ** 2 for i in range(len(th)))
             for j in range(len(th))
         )
         sup_grad = max(max(v, 1.0 - v) for v in th)
@@ -281,7 +282,7 @@ class QuadraticLoss(LossModel):
         )
 
     def value(self, p):
-        return 0.5 * sum((x - th) ** 2 for x, th in zip(p, self.params))
+        return 0.5 * fold_sum((x - th) ** 2 for x, th in zip(p, self.params))
 
     def gradient(self, params, p):
         return p - params
@@ -334,13 +335,13 @@ class ExpDesignLoss(LossModel):
         return replace(
             model,
             smoothness_C=model.smoothness_over(floor),
-            sup_loss=sum(v / f for v, f in zip(s2, floor)),
+            sup_loss=fold_sum(v / f for v, f in zip(s2, floor)),
             sup_grad=max(v / f**2 for v, f in zip(s2, floor)),
         )
 
     def value(self, p):
         _require_interior(p, self.kind)
-        return sum(s / x for s, x in zip(self.params, p))
+        return fold_sum(s / x for s, x in zip(self.params, p))
 
     def gradient(self, params, p):
         _require_interior(p, self.kind)
@@ -351,7 +352,7 @@ class ExpDesignLoss(LossModel):
 
     def minimizer(self):
         sig = [math.sqrt(v) for v in self.params]
-        total = sum(sig)
+        total = fold_sum(sig)
         p = tuple(s / total for s in sig)
         return MinimizerInfo(p_star=p, loss_star=total * total, eta=min(p))
 
@@ -384,13 +385,13 @@ class CobbDouglasLoss(LossModel):
         return replace(
             model,
             smoothness_C=model.smoothness_over(floor),
-            sup_loss=-sum(v * math.log(f) for v, f in zip(b, floor)),
+            sup_loss=-fold_sum(v * math.log(f) for v, f in zip(b, floor)),
             sup_grad=max(v / f for v, f in zip(b, floor)),
         )
 
     def value(self, p):
         _require_interior(p, self.kind)
-        return -sum(b * math.log(x) for b, x in zip(self.params, p))
+        return -fold_sum(b * math.log(x) for b, x in zip(self.params, p))
 
     def gradient(self, params, p):
         _require_interior(p, self.kind)
@@ -401,9 +402,9 @@ class CobbDouglasLoss(LossModel):
 
     def minimizer(self):
         b = self.params
-        total = sum(b)
+        total = fold_sum(b)
         p = tuple(v / total for v in b)
-        loss = -sum(v * math.log(x) for v, x in zip(b, p))
+        loss = -fold_sum(v * math.log(x) for v, x in zip(b, p))
         return MinimizerInfo(p_star=p, loss_star=loss, eta=min(p))
 
     def smoothness_over(self, floor):
@@ -467,8 +468,7 @@ class MarkowitzLoss(LossModel):
         )
 
     # Row products are summed left to right (`_dot`, `_row_dots`); a numpy
-    # matvec, or `sum()` from Python 3.12 on, would sum them in another
-    # order and change the floats.
+    # matvec would sum them in another order and change the floats.
     def value(self, p):
         quad = _dot(p, [_dot(row, p) for row in self.covariance])
         return quad - self.risk_weight * _dot(self.params, p)

@@ -24,7 +24,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .feedback import FeedbackBlock, deviation_radii
+from .feedback import (
+    POLICY_STREAM_TAG,
+    TIE_STREAM_TAG,
+    FeedbackBlock,
+    deviation_radii,
+    seeded_stream,
+)
 from .losses import LossModel, gradient_from_params, sensitivity
 from .simplex import OccupationState, check_simplex
 
@@ -48,9 +54,6 @@ POLICY_KINDS = (
     PRESAMPLED_UCB_FW,
     DOUBLING_UCB_FW,
 )
-
-_POLICY_STREAM_TAG = 1 << 31
-_TIE_STREAM_TAG = (1 << 31) + 1
 
 
 @dataclass(frozen=True)
@@ -137,45 +140,31 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
 class _TieBreaker:
     """`argmin_tie_break` applied to every row of an (S, K) block of values.
 
-    Rows whose minimum is unique and not NaN take numpy's argmin, which is
-    the same index; the others (ties under seeded_random, any NaN) go
-    through `argmin_tie_break` itself with that seed's own tie stream, so
-    every row gets the answer, or the error, its own trial would.  Tie
-    streams are made on first use; one made later holds the same values.
+    The lowest-index rule is numpy's argmin once NaN is made +inf.  Under
+    seeded_random, rows whose minimum is unique and not NaN take that
+    index; the others (ties, any NaN) go through `argmin_tie_break` itself
+    with that seed's own tie stream, so every row gets the answer its own
+    trial would.
     """
 
     def __init__(self, tie_break: str = TIE_LOWEST, seeds: Sequence[int] = ()):
         self.tie_break = tie_break
-        self.seeds = tuple(seeds)
-        self._rngs: dict[int, np.random.Generator] = {}
-
-    def _rng(self, row: int) -> np.random.Generator:
-        gen = self._rngs.get(row)
-        if gen is None:
-            seq = np.random.SeedSequence((self.seeds[row], _TIE_STREAM_TAG))
-            gen = self._rngs[row] = np.random.Generator(np.random.PCG64(seq))
-        return gen
+        self._rngs = []
+        if tie_break == TIE_SEEDED:
+            self._rngs = [seeded_stream(s, TIE_STREAM_TAG) for s in seeds]
+        # an array operand: a Python scalar costs a conversion every call
+        self._inf = np.array(np.inf)
 
     def argmin(self, values: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """One index per row of `values`; `rows` names the seed of each row
         (all seeds in order when None)."""
         if self.tie_break == TIE_LOWEST:
-            # the sum is NaN when some entry is NaN (or +inf meets -inf,
-            # which the exact path below handles as well)
-            if not math.isnan(values.sum()):
-                return values.argmin(axis=1)
-            odd = np.isnan(values).any(axis=1)
-        else:
-            low = values.min(axis=1, keepdims=True)
-            ties = values == low
-            odd = ties.sum(axis=1) != 1
-            if not odd.any():
-                return ties.argmax(axis=1)
-        out = values.argmin(axis=1)
-        for i in np.flatnonzero(odd).tolist():
+            return np.fmin(values, self._inf).argmin(axis=1)
+        ties = values == values.min(axis=1, keepdims=True)
+        out = ties.argmax(axis=1)
+        for i in np.flatnonzero(ties.sum(axis=1) != 1).tolist():
             row = i if rows is None else int(rows[i])
-            rng = self._rng(row) if self.tie_break == TIE_SEEDED else None
-            out[i] = argmin_tie_break(values[i].tolist(), self.tie_break, rng)
+            out[i] = argmin_tie_break(values[i].tolist(), TIE_SEEDED, self._rngs[row])
         return out
 
 
@@ -222,8 +211,6 @@ class UcbFwPolicy:
         self.fb = fb
         self.ties = _TieBreaker(tie_break, seeds)
         self._reads_p = not model.constant_gradient
-        # an array operand: a Python scalar costs a conversion every round
-        self._inf = np.full(fb.obs_counts.shape, np.inf)
 
     def select(self, occ: OccupationState) -> np.ndarray:
         if self.fb.observed and occ.t >= self.fb.num_coeffs:
@@ -252,13 +239,7 @@ class UcbFwPolicy:
             radii *= sens
         # the radii are fresh, while ghat may be the running means themselves
         scores = np.subtract(ghat, radii, out=radii)
-        if self.ties.tie_break == TIE_SEEDED:
-            return self.ties.argmin(scores, rows)
-        # the lowest-index rule picks the first strict minimum and passes
-        # NaN over (an all-NaN row gives 0); as +inf, NaN does the same in
-        # numpy's argmin
-        inf = self._inf if rows is None else np.inf
-        return np.fmin(scores, inf, out=scores).argmin(axis=1)
+        return self.ties.argmin(scores, rows)
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         self.fb.update(actions, obs)
@@ -315,12 +296,7 @@ class UniformPolicy:
 
     def __init__(self, num_actions: int, seeds: Sequence[int]):
         self.num_actions = num_actions
-        self._gens = [
-            np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((int(s), _POLICY_STREAM_TAG)))
-            )
-            for s in seeds
-        ]
+        self._gens = [seeded_stream(s, POLICY_STREAM_TAG) for s in seeds]
         self._buf = np.empty((0, len(self._gens)), dtype=np.int64)
         self._pos = 0
 
@@ -425,9 +401,6 @@ class DoublingUcbFwPolicy:
         self.inner.observe(actions, obs)
 
 
-_ESTIMATE, _CATCHUP, _TRACK = 0, 1, 2
-
-
 class PresampledUcbFwPolicy:
     """Variance pre-sampling followed by floor-constrained plug-in selection.
 
@@ -437,10 +410,12 @@ class PresampledUcbFwPolicy:
     floor p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2 enforces the
     floors and otherwise defers to the plug-in selection.
 
-    Each seed of the block moves through the phases on its own.  Per seed,
-    `brackets_hat` and `stopping_triggered` list what phase 1 found,
-    `floors` holds the floors once they are set, and `phase1_end_t` records
-    when the floors first all held (-1 until then).
+    Each seed of the block moves through the phases on its own: it samples
+    arm `_arm` until that arm's stopping rule ends (`_arm == K` once every
+    bracket is known).  Per seed, `brackets_hat` ((S, K, 2) pairs (lo, hi),
+    NaN until found), `stopping_triggered` (S, K), `floors` (S, K, 0 until
+    set) and `phase1_end_t` (the round the floors first all held, -1 until
+    then) hold what phase 1 found.
     """
 
     def __init__(self, inner: UcbFwPolicy, config: PresampleConfig, centers: Sequence[float]):
@@ -449,88 +424,72 @@ class PresampledUcbFwPolicy:
         self.centers = np.array([float(c) for c in centers])
         s, k = inner.fb.obs_counts.shape
         self.num_actions = k
+        self.brackets_hat = np.full((s, k, 2), np.nan)
+        self.stopping_triggered = np.zeros((s, k), dtype=bool)
         self.floors = np.zeros((s, k))
         self.phase1_end_t = np.full(s, -1)
+        self._arm = np.zeros(s, dtype=np.int64)
+        self._z_count = np.zeros(s, dtype=np.int64)
+        self._z_total = np.zeros(s)
+        self._log_term = 2.0 * math.log(2.0 * config.horizon / config.delta)
+        self._budget = config.max_rounds_per_arm or config.horizon
         if config.brackets is not None:
             if len(config.brackets) != k:
                 raise ValueError(
                     f"need one bracket per arm: {len(config.brackets)} vs {k}"
                 )
-            self.brackets_hat = [[tuple(b) for b in config.brackets] for _ in range(s)]
-            self.stopping_triggered = [[True] * k for _ in range(s)]
-            for row in range(s):
-                self._set_floors(row)
-            self._phase = np.full(s, _TRACK)
+            self.brackets_hat[:] = config.brackets
+            self.stopping_triggered[:] = True
+            self._arm[:] = k
+            self._set_floors(np.arange(s))
             self.phase1_end_t[:] = 0
-        else:
-            self.brackets_hat = [[] for _ in range(s)]
-            self.stopping_triggered = [[] for _ in range(s)]
-            self._phase = np.full(s, _ESTIMATE)
-            self._arm = np.zeros(s, dtype=np.int64)
-            self._z_count = np.zeros(s, dtype=np.int64)
-            self._z_total = np.zeros(s)
-            self._log_term = 2.0 * math.log(2.0 * config.horizon / config.delta)
-            self._budget = config.max_rounds_per_arm or config.horizon
 
-    def _set_floors(self, row: int) -> None:
-        brackets = self.brackets_hat[row]
-        hi_sum = sum(hi for _, hi in brackets)
-        if hi_sum > 0.0:
-            self.floors[row] = [lo / hi_sum for lo, _ in brackets]
-
-    def _deficit_arm(self, occ: OccupationState, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The most deficient arm of each seed in `rows` (first on ties) and
-        whether it is deficient at all."""
-        d = self.floors[rows] * (occ.t + 1) - occ.counts[rows]
-        arm = d.argmax(axis=1)
-        return arm, d[np.arange(len(rows)), arm] > 0.0
+    def _set_floors(self, rows: np.ndarray) -> None:
+        """Set the floors of the seeds in `rows`, whose brackets are all known."""
+        # the hi sum runs left to right, as `fold_sum` does; numpy's
+        # pairwise sum gives other floats from 8 arms on
+        lo, hi = self.brackets_hat[rows, :, 0], self.brackets_hat[rows, :, 1]
+        hi_sum = hi.cumsum(axis=1)[:, -1:]
+        floors = np.zeros(lo.shape)
+        np.divide(lo, hi_sum, out=floors, where=hi_sum > 0.0)
+        self.floors[rows] = floors
 
     def select(self, occ: OccupationState) -> np.ndarray:
-        phase = self._phase
-        out = np.zeros(len(phase), dtype=np.int64)
-        estimate = phase == _ESTIMATE
-        if estimate.any():
-            out[estimate] = self._arm[estimate]
-        catchup = np.flatnonzero(phase == _CATCHUP)
-        if len(catchup):
-            arm, deficient = self._deficit_arm(occ, catchup)
-            out[catchup[deficient]] = arm[deficient]
-            done = catchup[~deficient]
-            self.phase1_end_t[done] = occ.t
-            phase[done] = _TRACK
-        track = np.flatnonzero(phase == _TRACK)
-        if len(track):
-            arm, deficient = self._deficit_arm(occ, track)
-            out[track[deficient]] = arm[deficient]
-            free = track[~deficient]
-            if len(free):
-                out[free] = self.inner.select_rows(occ, free)
+        out = self._arm.copy()
+        rows = np.flatnonzero(out == self.num_actions)
+        if len(rows):
+            d = self.floors[rows] * (occ.t + 1) - occ.counts[rows]
+            # the most deficient arm, first on ties, while one is deficient
+            out[rows] = d.argmax(axis=1)
+            held = rows[d.max(axis=1) <= 0.0]
+            if len(held):
+                self.phase1_end_t[held[self.phase1_end_t[held] < 0]] = occ.t
+                out[held] = self.inner.select_rows(occ, held)
         return out
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         self.inner.observe(actions, obs)
-        rows = np.flatnonzero(self._phase == _ESTIMATE)
+        rows = np.flatnonzero(self._arm < self.num_actions)
         if not len(rows):
             return
         d = obs[rows] - self.centers[actions[rows]]
-        x = d * d / self.config.variance_cap
+        cap = self.config.variance_cap
+        x = d * d / cap
         z = np.where(x < 1.0, x, 1.0)  # min(1.0, x), which also maps NaN to 1.0
         self._z_count[rows] += 1
         self._z_total[rows] += z
         count = self._z_count[rows]
         mean = self._z_total[rows] / count
         triggered = mean >= np.sqrt(self._log_term / count)
-        for i in np.flatnonzero(triggered | (count >= self._budget)).tolist():
-            row = int(rows[i])
-            m = float(mean[i])
-            cap = self.config.variance_cap
-            self.brackets_hat[row].append(
-                (math.sqrt(m * cap / 2.0), math.sqrt(3.0 * m * cap / 2.0))
-            )
-            self.stopping_triggered[row].append(bool(triggered[i]))
-            self._arm[row] += 1
-            self._z_count[row] = 0
-            self._z_total[row] = 0.0
-            if self._arm[row] >= self.num_actions:
-                self._set_floors(row)
-                self._phase[row] = _CATCHUP
+        ended = triggered | (count >= self._budget)
+        if not ended.any():
+            return
+        rows, mean = rows[ended], mean[ended]
+        arm = self._arm[rows]
+        self.brackets_hat[rows, arm, 0] = np.sqrt(mean * cap / 2.0)
+        self.brackets_hat[rows, arm, 1] = np.sqrt(3.0 * mean * cap / 2.0)
+        self.stopping_triggered[rows, arm] = triggered[ended]
+        self._arm[rows] = arm + 1
+        self._z_count[rows] = 0
+        self._z_total[rows] = 0.0
+        self._set_floors(rows[arm + 1 == self.num_actions])

@@ -612,7 +612,10 @@ class PresampledUcbFwPolicy:
             self._budget = config.max_rounds_per_arm or config.horizon
 
     def _set_floors(self) -> None:
-        hi_sum = sum(hi for _, hi in self.brackets_hat)
+        # left to right, as `sum()` did before Python 3.12
+        hi_sum = 0.0
+        for _, hi in self.brackets_hat:
+            hi_sum += hi
         if hi_sum <= 0.0:
             self.floors = [0.0] * self.num_actions
         else:

@@ -553,13 +553,16 @@ def test_parse_rejects_a_negative_seed_base(tmp_path, capsys):
         ["run", "--workers", "-3"],
         ["rates", "--workers", "0"],
         ["check-bounds", "--theorem", "lemma1", "--workers", "-1"],
+        ["gradcheck", "--points", "0"],
+        ["gradcheck", "--seed", "-1"],
     ],
 )
 def test_commands_reject_out_of_range_flags_by_name(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, BASIC)
+    config = [] if argv[0] == "gradcheck" else ["--config", str(path)]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--config", str(path)])
+        main([*argv, *config])
     assert exc.value.code == 2
     assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
     assert not (tmp_path / "vertex.csv").exists()

@@ -599,6 +599,7 @@ def _outcome(run):
 
 
 def _engine_actions(config, seeds, t_max):
+    """Each seed's actions over t_max lockstep rounds, and the block policy."""
     model = build_model(config.model)
     sampler = ObservationSampler(build_observation_model(config.feedback, model), seeds)
     policy = build_policy(config.policy, model, config.feedback, seeds, t_max)
@@ -609,10 +610,11 @@ def _engine_actions(config, seeds, t_max):
         rounds.append(a.tolist())
         policy.observe(a, sampler.draw(a))
         occ.apply(a)
-    return [list(trace) for trace in zip(*rounds)]
+    return [list(trace) for trace in zip(*rounds)], policy
 
 
 def _reference_actions(config, seed, t_max):
+    """One seed's actions in the per-seed loop, and its scalar policy."""
     import reference_loop
 
     model = build_model(config.model)
@@ -625,7 +627,7 @@ def _reference_actions(config, seed, t_max):
         trace.append(a)
         policy.observe(a, sampler.draw(a))
         occ.apply(a)
-    return trace
+    return trace, policy
 
 
 @pytest.mark.parametrize(
@@ -655,5 +657,63 @@ def _reference_actions(config, seed, t_max):
 )
 def test_engine_action_traces_match_per_seed_loop(config):
     seeds = (3, 4, 5, 6, 7)
-    traces = _engine_actions(config, seeds, 300)
-    assert traces == [_reference_actions(config, s, 300) for s in seeds]
+    traces, _ = _engine_actions(config, seeds, 300)
+    assert traces == [_reference_actions(config, s, 300)[0] for s in seeds]
+
+
+def _exp_design_presampled(sigma2, presample):
+    return linear_config(
+        model=ModelConfig(kind="exp_design", sigma2=sigma2),
+        policy=PolicyConfig(kind="presampled_ucb_fw", presample=presample),
+    )
+
+
+@pytest.mark.parametrize(
+    "config, shows",
+    [
+        # the stopping rule triggers after a different number of draws on
+        # each seed, so the seeds leave phase 1 at different rounds
+        pytest.param(
+            _exp_design_presampled((1.0, 4.0, 2.0), GRID_PRESAMPLE[0]),
+            lambda policy: len(set(policy.phase1_end_t.tolist())) > 1,
+            id="staggered",
+        ),
+        # a large cap keeps the rule from triggering: arms end on their budget
+        pytest.param(
+            _exp_design_presampled(
+                (1.0, 4.0, 2.0), PresampleConfig(variance_cap=50.0, horizon=1000, max_rounds_per_arm=6)
+            ),
+            lambda policy: not policy.stopping_triggered.all(),
+            id="budget",
+        ),
+        # nine arms: numpy's pairwise sum of the hi brackets differs from
+        # the left-to-right sum the floors use
+        pytest.param(
+            _exp_design_presampled((1.0, 4.0, 2.0, 0.5, 3.0, 1.5, 2.5, 0.7, 1.2), GRID_PRESAMPLE[0]),
+            lambda policy: (
+                policy.brackets_hat[:, :, 1].sum(axis=1)
+                != policy.brackets_hat[:, :, 1].cumsum(axis=1)[:, -1]
+            ).any(),
+            id="nine_arms",
+        ),
+        pytest.param(
+            _exp_design_presampled((1.0, 4.0, 2.0), GRID_PRESAMPLE[1]),
+            lambda policy: (policy.phase1_end_t == 0).all(),
+            id="known_brackets",
+        ),
+    ],
+)
+def test_presampled_state_matches_per_seed_loop(config, shows):
+    # the action traces alone would not show a wrong bracket or floor that
+    # happens to pick the same arms
+    seeds = tuple(range(20, 28))
+    traces, policy = _engine_actions(config, seeds, 300)
+    for i, s in enumerate(seeds):
+        trace, ref = _reference_actions(config, s, 300)
+        assert traces[i] == trace
+        assert len(ref.brackets_hat) == policy.num_actions
+        assert policy.brackets_hat[i].tolist() == [list(b) for b in ref.brackets_hat]
+        assert policy.stopping_triggered[i].tolist() == ref.stopping_triggered
+        assert policy.floors[i].tolist() == ref.floors
+        assert policy.phase1_end_t[i] == ref.phase1_end_t
+    assert shows(policy)

@@ -213,11 +213,14 @@ def test_minimizer_beats_random_points_and_is_stationary():
 
 
 def test_gaps_satisfy_kkt_sign():
-    for model in all_models():
+    # the last model's costs tie within 1e-12 but not exactly
+    for model in [*all_models(), linear_loss((0.1 + 5e-13, 0.1))]:
         if model.constant_gradient:
             assert model.gaps[model.star] == 0.0
             assert (model.gaps >= 0.0).all()
-            assert minimizer(model).p_star[model.star] == 1.0
+            info = minimizer(model)
+            assert info.p_star[model.star] == 1.0
+            assert loss_value(model, info.p_star) == info.loss_star
 
 
 def test_markowitz_agrees_with_grid_search():
@@ -665,3 +668,34 @@ def test_markowitz_sums_row_products_left_to_right():
     assert losses._dot(terms, [1.0, 1.0, 1.0]) == 0.0
     rows = np.array([terms, terms[::-1]])
     assert losses._row_dots(rows, np.ones((1, 3))).tolist() == [[0.0, 0.0]]
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    # a compensated sum(), as from Python 3.12 on, must change no value,
+    # minimizer or bound constant of any family
+    from ucbfw import harness
+
+    def outcomes():
+        rng = np.random.default_rng(5)
+        floor = (0.05,) * 4
+        out = []
+        for _ in range(10):
+            models = [
+                linear_loss(tuple(rng.normal(size=4))),
+                quadratic_loss(tuple(rng.dirichlet(np.ones(4)))),
+                exp_design_loss(tuple(rng.uniform(0.1, 5.0, 4)), interior_floor=floor),
+                cobb_douglas_loss(tuple(rng.uniform(0.05, 0.95, 4)), interior_floor=floor),
+            ]
+            points = [tuple(0.8 * rng.dirichlet(np.ones(4)) + 0.05) for _ in range(50)]
+            for model in models:
+                info = minimizer(model)
+                values = [loss_value(model, p) for p in points]
+                out.append((model.sup_loss, info, values))
+            prop2 = harness._prop2(models[0], minimizer(models[0]), [])
+            out.append([prop2(t) for t in (10, 1000)])
+        return out
+
+    expected = outcomes()
+    monkeypatch.setattr(losses, "sum", math.fsum, raising=False)
+    monkeypatch.setattr(harness, "sum", math.fsum, raising=False)
+    assert outcomes() == expected

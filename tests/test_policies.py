@@ -620,7 +620,8 @@ def _strict_scan(row):
 
 
 def test_block_argmin_follows_the_scalar_rules_row_by_row():
-    from ucbfw.policies import _TIE_STREAM_TAG, _TieBreaker
+    from ucbfw.feedback import TIE_STREAM_TAG
+    from ucbfw.policies import _TieBreaker
 
     rng = np.random.default_rng(12)
     values = rng.integers(0, 3, size=(40, 4)).astype(float)  # many ties
@@ -630,6 +631,7 @@ def test_block_argmin_follows_the_scalar_rules_row_by_row():
     values[8, 0] = -np.inf
     values[9, 3] = np.inf
     values[10, 0] = np.nan
+    values[11, 1:3] = (np.inf, -np.inf)
     seeds = tuple(range(500, 540))
     lowest = _TieBreaker("lowest_index", seeds)
     # row 6 is all NaN, which gives action 0 as it does alone
@@ -639,7 +641,7 @@ def test_block_argmin_follows_the_scalar_rules_row_by_row():
     # rows 6 and 10 start with NaN, which the seeded rule passes over too
     picked = seeded.argmin(values[rows], rows)
     for i, row in enumerate(rows.tolist()):
-        gen = np.random.default_rng(np.random.SeedSequence((seeds[row], _TIE_STREAM_TAG)))
+        gen = np.random.default_rng(np.random.SeedSequence((seeds[row], TIE_STREAM_TAG)))
         assert picked[i] == argmin_tie_break(values[row].tolist(), "seeded_random", gen)
 
 
