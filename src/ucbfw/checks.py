@@ -79,20 +79,6 @@ def gradcheck(
     return out
 
 
-def _quick_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        experiment="selftest",
-        model=ModelConfig(kind="quadratic", theta=(0.2, 0.3, 0.5)),
-        policy=PolicyConfig(),
-        feedback=FeedbackConfig(),
-        horizons=(500,),
-        seed_count=1,
-        seed_base=7,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
 def selftest() -> list[tuple[str, bool, str]]:
     results: list[tuple[str, bool, str]] = []
 
@@ -109,7 +95,15 @@ def selftest() -> list[tuple[str, bool, str]]:
     record("fold_agreement", gap <= 1e-9, f"max_gap={gap:.2e}")
 
     # same seed twice must give identical trajectories
-    cfg = _quick_config()
+    cfg = ExperimentConfig(
+        experiment="selftest",
+        model=ModelConfig(kind="quadratic", theta=(0.2, 0.3, 0.5)),
+        policy=PolicyConfig(),
+        feedback=FeedbackConfig(),
+        horizons=(500,),
+        seed_count=1,
+        seed_base=7,
+    )
     r1 = run_trial(cfg, seed=123)
     r2 = run_trial(cfg, seed=123)
     record("determinism", r1 == r2, "")
@@ -132,11 +126,7 @@ def selftest() -> list[tuple[str, bool, str]]:
     record("rate_fit_exact", abs(fit.slope + 1.0) <= 1e-9, f"slope={fit.slope:.4f}")
 
     # aggregate of two seeds
-    recs = [
-        run_trial(cfg, seed=1),
-        run_trial(cfg, seed=2),
-    ]
-    agg = aggregate(recs)
+    agg = aggregate(run_trial(cfg, (1, 2)))
     record("aggregate_shape", agg.n == 2 and len(agg.mean_error) == 1, "")
 
     # gradients across every loss family

@@ -25,6 +25,7 @@ from .harness import (
     BOUNDS,
     AggregateResult,
     BoundReport,
+    ConfigFieldError,
     ExperimentConfig,
     FeedbackConfig,
     ModelConfig,
@@ -35,8 +36,6 @@ from .harness import (
     build_model,
     fit_rate,
     run_experiment,
-    _experiment_problem,
-    _validate_experiment,
 )
 from .policies import PresampleConfig
 
@@ -60,7 +59,9 @@ class _Section:
 
     `parse` reads each key given by its kind into its field (a key left out
     leaves the field's default) and returns `build(**fields)`, or the fields
-    when `build` is None; `dump` writes back the fields that are not None.
+    when `build` is None; an error of `build` is reported under the section,
+    or under the key of the field it names.  `dump` writes back the fields
+    that are not None.
     An entry without a field fills several: its kind parses to a dict of
     them and dumps from the enclosing config.
     """
@@ -95,6 +96,8 @@ class _Section:
             return fields
         try:
             return self.build(**fields)
+        except ConfigFieldError as exc:
+            raise ConfigError(f"{prefix}{self.key_of(exc.path)}: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
@@ -274,18 +277,9 @@ _EXPERIMENT = _Section(
 
 
 def parse_config_data(data: Any, source: str = "<config>") -> ExperimentConfig:
-    """The config `data` describes; the model and the feedback state are
-    built once, so that a config that cannot run fails here, naming a key."""
-    config = _EXPERIMENT.parse(data, source, prefix="")
-    try:
-        model = build_model(config.model)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-    problem = _experiment_problem(config, model)
-    if problem is not None:
-        path, message = problem
-        raise ConfigError(f"{_EXPERIMENT.key_of(path)}: {message}")
-    return config
+    """The config `data` describes, checked as it is made, so that a config
+    that cannot run fails here, naming a key."""
+    return _EXPERIMENT.parse(data, source, prefix="")
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -302,10 +296,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 def normalize_config(config: ExperimentConfig) -> dict:
     """Canonical plain-data form; parsing it back yields an equal config."""
     return _EXPERIMENT.dump(config)
-
-
-def emit_config(config: ExperimentConfig) -> str:
-    return yaml.safe_dump(normalize_config(config), sort_keys=False)
 
 
 def _fmt(value: float | None) -> str:
@@ -428,9 +418,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 def _cmd_check_bounds(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if BOUNDS[args.theorem].pathwise and not config.record_epsilon:
-        config = dataclasses.replace(config, record_epsilon=True)
         try:
-            _validate_experiment(config, build_model(config.model))
+            config = dataclasses.replace(config, record_epsilon=True)
         except ValueError as exc:
             raise ConfigError(f"check-bounds --theorem {args.theorem}: {exc}") from None
     records, agg = _run_and_collect(config, args.workers)
@@ -526,10 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -128,12 +128,13 @@ class FeedbackBlock:
     Counts, running means and Welford sums are (S, K) arrays.  `update`
     routes each seed's observation through the action map
     (`action_to_coeff[a]` names the coefficient an observation of action a
-    informs) and folds it into that coefficient's running mean of raw
-    draws, of squared centered draws (known-center variance estimation), or
-    Welford sample variance.  The arithmetic is that of a single trial, so
-    each row holds exactly what that seed's trial alone would hold.  Every
-    seed routes one observation per round, so the number of rounds since
-    the last reset, `rounds`, is one integer for the whole block.
+    informs) and folds it into that coefficient's `estimator`, one of
+    ESTIMATORS: the running mean of raw draws, of squared draws around
+    `centers` (known-center variance estimation), or Welford sample
+    variance.  The arithmetic is that of a single trial, so each row holds
+    exactly what that seed's trial alone would hold.  Every seed routes
+    one observation per round, so the number of rounds since the last
+    reset, `rounds`, is one integer for the whole block.
     """
 
     def __init__(
@@ -146,12 +147,7 @@ class FeedbackBlock:
         centers: Sequence[float] | None = None,
     ):
         amap = check_action_map(action_to_coeff, num_coeffs)
-        if estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {estimator!r}")
-        if estimator == ESTIMATOR_CENTERED_SQUARE and centers is None:
-            raise ValueError("centered_square estimator needs known centers")
         self.deviation_spec = deviation_spec
-        self.estimator = estimator
         self.num_coeffs = num_coeffs
         self._centered = estimator == ESTIMATOR_CENTERED_SQUARE
         self._welford = estimator == ESTIMATOR_SAMPLE_VARIANCE

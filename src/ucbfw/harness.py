@@ -23,6 +23,7 @@ from .feedback import (
     DELTA_INVERSE_T_SQUARED,
     ESTIMATOR_CENTERED_SQUARE,
     ESTIMATOR_MEAN,
+    ESTIMATORS,
     DeviationSpec,
     FeedbackBlock,
     ObservationModel,
@@ -161,8 +162,21 @@ class PolicyConfig:
         object.__setattr__(self, "deviation_spec", spec)
 
 
+class ConfigFieldError(ValueError):
+    """An experiment that cannot run; `path` names the config field at
+    fault, such as ("policy", "weights")."""
+
+    def __init__(self, path: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.path = path
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment, checked when made: one that cannot run raises
+    ConfigFieldError.  The check builds the model (kept on `model.built`)
+    and keeps the feedback set-up every trial shares (see _feedback_setup)."""
+
     experiment: str
     model: ModelConfig
     policy: PolicyConfig
@@ -172,6 +186,14 @@ class ExperimentConfig:
     seed_base: int
     record_epsilon: bool = False
     out_dir: str | None = None
+    observations: ObservationModel = field(init=False, compare=False, repr=False)
+    estimator: str = field(init=False, compare=False, repr=False)
+    centers: tuple[float, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        problem = _experiment_problem(self)
+        if problem is not None:
+            raise ConfigFieldError(*problem)
 
 
 @dataclass(frozen=True)
@@ -243,9 +265,17 @@ def build_model(cfg: ModelConfig) -> LossModel:
     return cfg.built
 
 
-def build_observation_model(fb_cfg: FeedbackConfig, model: LossModel) -> ObservationModel:
+def _feedback_setup(
+    fb_cfg: FeedbackConfig, model: LossModel, sigma2: float
+) -> tuple[ObservationModel, str, tuple[float, ...]]:
+    """The observation model, the estimator and the centers of `fb_cfg` on
+    `model`, whose draws the radius declares sub-gaussian with parameter
+    sigma2; ValueError when they cannot run.  The centers, which the
+    centered-square estimator and the pre-sampling stopping rule square
+    draws around, are the model's known ones under variance feedback, else 0."""
     amap = check_action_map(fb_cfg.action_map, model.num_actions)
-    if model.variance_feedback:
+    variance = model.variance_feedback
+    if variance:
         if fb_cfg.observation != "gaussian":
             raise ValueError("exp_design feedback draws gaussian observations")
         sds = tuple(math.sqrt(model.params[j]) for j in amap)
@@ -253,44 +283,43 @@ def build_observation_model(fb_cfg: FeedbackConfig, model: LossModel) -> Observa
     else:
         means = tuple(model.params[j] for j in amap)
         sds = tuple(fb_cfg.noise_sd for _ in means) if fb_cfg.observation == "gaussian" else None
-    return ObservationModel(kind=fb_cfg.observation, means=means, sds=sds)
-
-
-def build_feedback_state(
-    fb_cfg: FeedbackConfig, model: LossModel, dev_spec: DeviationSpec, num_seeds: int = 1
-) -> FeedbackBlock:
-    variance = model.variance_feedback
+    observations = ObservationModel(kind=fb_cfg.observation, means=means, sds=sds)
     estimator = fb_cfg.estimator or (ESTIMATOR_CENTERED_SQUARE if variance else ESTIMATOR_MEAN)
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
     if estimator == ESTIMATOR_CENTERED_SQUARE and not variance:
         raise ValueError("centered_square estimator only applies to exp_design")
-    centers = model.centers if variance else None
     if estimator == ESTIMATOR_MEAN and variance:
         raise ValueError("exp_design estimates variances; use centered_square or sample_variance")
-    return FeedbackBlock(
-        num_seeds,
-        model.num_actions,
-        dev_spec,
-        action_to_coeff=fb_cfg.action_map,
-        estimator=estimator,
-        centers=centers,
-    )
+    # the radius calibration assumes routed values are sub-gaussian with the
+    # declared parameter; squared-draw estimators are covered by the
+    # sensitivity factors instead, so only mean estimators are checked
+    par = observations.subgaussian_parameter()
+    if not variance and par > sigma2 + 1e-12:
+        raise ValueError(
+            f"observation sub-gaussian parameter {par} exceeds the declared "
+            f"deviation sigma2 {sigma2}"
+        )
+    return observations, estimator, model.centers if variance else (0.0,) * model.num_actions
 
 
-def build_policy(
-    cfg: PolicyConfig,
-    model: LossModel,
-    fb_cfg: FeedbackConfig,
-    seeds: Sequence[int],
-    t_max: int,
-):
-    """The policy for a lockstep block of trials, one per seed."""
+def build_policy(config: ExperimentConfig, model: LossModel, seeds: Sequence[int], t_max: int):
+    """The policy of `config` for a lockstep block of trials, one per seed."""
+    cfg = config.policy
     if cfg.kind == UNIFORM:
         return UniformPolicy(model.num_actions, seeds)
     if cfg.kind == FIXED_ALLOCATION:
         return FixedAllocationPolicy(cfg.weights)
     if cfg.kind == ORACLE_FW:
         return OracleFwPolicy(model)
-    fb = build_feedback_state(fb_cfg, model, cfg.deviation_spec, len(seeds))
+    fb = FeedbackBlock(
+        len(seeds),
+        model.num_actions,
+        cfg.deviation_spec,
+        action_to_coeff=config.feedback.action_map,
+        estimator=config.estimator,
+        centers=config.centers,
+    )
     if cfg.kind == LCB_BANDIT:
         return LcbBanditPolicy(fb, cfg.tie_break, seeds)
     inner = UcbFwPolicy(model, fb, cfg.tie_break, seeds)
@@ -298,14 +327,18 @@ def build_policy(
         return inner
     if cfg.kind == DOUBLING_UCB_FW:
         return DoublingUcbFwPolicy(inner, cfg.doubling_beta, t_max)
-    centers = model.centers if model.variance_feedback else (0.0,) * model.num_actions
-    return PresampledUcbFwPolicy(inner, cfg.presample, centers)
+    return PresampledUcbFwPolicy(inner, cfg.presample, config.centers)
 
 
-def _experiment_problem(config: ExperimentConfig, model: LossModel) -> tuple[tuple[str, ...], str] | None:
-    """The first way `config` cannot run with `model` (its horizons,
-    seeds, diagnostics, policy fields or feedback), as the path of the
-    config field at fault and a message; None when it can."""
+def _experiment_problem(config: ExperimentConfig) -> tuple[tuple[str, ...], str] | None:
+    """The first way `config` cannot run (its model, horizons, seeds,
+    diagnostics, policy fields or feedback), as the path of the config
+    field at fault and a message; None when it can, once the feedback
+    set-up is kept on `config`."""
+    try:
+        model = build_model(config.model)
+    except ValueError as exc:
+        return ("model",), str(exc)
     horizons, k = config.horizons, model.num_actions
     if not horizons:
         return ("horizons",), "need at least one horizon"
@@ -317,6 +350,8 @@ def _experiment_problem(config: ExperimentConfig, model: LossModel) -> tuple[tup
         )
     if config.seed_count < 1:
         return ("seed_count",), f"seed count must be >= 1, got {config.seed_count}"
+    if config.seed_base < 0:
+        return ("seed_base",), f"seed base must be >= 0, got {config.seed_base}"
     if config.record_epsilon and not model.smooth_on_simplex:
         return ("record_epsilon",), (
             "per-step gradient diagnostics need a loss with simplex-wide "
@@ -328,28 +363,14 @@ def _experiment_problem(config: ExperimentConfig, model: LossModel) -> tuple[tup
     brackets = config.policy.presample and config.policy.presample.brackets
     if brackets is not None and len(brackets) != k:
         return ("policy", "presample", "brackets"), f"need one bracket per arm: {len(brackets)} vs {k}"
-    deviation = config.policy.deviation_spec
     try:
-        observations = build_observation_model(config.feedback, model)
-        build_feedback_state(config.feedback, model, deviation)
+        setup = _feedback_setup(config.feedback, model, config.policy.deviation_spec.sigma2)
     except ValueError as exc:
         return ("feedback",), str(exc)
-    # the radius calibration assumes routed values are sub-gaussian with the
-    # declared parameter; squared-draw estimators are covered by the
-    # sensitivity factors instead, so only mean estimators are checked
-    par = observations.subgaussian_parameter()
-    if not model.variance_feedback and par > deviation.sigma2 + 1e-12:
-        return ("feedback",), (
-            f"observation sub-gaussian parameter {par} exceeds the declared "
-            f"deviation sigma2 {deviation.sigma2}"
-        )
+    # derived fields, set past the frozen dataclass's __setattr__
+    for name, value in zip(("observations", "estimator", "centers"), setup):
+        object.__setattr__(config, name, value)
     return None
-
-
-def _validate_experiment(config: ExperimentConfig, model: LossModel) -> None:
-    problem = _experiment_problem(config, model)
-    if problem is not None:
-        raise ValueError(problem[1])
 
 
 def run_trial(
@@ -371,13 +392,12 @@ def run_trial(
 def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | None) -> list[TrialRecord]:
     """The records of one lockstep block, in the order of `seeds`."""
     model = build_model(config.model)
-    _validate_experiment(config, model)
     info = minimizer(model)
     horizons = tuple(sorted(config.horizons))
     if t_max is None:
         t_max = horizons[-1]
-    sampler = ObservationSampler(build_observation_model(config.feedback, model), seeds)
-    policy = build_policy(config.policy, model, config.feedback, seeds, t_max)
+    sampler = ObservationSampler(config.observations, seeds)
+    policy = build_policy(config, model, seeds, t_max)
     k = model.num_actions
     occ = OccupationState(k, seeds=len(seeds))
     loss_star = info.loss_star
@@ -432,17 +452,11 @@ def _split(seeds: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def run_experiment(
-    config: ExperimentConfig, workers: int = 1, seed_base: int | None = None
-) -> list[TrialRecord]:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[TrialRecord]:
     """All seeded trials, returned in seed order regardless of worker layout."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _validate_experiment(config, build_model(config.model))
-    base = config.seed_base if seed_base is None else seed_base
-    if base < 0:
-        raise ValueError(f"seed base must be >= 0, got {base}")
-    seeds = tuple(base + i for i in range(config.seed_count))
+    seeds = tuple(config.seed_base + i for i in range(config.seed_count))
     # at most `workers` blocks, none below MIN_BLOCK
     blocks = _split(seeds, max(1, min(workers, len(seeds) // MIN_BLOCK)))
     if len(blocks) == 1:
@@ -473,7 +487,9 @@ def aggregate(records: Sequence[TrialRecord]) -> AggregateResult:
     errs = np.array([r.errors for r in recs], dtype=float)
     means = errs.mean(axis=0)
     if n > 1:
-        stderr = errs.std(axis=0, ddof=1) / math.sqrt(n)
+        # an infinite error leaves its horizon's spread NaN, without a warning
+        with np.errstate(invalid="ignore"):
+            stderr = errs.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         stderr = np.zeros_like(means)
     return AggregateResult(
@@ -487,16 +503,16 @@ def aggregate(records: Sequence[TrialRecord]) -> AggregateResult:
 def fit_rate(horizons: Sequence[int], mean_errors: Sequence[float]) -> RateFit:
     """Least-squares slope of log(mean error) against log(T).
 
-    Nonpositive means cannot be log-transformed; they are dropped with a
-    warning, and fewer than 3 surviving points is an error.
+    Nonpositive and non-finite means have no finite log; they are dropped
+    with a warning, and fewer than 3 surviving points is an error.
     """
     if len(horizons) != len(mean_errors):
         raise ValueError("horizons and means must align")
-    kept = [(t, e) for t, e in zip(horizons, mean_errors) if e > 0.0]
+    kept = [(t, e) for t, e in zip(horizons, mean_errors) if 0.0 < e < math.inf]
     excluded = len(horizons) - len(kept)
     if excluded:
         warnings.warn(
-            f"rate fit dropped {excluded} nonpositive mean error(s)", stacklevel=2
+            f"rate fit dropped {excluded} nonpositive or non-finite mean error(s)", stacklevel=2
         )
     if len(kept) < 3:
         raise ValueError(f"rate fit needs >= 3 positive points, got {len(kept)}")

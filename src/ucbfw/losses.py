@@ -196,14 +196,16 @@ def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (p[:, None, :] * rows).cumsum(axis=-1)[..., -1] + 0.0
 
 
-def _require_interior(p, kind: str) -> None:
+def _require_interior(p, kind: str, zero_ok: bool = False) -> bool:
     """Raise, naming the first offending coordinate, unless every coordinate
-    of p (one point or a block of points) is strictly positive."""
+    of p (one point or a block of points) is strictly positive, or with
+    `zero_ok` nonnegative; then return whether some coordinate is 0."""
     p = np.asarray(p, dtype=float)
-    bad = p <= 0.0
+    bad = p < 0.0 if zero_ok else p <= 0.0
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
         raise ValueError(f"{kind} loss needs p strictly positive, coordinate {where[-1]} is {p[where]}")
+    return zero_ok and bool((p == 0.0).any())
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -340,7 +342,8 @@ class ExpDesignLoss(LossModel):
         )
 
     def value(self, p):
-        _require_interior(p, self.kind)
+        if _require_interior(p, self.kind, zero_ok=True):
+            return math.inf  # at a zero coordinate
         return fold_sum(s / x for s, x in zip(self.params, p))
 
     def gradient(self, params, p):
@@ -390,7 +393,8 @@ class CobbDouglasLoss(LossModel):
         )
 
     def value(self, p):
-        _require_interior(p, self.kind)
+        if _require_interior(p, self.kind, zero_ok=True):
+            return math.inf  # at a zero coordinate
         return -fold_sum(b * math.log(x) for b, x in zip(self.params, p))
 
     def gradient(self, params, p):

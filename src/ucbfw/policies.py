@@ -114,7 +114,6 @@ def argmin_tie_break(values: Sequence[float], tie_break: str = TIE_LOWEST, rng=N
 class StepDiagnostics(NamedTuple):
     """Per-step optimality diagnostics against the true gradient at p."""
 
-    chosen: np.ndarray
     oracle_action: np.ndarray | int
     epsilon: np.ndarray
 
@@ -130,11 +129,11 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
     costs - costs[star], the same subtraction made once).
     """
     if model.constant_gradient:
-        return StepDiagnostics(chosen, model.star, model.gaps[chosen])
+        return StepDiagnostics(model.star, model.gaps[chosen])
     g = model.true_gradient(p)
     rows = np.arange(len(p))
     star = _TieBreaker().argmin(g)
-    return StepDiagnostics(chosen, star, g[rows, chosen] - g[rows, star])
+    return StepDiagnostics(star, g[rows, chosen] - g[rows, star])
 
 
 class _TieBreaker:
@@ -385,7 +384,6 @@ class DoublingUcbFwPolicy:
 
     def __init__(self, inner: UcbFwPolicy, beta: float, t_max: int):
         self.inner = inner
-        self.beta = beta
         self.boundaries = doubling_boundaries(beta, t_max)
         self._next_idx = 0
         self.block = 0

@@ -34,15 +34,7 @@ from ucbfw.feedback import (
     check_action_map,
     deviation,
 )
-from ucbfw.harness import (
-    ExperimentConfig,
-    FeedbackConfig,
-    PolicyConfig,
-    TrialRecord,
-    _validate_experiment,
-    build_model,
-    build_observation_model,
-)
+from ucbfw.harness import ExperimentConfig, TrialRecord, build_model
 from ucbfw.losses import LossModel, loss_value, minimizer
 from ucbfw.policies import (
     DOUBLING_UCB_FW,
@@ -672,32 +664,9 @@ class PresampledUcbFwPolicy:
                 self._phase = "catchup"
 
 
-def build_feedback_state(
-    fb_cfg: FeedbackConfig, model: LossModel, dev_spec: DeviationSpec
-) -> FeedbackState:
-    variance = model.variance_feedback
-    estimator = fb_cfg.estimator or (ESTIMATOR_CENTERED_SQUARE if variance else ESTIMATOR_MEAN)
-    if estimator == ESTIMATOR_CENTERED_SQUARE and not variance:
-        raise ValueError("centered_square estimator only applies to exp_design")
-    centers = model.centers if variance else None
-    if estimator == ESTIMATOR_MEAN and variance:
-        raise ValueError("exp_design estimates variances; use centered_square or sample_variance")
-    return FeedbackState.fresh(
-        model.num_actions,
-        dev_spec,
-        action_to_coeff=fb_cfg.action_map,
-        estimator=estimator,
-        centers=centers,
-    )
-
-
-def build_policy(
-    cfg: PolicyConfig,
-    model: LossModel,
-    fb_cfg: FeedbackConfig,
-    trial_seed: int,
-    t_max: int,
-):
+def build_policy(config: ExperimentConfig, model: LossModel, trial_seed: int, t_max: int):
+    """One seed's policy, on the feedback set-up the config derived."""
+    cfg = config.policy
     if cfg.kind == UNIFORM:
         return UniformPolicy(model.num_actions, trial_seed)
     if cfg.kind == FIXED_ALLOCATION:
@@ -709,7 +678,13 @@ def build_policy(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((int(trial_seed), _TIE_STREAM_TAG)))
         )
-    fb = build_feedback_state(fb_cfg, model, cfg.deviation_spec)
+    fb = FeedbackState.fresh(
+        model.num_actions,
+        cfg.deviation_spec,
+        action_to_coeff=config.feedback.action_map,
+        estimator=config.estimator,
+        centers=config.centers,
+    )
     if cfg.kind == LCB_BANDIT:
         return LcbBanditPolicy(fb, cfg.tie_break, rng)
     inner = UcbFwPolicy(model, fb, cfg.tie_break, rng)
@@ -718,21 +693,19 @@ def build_policy(
     if cfg.kind == DOUBLING_UCB_FW:
         return DoublingUcbFwPolicy(inner, cfg.doubling_beta, t_max)
     if cfg.kind == PRESAMPLED_UCB_FW:
-        centers = model.centers if model.variance_feedback else (0.0,) * model.num_actions
-        return PresampledUcbFwPolicy(inner, cfg.presample, centers)
+        return PresampledUcbFwPolicy(inner, cfg.presample, config.centers)
     raise ValueError(f"unknown policy kind {cfg.kind!r}")
 
 
 def run_trial(config: ExperimentConfig, seed: int, t_max: int | None = None) -> TrialRecord:
     """One seeded trajectory with error snapshots at the configured horizons."""
     model = build_model(config.model)
-    _validate_experiment(config, model)
     info = minimizer(model)
     horizons = tuple(sorted(config.horizons))
     if t_max is None:
         t_max = horizons[-1]
-    sampler = ObservationSampler(build_observation_model(config.feedback, model), seed)
-    policy = build_policy(config.policy, model, config.feedback, seed, t_max)
+    sampler = ObservationSampler(config.observations, seed)
+    policy = build_policy(config, model, seed, t_max)
     occ = OccupationState(model.num_actions)
     loss_star = info.loss_star
     record_eps = config.record_epsilon

@@ -29,7 +29,6 @@ from ucbfw.harness import (
     aggregate,
     bound_check,
     build_model,
-    build_observation_model,
     build_policy,
     fit_rate,
     run_experiment,
@@ -323,14 +322,13 @@ def test_criterion_10_presample_occupancy_floors(report):
         seed_base=SEED_BASE,
     )
     model = build_model(config.model)
-    obs = build_observation_model(config.feedback, model)
     t0 = time.perf_counter()
     worst = math.inf
     # all seeds in one lockstep block; a seed's floors count from the round
     # after its phase 1 ends (phase1_end_t is -1 until then)
     seeds = tuple(config.seed_base + s for s in range(config.seed_count))
-    sampler = ObservationSampler(obs, seeds)
-    policy = build_policy(config.policy, model, config.feedback, seeds, 10_000)
+    sampler = ObservationSampler(config.observations, seeds)
+    policy = build_policy(config, model, seeds, 10_000)
     occ = OccupationState(model.num_actions, seeds=len(seeds))
     for _ in range(10_000):
         a = policy.select(occ)

@@ -19,7 +19,6 @@ from ucbfw import checks, cli, losses
 from ucbfw.cli import (
     CSV_HEADER,
     ConfigError,
-    emit_config,
     emit_csv,
     emit_summary,
     main,
@@ -243,7 +242,7 @@ def test_normalized_config_round_trips(data):
     normalized = normalize_config(config)
     assert parse_config_data(normalized) == config
     # and through the yaml emitter as well
-    assert parse_config_data(yaml.safe_load(emit_config(config))) == config
+    assert parse_config_data(yaml.safe_load(yaml.safe_dump(normalize_config(config), sort_keys=False))) == config
 
 
 def _table_keys(section, prefix=""):
@@ -373,7 +372,7 @@ def test_table_drawn_configs_cover_every_key():
 def test_table_drawn_configs_round_trip(data):
     config = parse_config_data(data)
     assert parse_config_data(normalize_config(config)) == config
-    assert parse_config_data(yaml.safe_load(emit_config(config))) == config
+    assert parse_config_data(yaml.safe_load(yaml.safe_dump(normalize_config(config), sort_keys=False))) == config
 
 
 # ---------------------------------------------------------------- emission
@@ -573,8 +572,6 @@ def test_run_experiment_rejects_fewer_than_one_worker_and_a_negative_seed_base()
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_experiment(config, workers=workers)
-    with pytest.raises(ValueError, match="seed base must be >= 0, got -1"):
-        run_experiment(config, seed_base=-1)
     with pytest.raises(ValueError, match="seed base must be >= 0, got -2"):
         run_experiment(dataclasses.replace(config, seed_base=-2))
 

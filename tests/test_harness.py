@@ -2,8 +2,11 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from test_cli import table_configs
 
 from ucbfw import harness
+from ucbfw.cli import parse_config_data
 from ucbfw.feedback import ObservationSampler
 from ucbfw.harness import (
     AggregateResult,
@@ -14,9 +17,7 @@ from ucbfw.harness import (
     TrialRecord,
     aggregate,
     bound_check,
-    build_feedback_state,
     build_model,
-    build_observation_model,
     build_policy,
     fit_rate,
     run_experiment,
@@ -121,70 +122,72 @@ def test_policy_config_validation():
 
 
 def test_observation_model_follows_action_map():
-    model = build_model(ModelConfig(kind="linear", mu=(0.1, 0.9)))
-    obs = build_observation_model(
-        FeedbackConfig(observation="gaussian", noise_sd=0.5, action_map=(1, 0)), model
-    )
+    obs = linear_config(
+        model=ModelConfig(kind="linear", mu=(0.1, 0.9)),
+        feedback=FeedbackConfig(observation="gaussian", noise_sd=0.5, action_map=(1, 0)),
+    ).observations
     assert obs.means == (0.9, 0.1)
     assert obs.sds == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("action_map", [(-1, 0), (5, 0)])
 def test_run_trial_rejects_out_of_range_action_map(action_map):
-    cfg = linear_config(
-        policy=PolicyConfig(kind="uniform"), feedback=FeedbackConfig(action_map=action_map)
-    )
     with pytest.raises(ValueError, match="map entries"):
-        run_trial(cfg, seed=1)
+        linear_config(policy=PolicyConfig(kind="uniform"), feedback=FeedbackConfig(action_map=action_map))
 
 
 def test_exp_design_observation_model_uses_model_variances():
-    model = build_model(ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)))
-    obs = build_observation_model(FeedbackConfig(observation="gaussian"), model)
+    model = ModelConfig(kind="exp_design", sigma2=(1.0, 4.0))
+    obs = linear_config(model=model, feedback=FeedbackConfig(observation="gaussian")).observations
     assert obs.means == (0.0, 0.0)
     assert obs.sds == (1.0, 2.0)
     with pytest.raises(ValueError, match="gaussian"):
-        build_observation_model(FeedbackConfig(observation="bernoulli"), model)
+        linear_config(model=model, feedback=FeedbackConfig(observation="bernoulli"))
 
 
 def test_estimator_defaults_and_rejections():
-    dev = PolicyConfig().deviation_spec
-    exp_model = build_model(ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)))
-    fb = build_feedback_state(FeedbackConfig(), exp_model, dev)
-    assert fb.estimator == "centered_square"
+    exp_model = ModelConfig(kind="exp_design", sigma2=(1.0, 4.0))
+    assert linear_config(model=exp_model, feedback=FeedbackConfig()).estimator == "centered_square"
     with pytest.raises(ValueError, match="centered_square"):
-        build_feedback_state(
-            FeedbackConfig(estimator="mean"), exp_model, dev
-        )
-    lin_model = build_model(ModelConfig(kind="linear", mu=(0.0, 0.5)))
+        linear_config(model=exp_model, feedback=FeedbackConfig(estimator="mean"))
     with pytest.raises(ValueError, match="exp_design"):
-        build_feedback_state(FeedbackConfig(estimator="centered_square"), lin_model, dev)
+        linear_config(feedback=FeedbackConfig(estimator="centered_square"))
+    with pytest.raises(ValueError, match="unknown estimator 'median'"):
+        linear_config(feedback=FeedbackConfig(estimator="median"))
 
 
 def test_subgaussian_declaration_is_enforced():
-    cfg = linear_config(
-        policy=PolicyConfig(deviation="prop1", sigma2=1.0),
-        feedback=FeedbackConfig(observation="gaussian", noise_sd=2.0),
-    )
     with pytest.raises(ValueError, match="sub-gaussian"):
-        run_trial(cfg, seed=1)
+        linear_config(
+            policy=PolicyConfig(deviation="prop1", sigma2=1.0),
+            feedback=FeedbackConfig(observation="gaussian", noise_sd=2.0),
+        )
 
 
 def test_experiment_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        run_trial(linear_config(horizons=(100, 100)), seed=1)
-    with pytest.raises(ValueError, match="round robin"):
-        run_trial(linear_config(horizons=(1, 10)), seed=1)
-    with pytest.raises(ValueError, match="seed count"):
-        run_experiment(linear_config(seed_count=0))
-    with pytest.raises(ValueError, match="boundary"):
-        run_trial(
-            linear_config(
-                model=ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)),
-                record_epsilon=True,
-            ),
-            seed=1,
-        )
+    # each raises where the config is made, naming the field at fault
+    cases = [
+        (dict(horizons=()), ("horizons",), "need at least one horizon"),
+        (dict(horizons=(100, 100)), ("horizons",), "strictly increasing"),
+        (dict(horizons=(1, 10)), ("horizons",), "round robin"),
+        (dict(seed_count=0), ("seed_count",), "seed count"),
+        (dict(seed_base=-1), ("seed_base",), "seed base must be >= 0, got -1"),
+        (
+            dict(model=ModelConfig(kind="exp_design", sigma2=(1.0, 4.0)), record_epsilon=True),
+            ("record_epsilon",),
+            "boundary",
+        ),
+        (dict(model=ModelConfig(kind="linear")), ("model",), "linear model needs mu"),
+        (
+            dict(policy=PolicyConfig(kind="fixed_allocation", weights=(0.2, 0.3, 0.5))),
+            ("policy", "weights"),
+            "one weight per action",
+        ),
+    ]
+    for overrides, path, message in cases:
+        with pytest.raises(harness.ConfigFieldError, match=message) as exc:
+            linear_config(**overrides)
+        assert exc.value.path == path
 
 
 # One valid instance per loss family, with the fields its model requires.
@@ -214,12 +217,12 @@ def test_per_family_answers(kind):
             build_model(dataclasses.replace(cfg, **{name: None}))
     model = build_model(cfg)
 
-    eps_cfg = linear_config(model=cfg, record_epsilon=True, horizons=(20,), seed_count=1)
+    eps = dict(model=cfg, record_epsilon=True, horizons=(20,), seed_count=1)
     if kind in ("exp_design", "cobb_douglas"):
         with pytest.raises(ValueError, match="boundary"):
-            run_trial(eps_cfg, seed=1)
+            linear_config(**eps)
     else:
-        assert run_trial(eps_cfg, seed=1).sum_epsilon is not None
+        assert run_trial(linear_config(**eps), seed=1).sum_epsilon is not None
 
     agg = AggregateResult(horizons=(10,), mean_error=(0.1,), stderr_error=(0.0,), n=1)
     rep = bound_check(agg, model, "prop2")
@@ -229,8 +232,7 @@ def test_per_family_answers(kind):
     else:
         assert rep.supported
 
-    fb = build_feedback_state(FeedbackConfig(), model, PolicyConfig().deviation_spec)
-    assert fb.estimator == ("centered_square" if kind == "exp_design" else "mean")
+    assert linear_config(model=cfg).estimator == ("centered_square" if kind == "exp_design" else "mean")
 
 
 # ---------------------------------------------------------------- run_trial
@@ -286,6 +288,23 @@ def test_errors_are_nonnegative():
     )
     for rec in run_experiment(cfg):
         assert all(e >= -1e-12 for e in rec.errors)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table_configs())
+def test_every_accepted_config_runs(data):
+    # any config the parser accepts runs, with 3 seeds on horizons from K:
+    # every snapshot's counts sum to its horizon and no error is NaN (a
+    # zero coordinate of a barrier loss is an error of +inf)
+    config = parse_config_data(data)
+    k = build_model(config.model).num_actions
+    config = dataclasses.replace(config, horizons=(k, 10, 40), seed_count=3)
+    records = run_experiment(config)
+    assert [r.seed for r in records] == [config.seed_base + i for i in range(3)]
+    for r in records:
+        assert r.horizons == config.horizons
+        assert [sum(c) for c in r.counts] == list(config.horizons)
+        assert not any(math.isnan(e) for e in r.errors)
 
 
 def test_epsilon_sums_recorded_when_asked():
@@ -601,8 +620,8 @@ def _outcome(run):
 def _engine_actions(config, seeds, t_max):
     """Each seed's actions over t_max lockstep rounds, and the block policy."""
     model = build_model(config.model)
-    sampler = ObservationSampler(build_observation_model(config.feedback, model), seeds)
-    policy = build_policy(config.policy, model, config.feedback, seeds, t_max)
+    sampler = ObservationSampler(config.observations, seeds)
+    policy = build_policy(config, model, seeds, t_max)
     occ = OccupationState(model.num_actions, seeds=len(seeds))
     rounds = []
     for _ in range(t_max):
@@ -618,8 +637,8 @@ def _reference_actions(config, seed, t_max):
     import reference_loop
 
     model = build_model(config.model)
-    sampler = reference_loop.ObservationSampler(build_observation_model(config.feedback, model), seed)
-    policy = reference_loop.build_policy(config.policy, model, config.feedback, seed, t_max)
+    sampler = reference_loop.ObservationSampler(config.observations, seed)
+    policy = reference_loop.build_policy(config, model, seed, t_max)
     occ = reference_loop.OccupationState(model.num_actions)
     trace = []
     for _ in range(t_max):

@@ -76,9 +76,11 @@ def test_cobb_douglas_value_plugin():
 
 
 def test_interior_families_reject_zero_coordinate():
+    # the loss is +inf at a zero coordinate, where the gradient is undefined
     for m in (exp_design_loss((1.0, 4.0)), cobb_douglas_loss((0.5, 0.5))):
+        assert loss_value(m, (1.0, 0.0)) == math.inf
         with pytest.raises(ValueError, match="coordinate 1"):
-            loss_value(m, (1.0, 0.0))
+            loss_value(m, (1.5, -0.5))
         with pytest.raises(ValueError, match="coordinate 1"):
             loss_gradient(m, (1.0, 0.0))
 
