@@ -465,6 +465,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[TrialReco
         # imported here, so that single-worker runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        # every block draws from numpy.random: loaded before the fork, no worker imports it
+        import numpy.random
+
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             done = pool.map(run_trial, [config] * len(blocks), blocks)
             records = [r for block in done for r in block]
@@ -515,7 +518,7 @@ def fit_rate(horizons: Sequence[int], mean_errors: Sequence[float]) -> RateFit:
             f"rate fit dropped {excluded} nonpositive or non-finite mean error(s)", stacklevel=2
         )
     if len(kept) < 3:
-        raise ValueError(f"rate fit needs >= 3 positive points, got {len(kept)}")
+        raise ValueError(f"rate fit needs >= 3 finite positive points, got {len(kept)}")
     x = np.log([t for t, _ in kept])
     y = np.log([e for _, e in kept])
     slope, intercept = np.polyfit(x, y, 1)

@@ -132,7 +132,7 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
         return StepDiagnostics(model.star, model.gaps[chosen])
     g = model.true_gradient(p)
     rows = np.arange(len(p))
-    star = _TieBreaker().argmin(g)
+    star = _LOWEST.argmin(g)
     return StepDiagnostics(star, g[rows, chosen] - g[rows, star])
 
 
@@ -165,6 +165,10 @@ class _TieBreaker:
             row = i if rows is None else int(rows[i])
             out[i] = argmin_tie_break(values[i].tolist(), TIE_SEEDED, self._rngs[row])
         return out
+
+
+# the lowest-index rule keeps no state, so one breaker serves every caller
+_LOWEST = _TieBreaker()
 
 
 def _with_forced_exploration(fb: FeedbackBlock, t: int, rows: np.ndarray | None, choose) -> np.ndarray:
@@ -277,12 +281,11 @@ class OracleFwPolicy:
 
     def __init__(self, model: LossModel):
         self.model = model
-        self.ties = _TieBreaker()
 
     def select(self, occ: OccupationState) -> np.ndarray:
         if occ.t < occ.num_actions:
             return np.full(len(occ.counts), occ.t)
-        return self.ties.argmin(self.model.true_gradient(occ.proportions()))
+        return _LOWEST.argmin(self.model.true_gradient(occ.proportions()))
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         pass

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import pathlib
 import pickle
 import re
@@ -577,14 +578,57 @@ def test_run_experiment_rejects_fewer_than_one_worker_and_a_negative_seed_base()
 
 
 def test_import_does_not_load_the_process_pool():
-    # the pool modules are imported only where a multi-block run starts one
+    # the pool modules, and numpy.random that pooled runs load before the
+    # fork, are imported only where a multi-block run starts a pool
     src = str(pathlib.Path(ucbfw.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import ucbfw.cli, ucbfw.harness; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing') "
+        "or m.split('.')[:2] == ['numpy', 'random']))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork", reason="pool workers are not forked here"
+)
+def test_pool_workers_import_nothing_after_the_fork(tmp_path):
+    # a forked worker inherits the parent's modules; each block of a
+    # two-block run of every shipped config lists what its worker imported
+    # after the fork, and the parent should have loaded all of it already
+    src = str(pathlib.Path(ucbfw.__file__).parents[1])
+    paths = [str(path) for path in SHIPPED_CONFIGS]
+    code = textwrap.dedent(
+        f"""
+        import dataclasses, json, os, sys
+        sys.path.insert(0, {src!r})
+        from ucbfw import cli, harness
+
+        at_fork = []
+        os.register_at_fork(after_in_child=lambda: at_fork.append(set(sys.modules)))
+        run_trial = harness.run_trial
+
+        def traced(config, seeds):
+            records = run_trial(config, seeds)
+            path = os.path.join({str(tmp_path)!r}, f"{{config.experiment}}-{{seeds[0]}}.json")
+            with open(path, "w") as fh:
+                json.dump(sorted(set(sys.modules) - at_fork[0]), fh)
+            return records
+
+        harness.run_trial = traced
+        for path in {paths!r}:
+            config = cli.parse_config(path)
+            config = dataclasses.replace(
+                config, horizons=config.horizons[:1], seed_count=2 * harness.MIN_BLOCK
+            )
+            harness.run_experiment(config, workers=2)
+        """
+    )
+    subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=300)
+    imported = {path.stem: json.loads(path.read_text()) for path in tmp_path.glob("*.json")}
+    assert len(imported) == 2 * len(paths)
+    assert imported == {name: [] for name in imported}
 
 
 def test_run_command_config_errors_exit_1(tmp_path, capsys):
