@@ -37,12 +37,12 @@ def _check_instances() -> list:
     )
     cov = ((1.0, 0.2, 0.0), (0.2, 1.5, 0.1), (0.0, 0.1, 2.0))
     return [
-        losses.linear_loss((0.1, 0.5, -0.3)),
-        losses.quadratic_loss((0.2, 0.3, 0.5)),
-        losses.exp_design_loss((1.0, 4.0, 2.25)),
-        losses.cobb_douglas_loss((0.2, 0.5, 0.3)),
-        losses.markowitz_loss(cov, 1.3, (1.0, 0.5, -0.2)),
-        losses.separable_loss((0.3, -1.0, 1.5), tables),
+        losses.LinearLoss.build((0.1, 0.5, -0.3)),
+        losses.QuadraticLoss.build((0.2, 0.3, 0.5)),
+        losses.ExpDesignLoss.build((1.0, 4.0, 2.25)),
+        losses.CobbDouglasLoss.build((0.2, 0.5, 0.3)),
+        losses.MarkowitzLoss.build(cov, 1.3, (1.0, 0.5, -0.2)),
+        losses.SeparableLoss.build((0.3, -1.0, 1.5), tables),
     ]
 
 

@@ -236,9 +236,6 @@ _POLICY = _Section(
     ("kind", "kind", _STRING),
     ("deviation", None, _DEVIATION),
     ("sigma2", "sigma2", _NUMBER),
-    ("delta_schedule", "delta_schedule", _STRING),
-    ("delta_fixed", "delta_fixed", _NUMBER),
-    ("tie_break", "tie_break", _STRING),
     ("weights", "weights", _list_of(_NUMBER)),
     ("presample", "presample", _PRESAMPLE),
     ("doubling_beta", "doubling_beta", _NUMBER),

@@ -21,42 +21,36 @@ import numpy as np
 
 INFINITE_DEVIATION = math.inf
 
-DELTA_INVERSE_T_SQUARED = "inverse_t_squared"
-DELTA_FIXED = "fixed"
-
 ESTIMATOR_MEAN = "mean"
 ESTIMATOR_CENTERED_SQUARE = "centered_square"
 ESTIMATOR_SAMPLE_VARIANCE = "sample_variance"
 
 ESTIMATORS = (ESTIMATOR_MEAN, ESTIMATOR_CENTERED_SQUARE, ESTIMATOR_SAMPLE_VARIANCE)
 
-# Keys of the policies' own streams: above every action index, so they never
-# name an observation stream.
+# Key of the uniform policy's own stream: above every action index, so it
+# never names an observation stream.
 POLICY_STREAM_TAG = 1 << 31
-TIE_STREAM_TAG = (1 << 31) + 1
 
 
 def seeded_stream(seed: int, key: int) -> np.random.Generator:
     """The random stream of (trial seed, key): `key` is an action index for
-    that action's observations, or one of the stream tags above."""
+    that action's observations, or POLICY_STREAM_TAG."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), key))))
 
 
 @dataclass(frozen=True)
 class DeviationSpec:
-    """Confidence radius (scale * log(t/delta) / n) ** exponent.
+    """Confidence radius (scale * log(t/delta_t) / n) ** exponent with
+    delta_t = 1/t^2, the schedule the paper's bounds sum over.
 
     `sigma2` is the sub-Gaussian parameter the observation distributions are
-    required to satisfy.  The schedule controls delta_t: 1/t^2 by default,
-    or a fixed confidence level.  The default radius is the `theorem1`
-    preset of `harness.DEVIATION_PRESETS`.
+    required to satisfy.  The default radius is the `theorem1` preset of
+    `harness.DEVIATION_PRESETS`.
     """
 
     scale: float = 4.0
     exponent: float = 0.5
     sigma2: float = 1.0
-    delta_schedule: str = DELTA_INVERSE_T_SQUARED
-    delta_fixed: float = 0.05
 
     def __post_init__(self):
         if not 0.0 <= self.scale < math.inf:
@@ -65,25 +59,20 @@ class DeviationSpec:
             raise ValueError(f"deviation exponent must be in (0, 1/2], got {self.exponent}")
         if not 0.0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
-        if self.delta_schedule not in (DELTA_INVERSE_T_SQUARED, DELTA_FIXED):
-            raise ValueError(f"delta_schedule must be inverse_t_squared or fixed, got {self.delta_schedule!r}")
-        if not 0.0 < self.delta_fixed < 1.0:
-            raise ValueError(f"fixed delta must be in (0, 1), got {self.delta_fixed}")
 
     def delta_at(self, t: int) -> float:
-        if self.delta_schedule == DELTA_FIXED:
-            return self.delta_fixed
         return 1.0 / (t * t)
 
 
-def deviation_radii(spec: DeviationSpec, t: int, delta: float, counts: np.ndarray) -> np.ndarray:
-    """`deviation(spec, t, n, delta)` for every count n of an array of positive counts.
+def deviation_radii(spec: DeviationSpec, t: int, counts: np.ndarray) -> np.ndarray:
+    """`deviation(spec, t, n, spec.delta_at(t))` for every count n of an
+    array of positive counts.
 
     The log is taken once, with `math.log`, and the power with `math.sqrt`
     semantics (np.sqrt rounds correctly too); other exponents use Python's
     `**` per element, because `np.power` need not round as libm does.
     """
-    x = spec.scale * math.log(t / delta) / counts
+    x = spec.scale * math.log(t / spec.delta_at(t)) / counts
     if spec.exponent == 0.5:
         return np.sqrt(x)
     e = spec.exponent

@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .feedback import (
-    DELTA_INVERSE_T_SQUARED,
     ESTIMATOR_CENTERED_SQUARE,
     ESTIMATOR_MEAN,
     ESTIMATORS,
@@ -38,8 +37,6 @@ from .policies import (
     ORACLE_FW,
     POLICY_KINDS,
     PRESAMPLED_UCB_FW,
-    TIE_LOWEST,
-    TIE_SEEDED,
     UCB_FW,
     UNIFORM,
     DoublingUcbFwPolicy,
@@ -120,9 +117,6 @@ class PolicyConfig:
     deviation_scale: float | None = None
     deviation_exponent: float | None = None
     sigma2: float = 1.0
-    delta_schedule: str = DELTA_INVERSE_T_SQUARED
-    delta_fixed: float = 0.05
-    tie_break: str = TIE_LOWEST
     weights: tuple[float, ...] | None = None
     presample: PresampleConfig | None = None
     doubling_beta: float = 0.5
@@ -131,8 +125,6 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.tie_break not in (TIE_LOWEST, TIE_SEEDED):
-            raise ValueError(f"unknown tie break {self.tie_break!r}")
         # weights and presample are read by one kind each, which needs them
         if (self.kind == FIXED_ALLOCATION) != (self.weights is not None):
             raise ValueError(f"{self.kind} policy {'needs' if self.weights is None else 'takes no'} weights")
@@ -158,7 +150,7 @@ class PolicyConfig:
                 f"unknown deviation preset {self.deviation!r}; "
                 f"use one of {tuple(DEVIATION_PRESETS)} or 'custom'"
             )
-        spec = DeviationSpec(scale, exponent, self.sigma2, self.delta_schedule, self.delta_fixed)
+        spec = DeviationSpec(scale, exponent, self.sigma2)
         object.__setattr__(self, "deviation_spec", spec)
 
 
@@ -321,8 +313,8 @@ def build_policy(config: ExperimentConfig, model: LossModel, seeds: Sequence[int
         centers=config.centers,
     )
     if cfg.kind == LCB_BANDIT:
-        return LcbBanditPolicy(fb, cfg.tie_break, seeds)
-    inner = UcbFwPolicy(model, fb, cfg.tie_break, seeds)
+        return LcbBanditPolicy(fb)
+    inner = UcbFwPolicy(model, fb)
     if cfg.kind == UCB_FW:
         return inner
     if cfg.kind == DOUBLING_UCB_FW:
@@ -544,6 +536,8 @@ def _lemma1(model: LossModel, info, records):
     return lambda t, sum_epsilon: sum_epsilon / t + c * math.log(math.e * t) / t
 
 
+# The pi^2 terms of _thm1 and _prop2 are sums over t of delta_t = 1/t^2, the
+# confidence schedule DeviationSpec fixes.
 def _thm1(model: LossModel, info, records):
     c = model.smoothness_C
     lam = 2.0 * model.sup_grad + model.sup_loss

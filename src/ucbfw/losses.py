@@ -554,14 +554,6 @@ FAMILIES: dict[str, type[LossModel]] = {
 }
 
 
-linear_loss = LinearLoss.build
-quadratic_loss = QuadraticLoss.build
-exp_design_loss = ExpDesignLoss.build
-cobb_douglas_loss = CobbDouglasLoss.build
-markowitz_loss = MarkowitzLoss.build
-separable_loss = SeparableLoss.build
-
-
 def loss_value(model: LossModel, p: Sequence[float]) -> float:
     return model.value(p)
 

@@ -24,18 +24,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .feedback import (
-    POLICY_STREAM_TAG,
-    TIE_STREAM_TAG,
-    FeedbackBlock,
-    deviation_radii,
-    seeded_stream,
-)
+from .feedback import POLICY_STREAM_TAG, FeedbackBlock, deviation_radii, seeded_stream
 from .losses import LossModel, gradient_from_params, sensitivity
 from .simplex import OccupationState, check_simplex
-
-TIE_LOWEST = "lowest_index"
-TIE_SEEDED = "seeded_random"
 
 UCB_FW = "ucb_fw"
 ORACLE_FW = "oracle_fw"
@@ -88,27 +79,14 @@ class PresampleConfig:
             raise ValueError(f"max_rounds_per_arm must be >= 1, got {self.max_rounds_per_arm}")
 
 
-def argmin_tie_break(values: Sequence[float], tie_break: str = TIE_LOWEST, rng=None) -> int:
-    """Index of the smallest value, NaN counting as +inf.
+# an array operand: a Python scalar costs a conversion every call
+_INF = np.array(np.inf)
 
-    Under seeded_random, ties are broken with `rng`, and NaN joins a tie
-    only in an all-NaN row: where the smallest number is +inf, the +inf
-    entries tie among themselves.
-    """
-    if tie_break == TIE_LOWEST:
-        # as in `np.fmin(values, inf).argmin()`
-        return min(range(len(values)), key=lambda i: math.inf if math.isnan(values[i]) else values[i])
-    numbers = [v for v in values if not math.isnan(v)]
-    if numbers:
-        best = min(numbers)
-        ties = [i for i, v in enumerate(values) if v == best]
-    else:
-        ties = list(range(len(values)))
-    if len(ties) == 1:
-        return ties[0]
-    if rng is None:
-        raise ValueError("seeded_random tie break needs an rng")
-    return int(ties[int(rng.integers(len(ties)))])
+
+def lowest_argmin(values: np.ndarray) -> np.ndarray:
+    """Index of the smallest value in each row of an (S, K) block, the
+    lowest index on ties, NaN counting as +inf."""
+    return np.fmin(values, _INF).argmin(axis=1)
 
 
 class StepDiagnostics(NamedTuple):
@@ -132,43 +110,8 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
         return StepDiagnostics(model.star, model.gaps[chosen])
     g = model.true_gradient(p)
     rows = np.arange(len(p))
-    star = _LOWEST.argmin(g)
+    star = lowest_argmin(g)
     return StepDiagnostics(star, g[rows, chosen] - g[rows, star])
-
-
-class _TieBreaker:
-    """`argmin_tie_break` applied to every row of an (S, K) block of values.
-
-    The lowest-index rule is numpy's argmin once NaN is made +inf.  Under
-    seeded_random, rows whose minimum is unique and not NaN take that
-    index; the others (ties, any NaN) go through `argmin_tie_break` itself
-    with that seed's own tie stream, so every row gets the answer its own
-    trial would.
-    """
-
-    def __init__(self, tie_break: str = TIE_LOWEST, seeds: Sequence[int] = ()):
-        self.tie_break = tie_break
-        self._rngs = []
-        if tie_break == TIE_SEEDED:
-            self._rngs = [seeded_stream(s, TIE_STREAM_TAG) for s in seeds]
-        # an array operand: a Python scalar costs a conversion every call
-        self._inf = np.array(np.inf)
-
-    def argmin(self, values: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """One index per row of `values`; `rows` names the seed of each row
-        (all seeds in order when None)."""
-        if self.tie_break == TIE_LOWEST:
-            return np.fmin(values, self._inf).argmin(axis=1)
-        ties = values == values.min(axis=1, keepdims=True)
-        out = ties.argmax(axis=1)
-        for i in np.flatnonzero(ties.sum(axis=1) != 1).tolist():
-            row = i if rows is None else int(rows[i])
-            out[i] = argmin_tie_break(values[i].tolist(), TIE_SEEDED, self._rngs[row])
-        return out
-
-
-# the lowest-index rule keeps no state, so one breaker serves every caller
-_LOWEST = _TieBreaker()
 
 
 def _with_forced_exploration(fb: FeedbackBlock, t: int, rows: np.ndarray | None, choose) -> np.ndarray:
@@ -197,22 +140,15 @@ class UcbFwPolicy:
     """Plug-in Frank-Wolfe selection for a block of seeds in lockstep.
 
     Each seed pulls the action minimizing (gradient estimate - deviation
-    radius), with the answer its trajectory alone would get.
-    The round count, delta_t and log(t / delta_t) are shared by the block,
-    so the log is taken once per round.  A constant-gradient model never
-    reads p, so the proportions are not formed for it.
+    radius), the lowest index on ties, with the answer its trajectory alone
+    would get.  The round count, delta_t and log(t / delta_t) are shared by
+    the block, so the log is taken once per round.  A constant-gradient
+    model never reads p, so the proportions are not formed for it.
     """
 
-    def __init__(
-        self,
-        model: LossModel,
-        fb: FeedbackBlock,
-        tie_break: str = TIE_LOWEST,
-        seeds: Sequence[int] = (),
-    ):
+    def __init__(self, model: LossModel, fb: FeedbackBlock):
         self.model = model
         self.fb = fb
-        self.ties = _TieBreaker(tie_break, seeds)
         self._reads_p = not model.constant_gradient
 
     def select(self, occ: OccupationState) -> np.ndarray:
@@ -226,8 +162,6 @@ class UcbFwPolicy:
 
     def _plug_in(self, occ: OccupationState, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
-        spec = fb.deviation_spec
-        t = fb.rounds
         p = occ.proportions() if self._reads_p else None
         est = fb.estimates()
         counts = fb.obs_counts
@@ -237,12 +171,12 @@ class UcbFwPolicy:
                 p = p[rows]
         ghat = gradient_from_params(self.model, est, p)
         sens = sensitivity(self.model, p)
-        radii = deviation_radii(spec, t, spec.delta_at(t), counts)
+        radii = deviation_radii(fb.deviation_spec, fb.rounds, counts)
         if sens is not None:
             radii *= sens
         # the radii are fresh, while ghat may be the running means themselves
         scores = np.subtract(ghat, radii, out=radii)
-        return self.ties.argmin(scores, rows)
+        return lowest_argmin(scores)
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         self.fb.update(actions, obs)
@@ -255,22 +189,19 @@ class LcbBanditPolicy:
     """Scalar-bandit selection on raw running means (no loss model) for a
     block of seeds: each seed pulls the action minimizing (mean - radius)."""
 
-    def __init__(self, fb: FeedbackBlock, tie_break: str = TIE_LOWEST, seeds: Sequence[int] = ()):
+    def __init__(self, fb: FeedbackBlock):
         self.fb = fb
-        self.ties = _TieBreaker(tie_break, seeds)
 
     def select(self, occ: OccupationState) -> np.ndarray:
         return _with_forced_exploration(self.fb, occ.t, None, self._pick)
 
     def _pick(self, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
-        spec = fb.deviation_spec
-        t = fb.rounds
         means, counts = fb.means, fb.obs_counts
         if rows is not None:
             means, counts = means[rows], counts[rows]
-        scores = means - deviation_radii(spec, t, spec.delta_at(t), counts)
-        return self.ties.argmin(scores, rows)
+        scores = means - deviation_radii(fb.deviation_spec, fb.rounds, counts)
+        return lowest_argmin(scores)
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         self.fb.update(actions, obs)
@@ -285,7 +216,7 @@ class OracleFwPolicy:
     def select(self, occ: OccupationState) -> np.ndarray:
         if occ.t < occ.num_actions:
             return np.full(len(occ.counts), occ.t)
-        return _LOWEST.argmin(self.model.true_gradient(occ.proportions()))
+        return lowest_argmin(self.model.true_gradient(occ.proportions()))
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         pass

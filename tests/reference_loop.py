@@ -5,12 +5,12 @@ loss families' `gradient`, `true_gradient` and `sensitivity` formulas
 (`gradient_from_params`, `loss_gradient`, `sensitivity`, with the tables'
 scalar `interp`), of `OccupationState` and `epsilon_diagnostic`, of the
 estimator state (`FeedbackState`, `route_and_update`, `gradient_estimate`),
-of the selection rules (`ucb_fw_select`, `lcb_bandit_select`,
-`oracle_fw_select`) and of the policy classes, kept as the reference the
-lockstep engine is tested against: `run_trial` here runs one seed at a
-time, with one Python call per layer per round and plain lists for every
-point and gradient, and must give the same TrialRecord as the engine.  The
-observation sampler is the per-trial one with lazily extended buffers.
+of the selection rules (`argmin_tie_break`, `ucb_fw_select`,
+`lcb_bandit_select`, `oracle_fw_select`) and of the policy classes, kept as
+the reference the lockstep engine is tested against: `run_trial` here runs
+one seed at a time, with one Python call per layer per round and plain
+lists for every point and gradient, and must give the same TrialRecord as
+the engine.  The observation sampler is the per-trial one with lazily extended buffers.
 Only `value`, which the engine also evaluates one point at a time, and the
 models' constants come from `ucbfw`.
 """
@@ -42,18 +42,14 @@ from ucbfw.policies import (
     LCB_BANDIT,
     ORACLE_FW,
     PRESAMPLED_UCB_FW,
-    TIE_LOWEST,
-    TIE_SEEDED,
     UCB_FW,
     UNIFORM,
     PresampleConfig,
-    argmin_tie_break,
     doubling_boundaries,
 )
 from ucbfw.simplex import check_simplex
 
 _POLICY_STREAM_TAG = 1 << 31
-_TIE_STREAM_TAG = (1 << 31) + 1
 
 
 # ---------------------------------------------------------------- loss formulas
@@ -323,28 +319,23 @@ def _cold_start(fb: FeedbackState, occ: OccupationState) -> int | None:
     return None
 
 
-def ucb_fw_select(
-    fb: FeedbackState,
-    occ: OccupationState,
-    model: LossModel,
-    tie_break: str = TIE_LOWEST,
-    rng=None,
-) -> int:
+def argmin_tie_break(values: Sequence[float]) -> int:
+    """Index of the smallest value, the lowest on ties, NaN counting as +inf:
+    `policies.lowest_argmin` for one row."""
+    return min(range(len(values)), key=lambda i: math.inf if math.isnan(values[i]) else values[i])
+
+
+def ucb_fw_select(fb: FeedbackState, occ: OccupationState, model: LossModel) -> int:
     """Pull the action minimizing (gradient estimate - deviation radius)."""
     forced = _cold_start(fb, occ)
     if forced is not None:
         return forced
     ghat, radii = gradient_estimate(fb, model, occ.proportions())
     scores = [g - r for g, r in zip(ghat, radii)]
-    return argmin_tie_break(scores, tie_break, rng)
+    return argmin_tie_break(scores)
 
 
-def lcb_bandit_select(
-    fb: FeedbackState,
-    occ: OccupationState,
-    tie_break: str = TIE_LOWEST,
-    rng=None,
-) -> int:
+def lcb_bandit_select(fb: FeedbackState, occ: OccupationState) -> int:
     """Scalar-bandit selection on raw running means (no loss model)."""
     forced = _cold_start(fb, occ)
     if forced is not None:
@@ -356,7 +347,7 @@ def lcb_bandit_select(
         m - deviation(spec, t, n, delta)
         for m, n in zip(fb.means, fb.obs_counts)
     ]
-    return argmin_tie_break(scores, tie_break, rng)
+    return argmin_tie_break(scores)
 
 
 def oracle_fw_select(model: LossModel, p: Sequence[float]) -> int:
@@ -414,48 +405,14 @@ class ObservationSampler:
 
 
 class UcbFwPolicy:
-    """Stateful wrapper around ucb_fw_select with an inlined fast path."""
+    """Stateful wrapper around ucb_fw_select."""
 
-    def __init__(self, model: LossModel, fb: FeedbackState, tie_break: str = TIE_LOWEST, rng=None):
+    def __init__(self, model: LossModel, fb: FeedbackState):
         self.model = model
         self.fb = fb
-        self.tie_break = tie_break
-        self.rng = rng
-        self._fast = tie_break == TIE_LOWEST
 
     def select(self, occ: OccupationState) -> int:
-        fb = self.fb
-        if not self._fast:
-            return ucb_fw_select(fb, occ, self.model, self.tie_break, self.rng)
-        counts = fb.obs_counts
-        k = len(counts)
-        t = occ.t
-        if t < k:
-            return t
-        for i in range(k):
-            if counts[i] == 0:
-                return i
-        spec = fb.deviation_spec
-        n_rounds = fb.rounds()
-        delta = spec.delta_at(n_rounds)
-        base = spec.scale * math.log(n_rounds / delta)
-        p = occ.proportions()
-        ghat = gradient_from_params(self.model, fb.estimates(), p)
-        sens = sensitivity(self.model, p)
-        sqrt = math.sqrt
-        half = spec.exponent == 0.5
-        best = 0
-        best_u = math.inf
-        for i in range(k):
-            x = base / counts[i]
-            r = sqrt(x) if half else x**spec.exponent
-            if sens is not None:
-                r = sens[i] * r
-            u = ghat[i] - r
-            if u < best_u:
-                best_u = u
-                best = i
-        return best
+        return ucb_fw_select(self.fb, occ, self.model)
 
     def observe(self, action: int, obs: float) -> None:
         route_and_update(self.fb, action, obs)
@@ -465,13 +422,11 @@ class UcbFwPolicy:
 
 
 class LcbBanditPolicy:
-    def __init__(self, fb: FeedbackState, tie_break: str = TIE_LOWEST, rng=None):
+    def __init__(self, fb: FeedbackState):
         self.fb = fb
-        self.tie_break = tie_break
-        self.rng = rng
 
     def select(self, occ: OccupationState) -> int:
-        return lcb_bandit_select(self.fb, occ, self.tie_break, self.rng)
+        return lcb_bandit_select(self.fb, occ)
 
     def observe(self, action: int, obs: float) -> None:
         route_and_update(self.fb, action, obs)
@@ -673,11 +628,6 @@ def build_policy(config: ExperimentConfig, model: LossModel, trial_seed: int, t_
         return FixedAllocationPolicy(cfg.weights)
     if cfg.kind == ORACLE_FW:
         return OracleFwPolicy(model)
-    rng = None
-    if cfg.tie_break == TIE_SEEDED:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((int(trial_seed), _TIE_STREAM_TAG)))
-        )
     fb = FeedbackState.fresh(
         model.num_actions,
         cfg.deviation_spec,
@@ -686,8 +636,8 @@ def build_policy(config: ExperimentConfig, model: LossModel, trial_seed: int, t_
         centers=config.centers,
     )
     if cfg.kind == LCB_BANDIT:
-        return LcbBanditPolicy(fb, cfg.tie_break, rng)
-    inner = UcbFwPolicy(model, fb, cfg.tie_break, rng)
+        return LcbBanditPolicy(fb)
+    inner = UcbFwPolicy(model, fb)
     if cfg.kind == UCB_FW:
         return inner
     if cfg.kind == DOUBLING_UCB_FW:

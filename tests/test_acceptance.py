@@ -33,7 +33,7 @@ from ucbfw.harness import (
     fit_rate,
     run_experiment,
 )
-from ucbfw.losses import loss_value, minimizer, quadratic_loss
+from ucbfw.losses import QuadraticLoss, loss_value
 from ucbfw.policies import (
     LcbBanditPolicy,
     OracleFwPolicy,
@@ -104,7 +104,7 @@ def test_criterion_02_occupation_matches_float_recurrence(report):
 
 def test_criterion_03_oracle_meets_pathwise_envelope_at_every_t(report):
     t0 = time.perf_counter()
-    model = quadratic_loss((0.5, 0.5))
+    model = QuadraticLoss.build((0.5, 0.5))
     policy = OracleFwPolicy(model)
     obs = ObservationModel(kind="deterministic", means=(0.5, 0.5))
     sampler = ObservationSampler(obs, (SEED_BASE,))

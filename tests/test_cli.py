@@ -91,8 +91,11 @@ def test_parse_error_messages_name_fields():
         cfg_from(seeds={"count": 2})
     with pytest.raises(ConfigError, match="seeds.count: expected an integer"):
         cfg_from(seeds={"count": True, "base": 7})
-    with pytest.raises(ConfigError, match="delta_schedule"):
-        cfg_from(policy={"delta_schedule": "never"})
+    # the one selection rule has no settable tie break or confidence schedule
+    removed = {"tie_break": "lowest_index", "delta_schedule": "inverse_t_squared", "delta_fixed": 0.05}
+    for key, value in removed.items():
+        with pytest.raises(ConfigError, match=f"policy: unknown key '{key}'"):
+            cfg_from(policy={key: value})
     with pytest.raises(ConfigError, match="record_epsilon"):
         cfg_from(record_epsilon="yes")
     with pytest.raises(ConfigError, match="output.dir"):
@@ -304,9 +307,6 @@ def _value_strategies(k, family, kind):
         ),
         # at least the noise below and its default of 1.0
         "policy.sigma2": _floats(1.0, 4.0),
-        "policy.delta_schedule": st.sampled_from(["inverse_t_squared", "fixed"]),
-        "policy.delta_fixed": _floats(0.001, 0.5),
-        "policy.tie_break": st.sampled_from(["lowest_index", "seeded_random"]),
         "policy.weights": _simplex(k),
         "policy.presample.brackets": st.lists(
             st.tuples(_floats(0.0, 2.0), _floats(0.0, 2.0)).map(sorted), min_size=k, max_size=k

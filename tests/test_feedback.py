@@ -16,7 +16,7 @@ from ucbfw.feedback import (
     deviation_radii,
 )
 from ucbfw.harness import PolicyConfig
-from ucbfw.losses import exp_design_loss, linear_loss, markowitz_loss
+from ucbfw.losses import ExpDesignLoss, LinearLoss, MarkowitzLoss
 
 # ---------------------------------------------------------------- radii
 
@@ -61,10 +61,6 @@ def test_spec_validation():
         DeviationSpec(scale=1.0, exponent=0.0)
     with pytest.raises(ValueError, match="scale"):
         DeviationSpec(scale=-1.0)
-    with pytest.raises(ValueError, match="schedule"):
-        DeviationSpec(delta_schedule="sometimes")
-    with pytest.raises(ValueError, match="delta"):
-        DeviationSpec(delta_schedule="fixed", delta_fixed=0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -86,10 +82,7 @@ def test_presets():
 
 
 def test_delta_schedule():
-    spec = DeviationSpec()
-    assert spec.delta_at(10) == pytest.approx(1e-2)
-    fixed = DeviationSpec(delta_schedule="fixed", delta_fixed=0.05)
-    assert fixed.delta_at(10) == 0.05
+    assert DeviationSpec().delta_at(10) == pytest.approx(1e-2)
 
 
 @given(
@@ -104,16 +97,14 @@ def test_radius_decreases_in_count(scale, t, n, delta):
 
 
 @pytest.mark.parametrize("exponent", [0.5, 0.4, 0.25])
-@pytest.mark.parametrize("schedule", ["inverse_t_squared", "fixed"])
-def test_block_radii_equal_the_scalar_radius(exponent, schedule):
+def test_block_radii_equal_the_scalar_radius(exponent):
     # the engine's radii must be the floats `deviation` gives one by one;
     # np.power would round differently on some of them
-    spec = DeviationSpec(scale=1.7, exponent=exponent, delta_schedule=schedule)
+    spec = DeviationSpec(scale=1.7, exponent=exponent)
     counts = np.arange(1.0, 4001.0).reshape(40, 100)
     for t in (5, 977, 100_000):
-        delta = spec.delta_at(t)
-        want = [[deviation(spec, t, int(n), delta) for n in row] for row in counts]
-        assert deviation_radii(spec, t, delta, counts).tolist() == want
+        want = [[deviation(spec, t, int(n), spec.delta_at(t)) for n in row] for row in counts]
+        assert deviation_radii(spec, t, counts).tolist() == want
 
 
 def test_radius_uses_sqrt_at_exponent_one_half():
@@ -233,7 +224,7 @@ def test_gradient_estimate_linear():
     fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 0, 0.2)
     route_and_update(fb, 1, 0.4)
-    ghat, radii = gradient_estimate(fb, linear_loss((0.0, 1.0)), (0.5, 0.5))
+    ghat, radii = gradient_estimate(fb, LinearLoss.build((0.0, 1.0)), (0.5, 0.5))
     assert ghat == pytest.approx([0.2, 0.4])
     d = deviation(fb.deviation_spec, 2, 1, fb.deviation_spec.delta_at(2))
     assert radii == pytest.approx([d, d])
@@ -248,7 +239,7 @@ def test_gradient_estimate_exp_design_sensitivity():
     v = math.sqrt(2.0)
     route_and_update(fb, 0, v)
     route_and_update(fb, 1, v)
-    model = exp_design_loss((1.0, 4.0))
+    model = ExpDesignLoss.build((1.0, 4.0))
     ghat, radii = gradient_estimate(fb, model, (0.5, 0.5))
     assert ghat == pytest.approx([-8.0, -8.0])
     d = deviation(fb.deviation_spec, 2, 1, fb.deviation_spec.delta_at(2))
@@ -259,7 +250,7 @@ def test_gradient_estimate_markowitz_risk_weight_sensitivity():
     fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 0, 0.5)
     route_and_update(fb, 1, 0.5)
-    model = markowitz_loss(((1.0, 0.0), (0.0, 1.0)), 2.0, (0.4, 0.6))
+    model = MarkowitzLoss.build(((1.0, 0.0), (0.0, 1.0)), 2.0, (0.4, 0.6))
     ghat, radii = gradient_estimate(fb, model, (0.5, 0.5))
     assert ghat == pytest.approx([0.0, 0.0])
     d = deviation(fb.deviation_spec, 2, 1, fb.deviation_spec.delta_at(2))
@@ -270,15 +261,15 @@ def test_gradient_estimate_requires_every_coefficient_observed():
     fb = FeedbackState.fresh(2, DeviationSpec())
     route_and_update(fb, 0, 0.2)
     with pytest.raises(ValueError, match="coefficient 1"):
-        gradient_estimate(fb, linear_loss((0.0, 1.0)), (0.5, 0.5))
+        gradient_estimate(fb, LinearLoss.build((0.0, 1.0)), (0.5, 0.5))
 
 
 def test_estimate_coverage_under_prop1_radius():
     # identity map, gaussian observations, fixed delta: the per-coefficient
     # radius must cover the estimation error in all but ~delta of trials
     mu = (0.1, 0.5, -0.3)
-    model = linear_loss(mu)
-    spec = DeviationSpec(scale=2.0, sigma2=1.0, delta_schedule="fixed", delta_fixed=0.05)
+    model = LinearLoss.build(mu)
+    spec = DeviationSpec(scale=2.0, sigma2=1.0)
     counts = (10, 15, 25)
     t_eval = 1000
     delta = 0.05

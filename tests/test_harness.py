@@ -92,8 +92,6 @@ def test_build_deviation_presets():
 def test_policy_config_validation():
     with pytest.raises(ValueError, match="kind"):
         PolicyConfig(kind="greedy")
-    with pytest.raises(ValueError, match="tie break"):
-        PolicyConfig(tie_break="coin_flip")
     with pytest.raises(ValueError, match="fixed_allocation policy needs weights"):
         PolicyConfig(kind="fixed_allocation")
     with pytest.raises(ValueError, match="presampled_ucb_fw policy needs presample"):
@@ -509,10 +507,10 @@ def test_unknown_selector_errors():
 
 # The lockstep engine must give every seed the record, and the actions, of
 # the per-seed loop it replaced (kept in tests/reference_loop.py).  The grid
-# runs each policy kind with each tie break on each loss family, cycling
-# through observation kinds, action maps, estimators, deviation presets,
-# record_epsilon, block sizes and worker counts so that each value of each
-# axis meets many values of the others.
+# runs each policy kind with and without an action map on each loss family,
+# cycling through observation kinds, estimators, deviation presets,
+# presample set-ups, record_epsilon, block sizes and worker counts so that
+# each value of each axis meets many values of the others.
 
 GRID_FAMILIES = {
     "linear": ModelConfig(kind="linear", mu=(0.2, 0.5, 0.5)),
@@ -546,7 +544,7 @@ GRID_KINDS = (
 )
 GRID_DEVIATIONS = (
     dict(deviation="theorem1"),
-    dict(deviation="prop1", delta_schedule="fixed", delta_fixed=0.1),
+    dict(deviation="prop1"),
     dict(deviation="noiseless"),
     dict(deviation="custom", deviation_scale=1.5, deviation_exponent=0.4),
 )
@@ -559,12 +557,15 @@ GRID_PRESAMPLE = (
 
 
 def _grid_cases():
-    """Each kind x tie break (group j) on each family (f); the other axes
-    step with j + f at different periods, so that every family meets every
-    value of every axis across the groups."""
+    """Each kind in two groups j, identity routing then the map (2, 2, 0),
+    on each family f; the other axes step with j and f at different
+    periods, so that every family meets every value of every axis across
+    the groups (test_every_grid_family_meets_every_axis_value).  The two
+    groups keep the ids `lowest_index` and `seeded_random` of the
+    tie-break option that once split them, so the test ids stay the same."""
     cases = []
-    groups = [(kind, tie) for kind in GRID_KINDS for tie in ("lowest_index", "seeded_random")]
-    for j, (kind, tie) in enumerate(groups):
+    groups = [(kind, tag) for kind in GRID_KINDS for tag in ("lowest_index", "seeded_random")]
+    for j, (kind, tag) in enumerate(groups):
         for f, (family, model_cfg) in enumerate(GRID_FAMILIES.items()):
             variance = family == "exp_design"
             observation = "gaussian" if variance else ("gaussian", "bernoulli", "deterministic")[(j + f) % 3]
@@ -575,10 +576,9 @@ def _grid_cases():
                 model=model_cfg,
                 policy=PolicyConfig(
                     kind=kind,
-                    tie_break=tie,
                     # each kind gets the fields it reads, and no others
                     weights=(0.2, 0.3, 0.5) if kind == "fixed_allocation" else None,
-                    presample=GRID_PRESAMPLE[(j // 2 + f) % 2] if kind == "presampled_ucb_fw" else None,
+                    presample=GRID_PRESAMPLE[(j + f) % 2] if kind == "presampled_ucb_fw" else None,
                     **GRID_DEVIATIONS[(j + f) % 4],
                 ),
                 feedback=FeedbackConfig(
@@ -592,8 +592,36 @@ def _grid_cases():
                 record_epsilon=smooth and (j // 2 + f) % 2 == 0,
             )
             workers = 1 + (j // 4 + f) % 2
-            cases.append(pytest.param(cfg, workers, id=f"{kind}-{tie}-{family}"))
+            cases.append(pytest.param(cfg, workers, id=f"{kind}-{tag}-{family}"))
     return cases
+
+
+def test_every_grid_family_meets_every_axis_value():
+    seen = {}
+    for case in _grid_cases():
+        cfg = case.values[0]
+        axes = (
+            cfg.feedback.observation,
+            cfg.feedback.action_map,
+            cfg.feedback.estimator,
+            cfg.policy.deviation,
+            cfg.policy.presample,
+            cfg.record_epsilon,
+        )
+        for axis, value in enumerate(axes):
+            seen.setdefault((cfg.model.kind, axis), set()).add(value)
+    for family in GRID_FAMILIES:
+        variance = family == "exp_design"
+        smooth = family not in ("exp_design", "cobb_douglas")
+        sizes = (
+            1 if variance else 3,  # exp_design observes only gaussian draws
+            2,
+            2,
+            len(GRID_DEVIATIONS),
+            1 + len(GRID_PRESAMPLE),  # None for the other kinds
+            2 if smooth else 1,  # epsilon is recorded only on smooth families
+        )
+        assert tuple(len(seen[family, axis]) for axis in range(len(sizes))) == sizes, family
 
 
 @pytest.mark.parametrize("config, workers", _grid_cases())
@@ -662,12 +690,12 @@ def _reference_actions(config, seed, t_max):
         ),
         linear_config(
             model=GRID_FAMILIES["linear"],
-            policy=PolicyConfig(kind="lcb_bandit", deviation="noiseless", tie_break="seeded_random"),
+            policy=PolicyConfig(kind="lcb_bandit", deviation="noiseless"),
             feedback=FeedbackConfig(observation="deterministic"),
         ),
         linear_config(
             model=GRID_FAMILIES["separable"],
-            policy=PolicyConfig(kind="doubling_ucb_fw", tie_break="seeded_random"),
+            policy=PolicyConfig(kind="doubling_ucb_fw"),
             feedback=FeedbackConfig(observation="bernoulli"),
         ),
         linear_config(

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 import reference_loop
 from ucbfw import checks, losses
 from ucbfw.losses import (
+    CobbDouglasLoss,
+    ExpDesignLoss,
+    LinearLoss,
+    MarkowitzLoss,
     PiecewiseLinear,
-    cobb_douglas_loss,
-    exp_design_loss,
+    QuadraticLoss,
+    SeparableLoss,
     gradient_from_params,
-    linear_loss,
     loss_value,
-    markowitz_loss,
     minimizer,
-    quadratic_loss,
     sensitivity,
-    separable_loss,
 )
 
 TABLES = (
@@ -30,12 +30,12 @@ TABLES = (
 
 def all_models():
     return [
-        linear_loss((0.1, 0.5, -0.3)),
-        quadratic_loss((0.2, 0.3, 0.5)),
-        exp_design_loss((1.0, 4.0, 2.25)),
-        cobb_douglas_loss((0.2, 0.5, 0.3)),
-        markowitz_loss(((1.0, 0.2, 0.0), (0.2, 1.5, 0.1), (0.0, 0.1, 2.0)), 1.3, (1.0, 0.5, -0.2)),
-        separable_loss((0.3, -1.0, 1.5), TABLES),
+        LinearLoss.build((0.1, 0.5, -0.3)),
+        QuadraticLoss.build((0.2, 0.3, 0.5)),
+        ExpDesignLoss.build((1.0, 4.0, 2.25)),
+        CobbDouglasLoss.build((0.2, 0.5, 0.3)),
+        MarkowitzLoss.build(((1.0, 0.2, 0.0), (0.2, 1.5, 0.1), (0.0, 0.1, 2.0)), 1.3, (1.0, 0.5, -0.2)),
+        SeparableLoss.build((0.3, -1.0, 1.5), TABLES),
     ]
 
 
@@ -61,23 +61,23 @@ def point_sensitivity(model, p):
 
 
 def test_linear_value_is_dot_product():
-    m = linear_loss((0.1, 0.5))
+    m = LinearLoss.build((0.1, 0.5))
     assert loss_value(m, (0.5, 0.5)) == pytest.approx(0.3)
 
 
 def test_exp_design_value_plugin():
-    m = exp_design_loss((1.0, 4.0))
+    m = ExpDesignLoss.build((1.0, 4.0))
     assert loss_value(m, (1 / 3, 2 / 3)) == pytest.approx(9.0)
 
 
 def test_cobb_douglas_value_plugin():
-    m = cobb_douglas_loss((0.5, 0.5))
+    m = CobbDouglasLoss.build((0.5, 0.5))
     assert loss_value(m, (0.5, 0.5)) == pytest.approx(math.log(2.0))
 
 
 def test_interior_families_reject_zero_coordinate():
     # the loss is +inf at a zero coordinate, where the gradient is undefined
-    for m in (exp_design_loss((1.0, 4.0)), cobb_douglas_loss((0.5, 0.5))):
+    for m in (ExpDesignLoss.build((1.0, 4.0)), CobbDouglasLoss.build((0.5, 0.5))):
         assert loss_value(m, (1.0, 0.0)) == math.inf
         with pytest.raises(ValueError, match="coordinate 1"):
             loss_value(m, (1.5, -0.5))
@@ -89,32 +89,32 @@ def test_interior_families_reject_zero_coordinate():
 
 
 def test_quadratic_gradient():
-    m = quadratic_loss((0.5, 0.5))
+    m = QuadraticLoss.build((0.5, 0.5))
     assert loss_gradient(m, (1.0, 0.0)) == pytest.approx([0.5, -0.5])
 
 
 def test_exp_design_gradient_stationary_at_minimizer():
-    m = exp_design_loss((1.0, 4.0))
+    m = ExpDesignLoss.build((1.0, 4.0))
     assert loss_gradient(m, (1 / 3, 2 / 3)) == pytest.approx([-9.0, -9.0])
 
 
 def test_markowitz_gradient():
-    m = markowitz_loss(((1.0, 0.0), (0.0, 1.0)), 1.0, (1.0, 0.0))
+    m = MarkowitzLoss.build(((1.0, 0.0), (0.0, 1.0)), 1.0, (1.0, 0.0))
     assert loss_gradient(m, (0.5, 0.5)) == pytest.approx([0.0, 1.0])
 
 
 def test_gradient_from_params_linear_is_the_parameter():
-    m = linear_loss((0.1, 0.5))
+    m = LinearLoss.build((0.1, 0.5))
     assert plug_in_gradient(m, (0.2, 0.4), (0.9, 0.1)) == pytest.approx([0.2, 0.4])
 
 
 def test_gradient_from_params_exp_design():
-    m = exp_design_loss((1.0, 4.0))
+    m = ExpDesignLoss.build((1.0, 4.0))
     assert plug_in_gradient(m, (2.0, 2.0), (0.5, 0.5)) == pytest.approx([-8.0, -8.0])
 
 
 def test_gradient_from_params_quadratic():
-    m = quadratic_loss((0.5, 0.5))
+    m = QuadraticLoss.build((0.5, 0.5))
     assert plug_in_gradient(m, (0.3, 0.7), (0.5, 0.5)) == pytest.approx([0.2, -0.2])
 
 
@@ -156,20 +156,20 @@ def stationarity_residual(model, info):
 
 
 def test_exp_design_minimizer():
-    info = minimizer(exp_design_loss((1.0, 4.0)))
+    info = minimizer(ExpDesignLoss.build((1.0, 4.0)))
     assert info.p_star == pytest.approx([1 / 3, 2 / 3])
     assert info.loss_star == pytest.approx(9.0)
     assert info.eta == pytest.approx(1 / 3)
 
 
 def test_markowitz_minimizer():
-    info = minimizer(markowitz_loss(((1.0, 0.0), (0.0, 1.0)), 1.0, (1.0, 0.0)))
+    info = minimizer(MarkowitzLoss.build(((1.0, 0.0), (0.0, 1.0)), 1.0, (1.0, 0.0)))
     assert info.p_star == pytest.approx([0.75, 0.25])
     assert info.loss_star == pytest.approx(-0.125)
 
 
 def test_linear_minimizer_gaps():
-    model = linear_loss((0.1, 0.5))
+    model = LinearLoss.build((0.1, 0.5))
     info = minimizer(model)
     assert info.p_star == (1.0, 0.0)
     assert info.loss_star == pytest.approx(0.1)
@@ -179,13 +179,13 @@ def test_linear_minimizer_gaps():
 
 
 def test_linear_tied_minimizer_reports_nonunique():
-    model = linear_loss((0.2, 0.2, 0.9))
+    model = LinearLoss.build((0.2, 0.2, 0.9))
     assert minimizer(model).p_star == (1.0, 0.0, 0.0)
     assert model.gaps.tolist().count(0.0) == 2
 
 
 def test_quadratic_minimizer_interior():
-    info = minimizer(quadratic_loss((0.2, 0.3, 0.5)))
+    info = minimizer(QuadraticLoss.build((0.2, 0.3, 0.5)))
     assert info.p_star == (0.2, 0.3, 0.5)
     assert info.loss_star == 0.0
     assert info.eta == pytest.approx(0.2)
@@ -193,7 +193,7 @@ def test_quadratic_minimizer_interior():
 
 def test_quadratic_minimizer_at_vertex_has_zero_gaps():
     # the gradient vanishes at p* = theta even when theta is a vertex
-    model = quadratic_loss((1.0, 0.0))
+    model = QuadraticLoss.build((1.0, 0.0))
     info = minimizer(model)
     assert info.eta == 0.0
     assert model.true_gradient(np.array([info.p_star])).tolist() == [[0.0, 0.0]]
@@ -216,7 +216,7 @@ def test_minimizer_beats_random_points_and_is_stationary():
 
 def test_gaps_satisfy_kkt_sign():
     # the last model's costs tie within 1e-12 but not exactly
-    for model in [*all_models(), linear_loss((0.1 + 5e-13, 0.1))]:
+    for model in [*all_models(), LinearLoss.build((0.1 + 5e-13, 0.1))]:
         if model.constant_gradient:
             assert model.gaps[model.star] == 0.0
             assert (model.gaps >= 0.0).all()
@@ -232,7 +232,7 @@ def test_markowitz_agrees_with_grid_search():
         sig = a @ a.T + 0.1 * np.eye(3)
         mu = rng.normal(size=3)
         lam = float(rng.uniform(0.2, 2.0))
-        model = markowitz_loss(tuple(map(tuple, sig)), lam, tuple(mu))
+        model = MarkowitzLoss.build(tuple(map(tuple, sig)), lam, tuple(mu))
         info = minimizer(model)
         # dense simplex grid; the exact solver must not be beaten
         best = math.inf
@@ -381,7 +381,7 @@ def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
     rng = np.random.default_rng(20261019)
     for k in range(2, 13):
         a = rng.normal(size=(k, k))
-        model = markowitz_loss(a @ a.T / k, float(rng.uniform(0.0, 2.0)), rng.normal(size=k))
+        model = MarkowitzLoss.build(a @ a.T / k, float(rng.uniform(0.0, 2.0)), rng.normal(size=k))
         points = [rng.dirichlet(np.ones(k)).tolist() for _ in range(20)]
         points += [[1.0 if i == j else 0.0 for i in range(k)] for j in range(k)]
         for p in points:
@@ -446,7 +446,7 @@ def test_separable_gradient_matches_numpy_interp_bit_for_bit():
     for k in (2, 3, 4):
         for _ in range(15):
             pick = [tables[i] for i in rng.choice(len(tables), size=k, replace=False)]
-            model = separable_loss([0.0] * k, pick)
+            model = SeparableLoss.build([0.0] * k, pick)
             cols = [probes(t.xs) for t in model.tables]
             s = max(len(c) for c in cols)
             # each column holds every probe of its table, the rest drawn
@@ -490,7 +490,7 @@ def test_step_results_do_not_alias_model_state():
 
 
 def test_quadratic_constants():
-    m = quadratic_loss((0.2, 0.3, 0.5))
+    m = QuadraticLoss.build((0.2, 0.3, 0.5))
     assert m.strong_convexity == 1.0
     assert m.smoothness_C == 1.0
     assert m.sup_grad == pytest.approx(0.8)
@@ -499,7 +499,7 @@ def test_quadratic_constants():
 
 
 def test_markowitz_constants():
-    m = markowitz_loss(((1.0, 0.0), (0.0, 1.0)), 1.0, (1.0, 0.0))
+    m = MarkowitzLoss.build(((1.0, 0.0), (0.0, 1.0)), 1.0, (1.0, 0.0))
     assert m.smoothness_C == pytest.approx(2.0)
     assert m.strong_convexity == pytest.approx(2.0)
     assert m.sup_loss == pytest.approx(1.0)
@@ -507,36 +507,36 @@ def test_markowitz_constants():
 
 
 def test_exp_design_constants_infinite_without_floor():
-    m = exp_design_loss((1.0, 4.0))
+    m = ExpDesignLoss.build((1.0, 4.0))
     assert math.isinf(m.smoothness_C)
     assert math.isinf(m.sup_loss)
     assert m.strong_convexity == pytest.approx(2.0)
 
 
 def test_exp_design_constants_with_floor():
-    m = exp_design_loss((1.0, 4.0), interior_floor=(1 / 3, 1 / 3))
+    m = ExpDesignLoss.build((1.0, 4.0), interior_floor=(1 / 3, 1 / 3))
     assert m.smoothness_C == pytest.approx(216.0)
 
 
 def test_interior_smoothness_examples():
-    assert exp_design_loss((1.0, 1.0)).smoothness_over((0.5, 0.5)) == pytest.approx(16.0)
-    assert exp_design_loss((1.0, 4.0)).smoothness_over((1 / 3, 2 / 3)) == pytest.approx(54.0)
-    assert cobb_douglas_loss((0.5, 0.5)).smoothness_over((0.25, 0.25)) == pytest.approx(8.0)
+    assert ExpDesignLoss.build((1.0, 1.0)).smoothness_over((0.5, 0.5)) == pytest.approx(16.0)
+    assert ExpDesignLoss.build((1.0, 4.0)).smoothness_over((1 / 3, 2 / 3)) == pytest.approx(54.0)
+    assert CobbDouglasLoss.build((0.5, 0.5)).smoothness_over((0.25, 0.25)) == pytest.approx(8.0)
 
 
 def test_interior_smoothness_noop_for_globally_smooth_kind():
-    m = quadratic_loss((0.5, 0.5))
+    m = QuadraticLoss.build((0.5, 0.5))
     assert m.smoothness_over((0.1, 0.1)) == m.smoothness_C
 
 
 def test_sensitivity_factors():
-    assert point_sensitivity(linear_loss((0.0, 1.0)), (0.5, 0.5)) is None
-    assert point_sensitivity(quadratic_loss((0.5, 0.5)), (0.5, 0.5)) is None
-    assert point_sensitivity(markowitz_loss(((1, 0), (0, 1)), 1.0, (1.0, 0.0)), (0.5, 0.5)) is None
-    assert point_sensitivity(markowitz_loss(((1, 0), (0, 1)), 2.0, (1.0, 0.0)), (0.5, 0.5)) == [2.0, 2.0]
-    assert point_sensitivity(exp_design_loss((1.0, 4.0)), (0.5, 0.25)) == pytest.approx([4.0, 16.0])
-    assert point_sensitivity(cobb_douglas_loss((0.5, 0.5)), (0.5, 0.25)) == pytest.approx([2.0, 4.0])
-    m = separable_loss((0.3, -1.0, 1.5), TABLES)
+    assert point_sensitivity(LinearLoss.build((0.0, 1.0)), (0.5, 0.5)) is None
+    assert point_sensitivity(QuadraticLoss.build((0.5, 0.5)), (0.5, 0.5)) is None
+    assert point_sensitivity(MarkowitzLoss.build(((1, 0), (0, 1)), 1.0, (1.0, 0.0)), (0.5, 0.5)) is None
+    assert point_sensitivity(MarkowitzLoss.build(((1, 0), (0, 1)), 2.0, (1.0, 0.0)), (0.5, 0.5)) == [2.0, 2.0]
+    assert point_sensitivity(ExpDesignLoss.build((1.0, 4.0)), (0.5, 0.25)) == pytest.approx([4.0, 16.0])
+    assert point_sensitivity(CobbDouglasLoss.build((0.5, 0.5)), (0.5, 0.25)) == pytest.approx([2.0, 4.0])
+    m = SeparableLoss.build((0.3, -1.0, 1.5), TABLES)
     assert point_sensitivity(m, (0.2, 0.3, 0.5)) == [t.lipschitz() for t in m.tables]
 
 
@@ -545,26 +545,26 @@ def test_sensitivity_factors():
 
 def test_quadratic_requires_simplex_center():
     with pytest.raises(ValueError, match="simplex"):
-        quadratic_loss((0.6, 0.6))
+        QuadraticLoss.build((0.6, 0.6))
     with pytest.raises(ValueError, match="negative"):
-        quadratic_loss((1.2, -0.2))
+        QuadraticLoss.build((1.2, -0.2))
 
 
 def test_exp_design_requires_positive_variances():
     with pytest.raises(ValueError, match="coordinate 1"):
-        exp_design_loss((1.0, 0.0))
+        ExpDesignLoss.build((1.0, 0.0))
 
 
 def test_cobb_douglas_requires_open_unit_weights():
     with pytest.raises(ValueError, match="coordinate 0"):
-        cobb_douglas_loss((1.0, 0.5))
+        CobbDouglasLoss.build((1.0, 0.5))
 
 
 def test_markowitz_requires_symmetric_psd():
     with pytest.raises(ValueError, match="symmetric"):
-        markowitz_loss(((1.0, 0.5), (0.0, 1.0)), 1.0, (0.0, 1.0))
+        MarkowitzLoss.build(((1.0, 0.5), (0.0, 1.0)), 1.0, (0.0, 1.0))
     with pytest.raises(ValueError, match="semidefinite"):
-        markowitz_loss(((1.0, 2.0), (2.0, 1.0)), 1.0, (0.0, 1.0))
+        MarkowitzLoss.build(((1.0, 2.0), (2.0, 1.0)), 1.0, (0.0, 1.0))
 
 
 def test_markowitz_builds_64_actions_to_a_kkt_point():
@@ -572,19 +572,19 @@ def test_markowitz_builds_64_actions_to_a_kkt_point():
     rng = np.random.default_rng(64)
     b = rng.normal(size=(64, 2))
     sig, mu = b @ b.T, rng.uniform(0.4, 0.6, size=64)
-    _assert_kkt(sig, 1.0, mu, np.array(markowitz_loss(sig, 1.0, mu).minimizer().p_star))
+    _assert_kkt(sig, 1.0, mu, np.array(MarkowitzLoss.build(sig, 1.0, mu).minimizer().p_star))
 
 
 def test_separable_requires_one_table_per_coordinate():
     with pytest.raises(ValueError, match="one table per"):
-        separable_loss((0.1, 0.2), TABLES)
+        SeparableLoss.build((0.1, 0.2), TABLES)
 
 
 def test_interior_floor_validation():
     with pytest.raises(ValueError, match="empty"):
-        exp_design_loss((1.0, 1.0), interior_floor=(0.6, 0.6))
+        ExpDesignLoss.build((1.0, 1.0), interior_floor=(0.6, 0.6))
     with pytest.raises(ValueError, match="coordinate 0"):
-        exp_design_loss((1.0, 1.0), interior_floor=(0.0, 0.5))
+        ExpDesignLoss.build((1.0, 1.0), interior_floor=(0.0, 0.5))
 
 
 # ---------------------------------------------------------------- tables
@@ -613,7 +613,7 @@ def test_piecewise_linear_validation():
 
 
 def test_separable_minimizer_uses_table_values():
-    m = separable_loss((0.3, -1.0, 1.5), TABLES)
+    m = SeparableLoss.build((0.3, -1.0, 1.5), TABLES)
     costs = [t(v) for t, v in zip(m.tables, m.params)]
     info = minimizer(m)
     assert info.p_star[costs.index(min(costs))] == 1.0
@@ -658,7 +658,7 @@ def test_block_methods_match_list_path_row_by_row(model):
 
 
 def test_block_gradient_names_the_first_boundary_row():
-    model = exp_design_loss((1.0, 4.0))
+    model = ExpDesignLoss.build((1.0, 4.0))
     p = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="coordinate 0 is 0.0"):
         model.gradient(np.ones((3, 2)), p)
@@ -683,10 +683,10 @@ def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
         out = []
         for _ in range(10):
             models = [
-                linear_loss(tuple(rng.normal(size=4))),
-                quadratic_loss(tuple(rng.dirichlet(np.ones(4)))),
-                exp_design_loss(tuple(rng.uniform(0.1, 5.0, 4)), interior_floor=floor),
-                cobb_douglas_loss(tuple(rng.uniform(0.05, 0.95, 4)), interior_floor=floor),
+                LinearLoss.build(tuple(rng.normal(size=4))),
+                QuadraticLoss.build(tuple(rng.dirichlet(np.ones(4)))),
+                ExpDesignLoss.build(tuple(rng.uniform(0.1, 5.0, 4)), interior_floor=floor),
+                CobbDouglasLoss.build(tuple(rng.uniform(0.05, 0.95, 4)), interior_floor=floor),
             ]
             points = [tuple(0.8 * rng.dirichlet(np.ones(4)) + 0.05) for _ in range(50)]
             for model in models:

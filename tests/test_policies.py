@@ -9,6 +9,7 @@ import reference_loop
 from reference_loop import (
     FeedbackState,
     OccupationState as ListOccupation,
+    argmin_tie_break,
     lcb_bandit_select,
     oracle_fw_select,
     route_and_update,
@@ -22,12 +23,12 @@ from ucbfw.feedback import (
 )
 from ucbfw.losses import (
     FAMILIES,
-    cobb_douglas_loss,
-    exp_design_loss,
-    linear_loss,
-    quadratic_loss,
+    CobbDouglasLoss,
+    ExpDesignLoss,
+    LinearLoss,
+    QuadraticLoss,
+    SeparableLoss,
     sensitivity,
-    separable_loss,
 )
 from ucbfw.policies import (
     DoublingUcbFwPolicy,
@@ -38,9 +39,9 @@ from ucbfw.policies import (
     PresampledUcbFwPolicy,
     UcbFwPolicy,
     UniformPolicy,
-    argmin_tie_break,
     doubling_boundaries,
     epsilon_diagnostic,
+    lowest_argmin,
     variance_stopping_tau,
 )
 from ucbfw.simplex import OccupationState
@@ -119,36 +120,6 @@ def test_argmin_lowest_index_passes_over_nan_as_fmin_does():
         assert argmin_tie_break(row) == np.fmin(np.array(row), np.inf).argmin(), row
 
 
-def test_argmin_seeded_is_reproducible():
-    rng1 = np.random.default_rng(9)
-    rng2 = np.random.default_rng(9)
-    values = [0.5, 0.5, 0.5]
-    picks1 = [argmin_tie_break(values, "seeded_random", rng1) for _ in range(20)]
-    picks2 = [argmin_tie_break(values, "seeded_random", rng2) for _ in range(20)]
-    assert picks1 == picks2
-    assert set(picks1) <= {0, 1, 2}
-    assert len(set(picks1)) > 1  # actually randomizes
-
-
-def test_argmin_seeded_unique_min_needs_no_rng():
-    assert argmin_tie_break([0.3, 0.2], "seeded_random") == 1
-
-
-def test_argmin_seeded_tie_without_rng_errors():
-    with pytest.raises(ValueError, match="rng"):
-        argmin_tie_break([0.1, 0.1], "seeded_random")
-
-
-def test_argmin_seeded_passes_over_nan_as_lowest_index_does():
-    nan, inf = math.nan, math.inf
-    rng = np.random.default_rng(1)
-    assert argmin_tie_break([nan, 1.0], "seeded_random", rng) == 1
-    assert argmin_tie_break([nan, 0.2, nan, 0.3], "seeded_random") == 1
-    assert argmin_tie_break([nan, 0.2, nan, 0.2], "seeded_random", rng) in (1, 3)
-    assert argmin_tie_break([inf, nan, inf], "seeded_random", rng) in (0, 2)
-    assert argmin_tie_break([nan, nan, nan], "seeded_random", rng) in (0, 1, 2)
-
-
 # ---------------------------------------------------------------- selection
 
 
@@ -156,12 +127,12 @@ def test_cold_start_forces_unobserved_coefficient():
     spec = DeviationSpec()
     fb = identity_fb(spec, [[0.1, 0.2, 0.3], [], [0.4, 0.5]])
     occ = make_occ((3, 0, 2))
-    assert ucb_fw_select(fb, occ, linear_loss((0.0, 0.0, 0.0))) == 1
+    assert ucb_fw_select(fb, occ, LinearLoss.build((0.0, 0.0, 0.0))) == 1
 
 
 def test_round_robin_prefix():
     spec = DeviationSpec()
-    model = linear_loss((0.3, 0.1, 0.2, 0.4))
+    model = LinearLoss.build((0.3, 0.1, 0.2, 0.4))
     fb = FeedbackBlock(1, 4, spec)
     policy = UcbFwPolicy(model, fb)
     occ = OccupationState(4, seeds=1)
@@ -177,14 +148,14 @@ def test_noiseless_selection_is_argmin_of_estimates():
     spec = DeviationSpec(scale=0.0)
     fb = identity_fb(spec, [[0.5], [0.2], [0.9]])
     occ = make_occ((1, 1, 1))
-    assert ucb_fw_select(fb, occ, linear_loss((0.0, 0.0, 0.0))) == 1
+    assert ucb_fw_select(fb, occ, LinearLoss.build((0.0, 0.0, 0.0))) == 1
 
 
 def test_less_explored_action_wins_on_equal_estimates():
     spec = DeviationSpec()
     fb = identity_fb(spec, [[0.5] * 5, [0.5]])
     occ = make_occ((5, 1))
-    assert ucb_fw_select(fb, occ, linear_loss((0.0, 0.0))) == 1
+    assert ucb_fw_select(fb, occ, LinearLoss.build((0.0, 0.0))) == 1
 
 
 @settings(max_examples=60)
@@ -200,7 +171,7 @@ def test_less_explored_action_wins_on_equal_estimates():
 def test_block_selection_matches_reference_selection(groups):
     spec = DeviationSpec()
     values = [g[0] for g in groups]
-    model = linear_loss((0.0,) * len(values))
+    model = LinearLoss.build((0.0,) * len(values))
     counts = [len(v) for v in values]
     policy = UcbFwPolicy(model, block_fb(spec, values))
     assert pick(policy, block_occ(counts)) == ucb_fw_select(
@@ -211,7 +182,7 @@ def test_block_selection_matches_reference_selection(groups):
 def test_block_selection_matches_reference_with_sensitivity():
     # exp_design multiplies the radius by 1/p_i^2; both paths must agree
     spec = DeviationSpec()
-    model = exp_design_loss((1.0, 4.0))
+    model = ExpDesignLoss.build((1.0, 4.0))
     kw = dict(estimator="centered_square", centers=(0.0, 0.0))
     fb = FeedbackState.fresh(2, spec, **kw)
     block = FeedbackBlock(1, 2, spec, **kw)
@@ -241,7 +212,7 @@ def test_linear_trace_equivalence():
     # on a linear loss the plug-in gradient IS the empirical mean vector, so
     # the scalar bandit and the FW policy pick identical actions pathwise
     spec = DeviationSpec()
-    model = linear_loss((0.0, 0.5))
+    model = LinearLoss.build((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
 
     def run(policy_cls, *args):
@@ -262,14 +233,14 @@ def test_linear_trace_equivalence():
 
 
 def test_oracle_fw_examples():
-    assert oracle_fw_select(quadratic_loss((0.5, 0.5)), (1.0, 0.0)) == 1
-    assert oracle_fw_select(linear_loss((0.1, 0.5)), (0.7, 0.3)) == 0
-    assert oracle_fw_select(cobb_douglas_loss((0.5, 0.5)), (0.25, 0.75)) == 0
+    assert oracle_fw_select(QuadraticLoss.build((0.5, 0.5)), (1.0, 0.0)) == 1
+    assert oracle_fw_select(LinearLoss.build((0.1, 0.5)), (0.7, 0.3)) == 0
+    assert oracle_fw_select(CobbDouglasLoss.build((0.5, 0.5)), (0.25, 0.75)) == 0
 
 
 def test_noiseless_ucb_collapses_to_oracle():
     theta = (0.2, 0.3, 0.5)
-    model = quadratic_loss(theta)
+    model = QuadraticLoss.build(theta)
     obs_model = ObservationModel(kind="deterministic", means=theta)
 
     def run(make_policy):
@@ -317,7 +288,7 @@ def one_row_epsilon(model, p, chosen):
 
 
 def test_epsilon_examples():
-    model = quadratic_loss((0.5, 0.5))
+    model = QuadraticLoss.build((0.5, 0.5))
     d = one_row_epsilon(model, (1.0, 0.0), chosen=0)
     assert d.epsilon.tolist() == [pytest.approx(1.0)]
     assert d.oracle_action.tolist() == [1]
@@ -326,7 +297,7 @@ def test_epsilon_examples():
 
 
 def test_epsilon_linear_equals_gap():
-    model = linear_loss((0.1, 0.5))
+    model = LinearLoss.build((0.1, 0.5))
     d = one_row_epsilon(model, (0.5, 0.5), chosen=1)
     assert d.epsilon.tolist() == [pytest.approx(0.4)]
     assert d.oracle_action == 0
@@ -339,7 +310,7 @@ def test_epsilon_linear_equals_gap():
 def test_epsilon_nonnegative_and_equal_to_reference(raw, chosen):
     total = sum(raw)
     p = tuple(x / total for x in raw)
-    model = quadratic_loss((0.2, 0.3, 0.5))
+    model = QuadraticLoss.build((0.2, 0.3, 0.5))
     eps = one_row_epsilon(model, p, chosen).epsilon.tolist()
     assert eps == [reference_loop.epsilon_diagnostic(model, p, chosen).epsilon]
     assert eps[0] >= 0.0
@@ -347,7 +318,7 @@ def test_epsilon_nonnegative_and_equal_to_reference(raw, chosen):
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=50))
 def test_epsilon_linear_in_gap_set(actions):
-    model = linear_loss((0.1, 0.5))
+    model = LinearLoss.build((0.1, 0.5))
     occ = OccupationState(2, seeds=1)
     for a in actions:
         d = one_row_epsilon(model, [0.5, 0.5], a)
@@ -361,10 +332,10 @@ def _constant_gradient_models():
     def separable(mu):
         lows = st.lists(st.floats(-1, 1), min_size=len(mu), max_size=len(mu))
         return lows.map(
-            lambda lo: separable_loss(mu, [((-3.0, 0.0, 3.0), (v, v + 0.5, v + 2.0)) for v in lo])
+            lambda lo: SeparableLoss.build(mu, [((-3.0, 0.0, 3.0), (v, v + 0.5, v + 2.0)) for v in lo])
         )
 
-    return st.one_of(mus.map(linear_loss), mus.flatmap(separable))
+    return st.one_of(mus.map(LinearLoss.build), mus.flatmap(separable))
 
 
 def test_constant_gradient_families_are_linear_and_separable():
@@ -412,9 +383,9 @@ def _tied_constant_gradient_models():
 
     def separable(mu):
         tables = st.lists(table, min_size=len(mu), max_size=len(mu))
-        return tables.map(lambda t: separable_loss(mu, t))
+        return tables.map(lambda t: SeparableLoss.build(mu, t))
 
-    return st.one_of(mus.map(linear_loss), mus.flatmap(separable))
+    return st.one_of(mus.map(LinearLoss.build), mus.flatmap(separable))
 
 
 @settings(max_examples=100)
@@ -500,7 +471,7 @@ def _run_policy(policy, obs_model, seed, t_max, k):
 
 def test_doubling_matches_inner_before_first_boundary():
     spec = DeviationSpec()
-    model = linear_loss((0.0, 0.5))
+    model = LinearLoss.build((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
     plain, _ = _run_policy(
         UcbFwPolicy(model, FeedbackBlock(1, 2, spec)), obs_model, 21, 8, 2
@@ -512,7 +483,7 @@ def test_doubling_matches_inner_before_first_boundary():
 
 def test_doubling_resets_estimator_but_not_occupation():
     spec = DeviationSpec()
-    model = linear_loss((0.0, 0.5))
+    model = LinearLoss.build((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
     inner = UcbFwPolicy(model, FeedbackBlock(1, 2, spec))
     policy = DoublingUcbFwPolicy(inner, 0.5, 100)
@@ -527,7 +498,7 @@ def test_doubling_resets_estimator_but_not_occupation():
 
 
 def exp_design_inner(spec=None):
-    model = exp_design_loss((1.0, 4.0))
+    model = ExpDesignLoss.build((1.0, 4.0))
     fb = FeedbackBlock(
         1, 2, spec or DeviationSpec(), estimator="centered_square", centers=(0.0, 0.0)
     )
@@ -558,7 +529,7 @@ def test_presample_defers_when_floors_hold():
 
 
 def test_presample_stopping_mode_reaches_tracking():
-    model = exp_design_loss((1.0, 4.0))
+    model = ExpDesignLoss.build((1.0, 4.0))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.0), sds=(1.0, 2.0))
     _, inner = exp_design_inner()
     cfg = PresampleConfig(delta=0.1, variance_cap=8.0, horizon=3000)
@@ -610,19 +581,7 @@ def test_presample_config_rejects_non_finite_values(value):
 # ---------------------------------------------------------------- block argmin
 
 
-def _strict_scan(row):
-    # the plug-in selection's rule: first strict minimum, NaN passed over
-    best, best_u = 0, math.inf
-    for i, u in enumerate(row):
-        if u < best_u:
-            best, best_u = i, u
-    return best
-
-
 def test_block_argmin_follows_the_scalar_rules_row_by_row():
-    from ucbfw.feedback import TIE_STREAM_TAG
-    from ucbfw.policies import _TieBreaker
-
     rng = np.random.default_rng(12)
     values = rng.integers(0, 3, size=(40, 4)).astype(float)  # many ties
     values[3, 2] = np.nan
@@ -632,22 +591,13 @@ def test_block_argmin_follows_the_scalar_rules_row_by_row():
     values[9, 3] = np.inf
     values[10, 0] = np.nan
     values[11, 1:3] = (np.inf, -np.inf)
-    seeds = tuple(range(500, 540))
-    lowest = _TieBreaker("lowest_index", seeds)
     # row 6 is all NaN, which gives action 0 as it does alone
-    assert lowest.argmin(values).tolist() == [argmin_tie_break(r) for r in values.tolist()]
-    seeded = _TieBreaker("seeded_random", seeds)
-    rows = np.arange(0, 40, 2)  # rows of a subset, named by their seed index
-    # rows 6 and 10 start with NaN, which the seeded rule passes over too
-    picked = seeded.argmin(values[rows], rows)
-    for i, row in enumerate(rows.tolist()):
-        gen = np.random.default_rng(np.random.SeedSequence((seeds[row], TIE_STREAM_TAG)))
-        assert picked[i] == argmin_tie_break(values[row].tolist(), "seeded_random", gen)
+    assert lowest_argmin(values).tolist() == [argmin_tie_break(r) for r in values.tolist()]
 
 
 def test_plug_in_selection_passes_over_nan_scores():
-    # the engine's lowest-index rule is the strict `<` scan of the per-seed
-    # loop: NaN scores are passed over and an all-NaN row picks action 0
+    # the engine's lowest-index rule is the per-seed loop's: NaN scores are
+    # passed over and an all-NaN row picks action 0
     means = [
         [math.nan, 0.5, 0.2],
         [0.3, math.nan, 0.1],
@@ -662,11 +612,11 @@ def test_plug_in_selection_passes_over_nan_scores():
     occ = OccupationState(3, seeds=len(means))
     occ.counts[:] = 1.0
     occ.t = 3
-    policy = UcbFwPolicy(linear_loss((0.0, 0.0, 0.0)), fb)
-    assert policy.select(occ).tolist() == [_strict_scan(r) for r in means]
+    policy = UcbFwPolicy(LinearLoss.build((0.0, 0.0, 0.0)), fb)
+    assert policy.select(occ).tolist() == [argmin_tie_break(r) for r in means]
     # a subset of the seeds, as the pre-sampling wrapper selects them
     rows = np.array([4, 1, 2])
-    assert policy.select_rows(occ, rows).tolist() == [_strict_scan(means[i]) for i in rows]
+    assert policy.select_rows(occ, rows).tolist() == [argmin_tie_break(means[i]) for i in rows]
     # the linear plug-in gradient is the running means themselves, which
     # scoring must leave as they were
     np.testing.assert_array_equal(fb.means, means)
