@@ -31,11 +31,90 @@ ESTIMATORS = (ESTIMATOR_MEAN, ESTIMATOR_CENTERED_SQUARE, ESTIMATOR_SAMPLE_VARIAN
 # never names an observation stream.
 POLICY_STREAM_TAG = 1 << 31
 
+_WORD = 0xFFFFFFFF
+# numpy's SeedSequence: a 4-word pool, O'Neill's seed_seq hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-def seeded_stream(seed: int, key: int) -> np.random.Generator:
-    """The random stream of (trial seed, key): `key` is an action index for
-    that action's observations, or POLICY_STREAM_TAG."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), key))))
+
+def seeded_streams(seeds: Sequence[int], keys: Sequence[int]) -> np.ndarray:
+    """The random stream of every (trial seed, key) pair, seed-major, as an
+    object array of Generators: `key` is an action index for that action's
+    observations, or POLICY_STREAM_TAG.
+
+    Stream (seed, key) is `Generator(PCG64(SeedSequence((seed, key))))`.
+    The PCG64 state words of all pairs are computed in one pass (see
+    _state_words), so no SeedSequence is made.  Seeds must be in
+    [0, 2**64), keys in [0, 2**32).
+    """
+    outside = [s for s in seeds if not 0 <= s < 1 << 64]
+    if outside:
+        raise ValueError(f"seeds must be in [0, 2**64), got {outside[0]}")
+    # registered here, not at import: numpy.random loads only where streams are made
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    words = _StateWords(_state_words(seeds, keys))
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    n = len(seeds) * len(keys)
+    return np.fromiter((generator(pcg64(words)) for _ in range(n)), dtype=object, count=n)
+
+
+class _StateWords:
+    """An ISeedSequence whose n-th `generate_state` call returns row n of
+    `rows`: each PCG64 made from it asks once, for its 4 uint64 words."""
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = iter(rows)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return next(self._rows)
+
+
+def _hash(values: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 `values` under hash constant `const`,
+    and the constant the next hash uses."""
+    values = values ^ const
+    const = const * mult & _WORD
+    values *= const
+    values ^= values >> 16
+    return values, const
+
+
+def _state_words(seeds: Sequence[int], keys: Sequence[int]) -> np.ndarray:
+    """`SeedSequence((seed, key)).generate_state(4, np.uint64)` of every
+    (seed, key) pair, seed-major, as a (pairs, 4) uint64 array.
+
+    numpy's mix_entropy and generate_state on uint32 columns, one entry
+    per pair: the entropy is the little-endian 32-bit words of the seed
+    (one word below 2**32, 0 included) followed by the key's one word,
+    zero-padded to the pool.
+    """
+    key = np.tile(np.array(keys, dtype=np.uint32), len(seeds))
+    low = np.array([s & _WORD for s in seeds], dtype=np.uint32).repeat(len(keys))
+    high = np.array([s >> 32 for s in seeds], dtype=np.uint32).repeat(len(keys))
+    # 1 where the seed has two words, which puts the key third, not second
+    two = np.array([s >> 32 != 0 for s in seeds], dtype=np.uint32).repeat(len(keys))
+    entropy = (low, high + (1 - two) * key, two * key, np.zeros_like(key))
+    pool = []
+    const = _INIT_A
+    for word in entropy:
+        mixed, const = _hash(word, const, _MULT_A)
+        pool.append(mixed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+                mixed ^= mixed >> 16
+                pool[dst] = mixed
+    out = []
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        word, const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
+        out.append(word)
+    # pairs of uint32 words read as little-endian uint64 words, as numpy does
+    return np.stack(out, axis=1).view("<u8").astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -245,12 +324,13 @@ class ObservationModel:
 class ObservationSampler:
     """Materialized observation streams of a block of seeds.
 
-    Stream (s, a) is `seeded_stream(s, a)`, consumed in pull order, so
-    draw n of action a for seed s is reproducible in isolation.  Each
-    `draw` call is one round.  Every CHUNK rounds, each stream holding
+    Stream (s, a) is the `seeded_streams` stream of (s, a), consumed in pull
+    order, so draw n of action a for seed s is reproducible in isolation.
+    Each `draw` call is one round.  Every CHUNK rounds, each stream holding
     fewer than CHUNK unused draws gets CHUNK more, so no stream runs dry
     before the next top-up and the buffers hold under 2 * CHUNK values per
-    stream.  Chunking does not change the values.
+    stream.  Chunking does not change the values.  A deterministic stream
+    is its mean, drawn from no generator.
 
     `draw` takes one action per seed (an int array; a plain int draws that
     action for every seed) and returns the seeds' observations as an array.
@@ -261,11 +341,19 @@ class ObservationSampler:
     def __init__(self, obs_model: ObservationModel, seeds: Sequence[int]):
         self.obs_model = obs_model
         k = len(obs_model.means)
-        self._k = k
-        self._gens = [seeded_stream(s, a) for s in seeds for a in range(k)]
         streams = len(seeds) * k
         width = 2 * self.CHUNK
-        self._buf = np.empty(streams * width)
+        # each stream's mean, and sd if gaussian, in stream order
+        self._means = np.tile(np.array(obs_model.means, dtype=float), len(seeds))
+        self._sds = np.tile(obs_model.sds, len(seeds)) if obs_model.kind == "gaussian" else None
+        if obs_model.kind == "deterministic":
+            # every buffered value is the stream's mean, so a top-up only
+            # moves the stream's bounds
+            self._gens = None
+            self._buf = self._means.repeat(width)
+        else:
+            self._gens = seeded_streams(seeds, range(k))
+            self._buf = np.empty(streams * width)
         # next unused draw of each stream, as an index into the flat buffer,
         # and where its buffered draws end
         self._next = np.arange(streams) * width
@@ -290,23 +378,33 @@ class ObservationSampler:
         return obs
 
     def _top_up(self) -> None:
+        # each low stream's unused draws move to the start of its slot, and
+        # CHUNK fresh draws follow them
         chunk = self.CHUNK
-        width = 2 * chunk
-        model = self.obs_model
         buf, nxt, end = self._buf, self._next, self._end
         unused = end - nxt
         low = np.flatnonzero(unused < chunk)
-        for f, u, i in zip(low.tolist(), unused[low].tolist(), nxt[low].tolist()):
-            a = f % self._k
-            start = f * width
-            buf[start : start + u] = buf[i : i + u]
-            fresh = slice(start + u, start + u + chunk)
-            gen = self._gens[f]
-            if model.kind == "gaussian":
-                buf[fresh] = gen.normal(model.means[a], model.sds[a], size=chunk)
-            elif model.kind == "bernoulli":
-                buf[fresh] = gen.random(chunk) < model.means[a]
-            else:
-                buf[fresh] = model.means[a]
-            nxt[f] = start
-            end[f] = start + u + chunk
+        start = low * (2 * chunk)
+        fresh = start + unused[low]
+        kind = self.obs_model.kind
+        if kind == "gaussian":
+            refills = zip(
+                self._gens[low],
+                nxt[low].tolist(),
+                start.tolist(),
+                fresh.tolist(),
+                self._means[low].tolist(),
+                self._sds[low].tolist(),
+            )
+            for gen, i, s, f, mean, sd in refills:
+                buf[s:f] = buf[i : i + f - s]
+                buf[f : f + chunk] = gen.normal(mean, sd, chunk)
+        elif kind == "bernoulli":
+            # uniforms, then compared with the means
+            for gen, i, s, f in zip(self._gens[low], nxt[low].tolist(), start.tolist(), fresh.tolist()):
+                buf[s:f] = buf[i : i + f - s]
+                buf[f : f + chunk] = gen.random(chunk)
+            cells = fresh[:, None] + np.arange(chunk)
+            buf[cells] = buf[cells] < self._means[low, None]
+        nxt[low] = start
+        end[low] = fresh + chunk

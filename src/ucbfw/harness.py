@@ -344,6 +344,10 @@ def _experiment_problem(config: ExperimentConfig) -> tuple[tuple[str, ...], str]
         return ("seed_count",), f"seed count must be >= 1, got {config.seed_count}"
     if config.seed_base < 0:
         return ("seed_base",), f"seed base must be >= 0, got {config.seed_base}"
+    if config.seed_base + config.seed_count > 1 << 64:
+        return ("seed_base",), (
+            f"seeds must be below 2**64, got base {config.seed_base} with {config.seed_count} seeds"
+        )
     if config.record_epsilon and not model.smooth_on_simplex:
         return ("record_epsilon",), (
             "per-step gradient diagnostics need a loss with simplex-wide "
@@ -414,7 +418,7 @@ def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | No
             if eps_reads_p:
                 p_prev = uniform if occ.t == 0 else occ.proportions()
             a = select(occ)
-            eps_total += epsilon_diagnostic(model, p_prev, a).epsilon
+            eps_total += epsilon_diagnostic(model, p_prev, a)
         else:
             a = select(occ)
         observe(a, draw(a))

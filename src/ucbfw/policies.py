@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .feedback import POLICY_STREAM_TAG, FeedbackBlock, deviation_radii, seeded_stream
+from .feedback import POLICY_STREAM_TAG, FeedbackBlock, deviation_radii, seeded_streams
 from .losses import LossModel, gradient_from_params, sensitivity
 from .simplex import OccupationState, check_simplex
 
@@ -89,29 +89,21 @@ def lowest_argmin(values: np.ndarray) -> np.ndarray:
     return np.fmin(values, _INF).argmin(axis=1)
 
 
-class StepDiagnostics(NamedTuple):
-    """Per-step optimality diagnostics against the true gradient at p."""
-
-    oracle_action: np.ndarray | int
-    epsilon: np.ndarray
-
-
-def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarray) -> StepDiagnostics:
+def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarray) -> np.ndarray:
     """Selection suboptimality eps = grad[chosen] - grad[oracle] >= 0 at the
-    pre-action points p, an (S, K) block with one chosen action per row.
+    pre-action points p, an (S, K) block with one chosen action per row;
+    one entry per row.
 
-    `epsilon` holds one entry per row, and so does `oracle_action` unless
-    every row has the same one (constant gradient, where the model's cached
-    costs are the gradient at every point and p is not read, so it may be
-    None; the model caches their lowest-index argmin `star` and the `gaps`
-    costs - costs[star], the same subtraction made once).
+    With a constant gradient the model's cached costs are the gradient at
+    every point and p is not read, so it may be None; the model caches
+    their lowest-index argmin `star` and the `gaps` costs - costs[star],
+    the same subtraction made once.
     """
     if model.constant_gradient:
-        return StepDiagnostics(model.star, model.gaps[chosen])
+        return model.gaps[chosen]
     g = model.true_gradient(p)
     rows = np.arange(len(p))
-    star = lowest_argmin(g)
-    return StepDiagnostics(star, g[rows, chosen] - g[rows, star])
+    return g[rows, chosen] - g[rows, lowest_argmin(g)]
 
 
 def _with_forced_exploration(fb: FeedbackBlock, t: int, rows: np.ndarray | None, choose) -> np.ndarray:
@@ -229,7 +221,7 @@ class UniformPolicy:
 
     def __init__(self, num_actions: int, seeds: Sequence[int]):
         self.num_actions = num_actions
-        self._gens = [seeded_stream(s, POLICY_STREAM_TAG) for s in seeds]
+        self._gens = seeded_streams(seeds, (POLICY_STREAM_TAG,))
         self._buf = np.empty((0, len(self._gens)), dtype=np.int64)
         self._pos = 0
 

@@ -545,6 +545,15 @@ def test_parse_rejects_a_negative_seed_base(tmp_path, capsys):
     assert "config error: seeds.base" in capsys.readouterr().err
 
 
+def test_parse_rejects_seeds_at_or_above_2_64():
+    # the streams are seeded by one pass over uint64 seeds
+    with pytest.raises(ConfigError, match=re.escape("seeds.base: seeds must be below 2**64")):
+        cfg_from(seeds={"count": 2, "base": 2**64 - 1})
+    with pytest.raises(ConfigError, match=re.escape("seeds.base: seeds must be below 2**64")):
+        cfg_from(seeds={"count": 1, "base": 2**64})
+    assert cfg_from(seeds={"count": 2, "base": 2**64 - 2}).seed_base == 2**64 - 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,5 @@
 import math
+import re
 import statistics
 
 import numpy as np
@@ -7,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_loop import FeedbackState, gradient_estimate, route_and_update
+from ucbfw import feedback
 from ucbfw.feedback import (
     INFINITE_DEVIATION,
+    POLICY_STREAM_TAG,
     DeviationSpec,
     ObservationModel,
     ObservationSampler,
     deviation,
     deviation_radii,
+    seeded_streams,
 )
 from ucbfw.harness import PolicyConfig
 from ucbfw.losses import ExpDesignLoss, LinearLoss, MarkowitzLoss
@@ -300,12 +304,52 @@ def one_seed(model, seed):
     return lambda action: float(sampler.draw(action)[0])
 
 
-def test_deterministic_observations():
+def test_deterministic_observations(monkeypatch):
     model = ObservationModel(kind="deterministic", means=(0.7, 0.1))
     draw = one_seed(model, 1)
     assert draw(0) == 0.7
     assert draw(0) == 0.7
     assert draw(1) == 0.1
+
+    # constant streams build no generators, past several top-ups too
+    def no_streams(seeds, keys):
+        raise AssertionError("a deterministic sampler built random streams")
+
+    monkeypatch.setattr(feedback, "seeded_streams", no_streams)
+    block = ObservationSampler(model, (3, 4, 5))
+    actions = np.random.default_rng(0).integers(0, 2, size=(300, 3))
+    assert [block.draw(a).tolist() for a in actions] == [[model.means[a] for a in row] for row in actions]
+
+
+def _seeds_to_check():
+    rng = np.random.default_rng(8)
+    return [0, 2**32 - 1, 2**32, 2**64 - 1] + rng.integers(0, 2**64, size=8, dtype=np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", _seeds_to_check())
+def test_seeded_streams_match_numpy(seed):
+    # stream (seed, key) is numpy's Generator(PCG64(SeedSequence((seed, key))))
+    keys = [*range(5), POLICY_STREAM_TAG]
+    gaussian = seeded_streams([seed], keys)
+    bernoulli = seeded_streams([seed], keys)
+    for key, ours, ours_b in zip(keys, gaussian, bernoulli):
+        ref = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, key)))) for _ in range(2)]
+        assert ours.bit_generator.state == ref[0].bit_generator.state
+        assert ours.normal(0.3, 2.0, 8).tolist() == ref[0].normal(0.3, 2.0, 8).tolist()
+        assert (ours_b.random(8) < 0.4).tolist() == (ref[1].random(8) < 0.4).tolist()
+
+
+def test_seeded_streams_are_seed_major():
+    seeds, keys = _seeds_to_check(), [0, 1, POLICY_STREAM_TAG]
+    streams = seeded_streams(seeds, keys)
+    want = [np.random.PCG64(np.random.SeedSequence((s, k))).state for s in seeds for k in keys]
+    assert [g.bit_generator.state for g in streams] == want
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeded_streams_refuse_seeds_outside_uint64(seed):
+    with pytest.raises(ValueError, match=re.escape("seeds must be in [0, 2**64)")):
+        seeded_streams([1, seed], [0])
 
 
 def test_gaussian_streams_are_seed_deterministic():
