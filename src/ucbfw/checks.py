@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
-from .feedback import DeviationSpec, deviation
+from . import feedback, losses
+from .feedback import DeviationSpec, FeedbackBlock
 from .harness import (
     ExperimentConfig,
     FeedbackConfig,
@@ -18,8 +18,8 @@ from .harness import (
     fit_rate,
     run_trial,
 )
-from .policies import variance_stopping_tau
-from .simplex import OccupationState, float_recurrence
+from .policies import PresampleConfig, PresampledUcbFwPolicy, UcbFwPolicy
+from .simplex import OccupationState
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def gradcheck(
             for i in range(k):
                 plus = tuple(p[j] + step * ((1.0 if j == i else 0.0) - 1.0 / k) for j in range(k))
                 minus = tuple(p[j] - step * ((1.0 if j == i else 0.0) - 1.0 / k) for j in range(k))
-                fd[i] = (losses.loss_value(model, plus) - losses.loss_value(model, minus)) / (2 * step)
+                fd[i] = (model.value(plus) - model.value(minus)) / (2 * step)
             rel = float(np.linalg.norm(fd - analytic) / max(1.0, np.linalg.norm(analytic)))
             worst = max(worst, rel)
         out.append(GradCheckResult(model.kind, worst, worst <= tol))
@@ -85,14 +85,15 @@ def selftest() -> list[tuple[str, bool, str]]:
     def record(name: str, passed: bool, detail: str = "") -> None:
         results.append((name, passed, detail))
 
-    # integer bookkeeping vs float recurrence
+    # one-row block bookkeeping vs exact counts: c / t rounds correctly
     rng = np.random.default_rng(11)
-    actions = [int(a) for a in rng.integers(0, 3, size=10_000)]
+    actions = rng.integers(0, 3, size=(10_000, 1))
     occ = OccupationState(3, seeds=1)
     for a in actions:
         occ.apply(a)
-    gap = max(abs(x - y) for x, y in zip(occ.proportions()[0].tolist(), float_recurrence(actions, 3)))
-    record("fold_agreement", gap <= 1e-9, f"max_gap={gap:.2e}")
+    exact = [c / len(actions) for c in np.bincount(actions[:, 0], minlength=3).tolist()]
+    gap = max(abs(x - y) for x, y in zip(occ.proportions()[0].tolist(), exact))
+    record("fold_agreement", gap == 0.0, f"max_gap={gap:.2e}")
 
     # same seed twice must give identical trajectories
     cfg = ExperimentConfig(
@@ -108,17 +109,28 @@ def selftest() -> list[tuple[str, bool, str]]:
     r2 = run_trial(cfg, seed=123)
     record("determinism", r1 == r2, "")
 
-    # two-point deviation values
-    spec = DeviationSpec()
-    v = deviation(spec, t=100, n_obs=4, delta=1e-4)
+    # the engine's radii at two closed-form points; delta_t = 1/t^2
+    v = feedback.deviation_radii(DeviationSpec(), 100, np.array([[4.0]]))[0, 0]
     want = math.sqrt(4.0 * math.log(100 / 1e-4) / 4.0)
     record("deviation_standard", abs(v - want) <= 1e-12, f"value={v:.6f}")
-    unit = deviation(DeviationSpec(scale=1.0, exponent=0.5), t=1, n_obs=4, delta=math.exp(-1))
+    # at t = 2, log(t / delta_t) = log 8, which this scale cancels
+    unit_spec = DeviationSpec(scale=1.0 / math.log(8.0), exponent=0.5)
+    unit = feedback.deviation_radii(unit_spec, 2, np.array([[4.0]]))[0, 0]
     record("deviation_unit", abs(unit - 0.5) <= 1e-12, f"value={unit:.6f}")
 
-    # stopping rule worked example
-    tau = variance_stopping_tau([0.9] * 100, horizon=100, delta=0.1)
-    record("stopping_example", tau.triggered and tau.tau == 19, f"tau={tau.tau}")
+    # the pre-sampling stopping rule on one seed whose squared centered
+    # draws scale to z = 3^2 / 10 = 0.9 every round: arm 0's rule stops at
+    # the first s with 0.9 >= sqrt(2 log(2 * 100 / 0.1) / s), s = 19
+    inner = UcbFwPolicy(losses.LinearLoss.build((0.1, 0.5)), FeedbackBlock(1, 2, DeviationSpec()))
+    config = PresampleConfig(delta=0.1, variance_cap=10.0, horizon=100)
+    presampled = PresampledUcbFwPolicy(inner, config, centers=(0.0, 0.0))
+    occ = OccupationState(2, seeds=1)
+    while presampled._arm[0] == 0 and occ.t < config.horizon:
+        a = presampled.select(occ)
+        occ.apply(a)
+        presampled.observe(a, np.array([3.0]))
+    triggered = bool(presampled.stopping_triggered[0, 0])
+    record("stopping_example", triggered and occ.t == 19, f"tau={occ.t}")
 
     # exact 1/T sequence must fit slope -1
     ts = (100, 1_000, 10_000, 100_000)

@@ -280,7 +280,11 @@ def parse_config_data(data: Any, source: str = "<config>") -> ExperimentConfig:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        # the error's own text names the path, as in "[Errno 21] Is a directory: 'configs'"
+        raise ConfigError(str(exc)) from None
     # the libyaml loader, where PyYAML was built with it, gives the same data
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
@@ -378,10 +382,19 @@ def _run_and_collect(config: ExperimentConfig, workers: int):
     return records, aggregate(records)
 
 
+def _replaced(config: ExperimentConfig, flag: str, **changes) -> ExperimentConfig:
+    """`config` with the `changes` a command-line flag asks for; a change
+    that leaves it unable to run is a ConfigError naming the flag."""
+    try:
+        return dataclasses.replace(config, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if args.seed_base is not None:
-        config = dataclasses.replace(config, seed_base=args.seed_base)
+        config = _replaced(config, f"run --seed-base {args.seed_base}", seed_base=args.seed_base)
     records, agg = _run_and_collect(config, args.workers)
     out_dir = Path(args.out or config.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -415,10 +428,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 def _cmd_check_bounds(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if BOUNDS[args.theorem].pathwise and not config.record_epsilon:
-        try:
-            config = dataclasses.replace(config, record_epsilon=True)
-        except ValueError as exc:
-            raise ConfigError(f"check-bounds --theorem {args.theorem}: {exc}") from None
+        config = _replaced(config, f"check-bounds --theorem {args.theorem}", record_epsilon=True)
     records, agg = _run_and_collect(config, args.workers)
     model = build_model(config.model)
     report = bound_check(agg, model, args.theorem, records=records)
@@ -512,7 +522,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

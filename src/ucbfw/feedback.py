@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-INFINITE_DEVIATION = math.inf
-
 ESTIMATOR_MEAN = "mean"
 ESTIMATOR_CENTERED_SQUARE = "centered_square"
 ESTIMATOR_SAMPLE_VARIANCE = "sample_variance"
@@ -144,8 +142,9 @@ class DeviationSpec:
 
 
 def deviation_radii(spec: DeviationSpec, t: int, counts: np.ndarray) -> np.ndarray:
-    """`deviation(spec, t, n, spec.delta_at(t))` for every count n of an
-    array of positive counts.
+    """The radius (scale * log(t / delta_t) / n) ** exponent of `spec` at
+    round t, with delta_t = spec.delta_at(t), for every count n of an array
+    of positive counts.
 
     The log is taken once, with `math.log`, and the power with `math.sqrt`
     semantics (np.sqrt rounds correctly too); other exponents use Python's
@@ -156,26 +155,6 @@ def deviation_radii(spec: DeviationSpec, t: int, counts: np.ndarray) -> np.ndarr
         return np.sqrt(x)
     e = spec.exponent
     return np.array([v**e for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def deviation(spec: DeviationSpec, t: int, n_obs: int, delta: float) -> float:
-    """Radius around a parameter estimate built from n_obs observations.
-
-    Returns the infinite sentinel when n_obs = 0, which forces exploration
-    of the unobserved coefficient.
-    """
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    if n_obs < 0:
-        raise ValueError(f"observation count must be >= 0, got {n_obs}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if n_obs == 0:
-        return INFINITE_DEVIATION
-    if spec.scale == 0.0:
-        return 0.0
-    x = spec.scale * math.log(t / delta) / n_obs
-    return math.sqrt(x) if spec.exponent == 0.5 else x**spec.exponent
 
 
 def check_action_map(action_map: Sequence[int] | None, num_coeffs: int) -> tuple[int, ...]:

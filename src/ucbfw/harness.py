@@ -279,8 +279,10 @@ def _feedback_setup(
     estimator = fb_cfg.estimator or (ESTIMATOR_CENTERED_SQUARE if variance else ESTIMATOR_MEAN)
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    if estimator == ESTIMATOR_CENTERED_SQUARE and not variance:
-        raise ValueError("centered_square estimator only applies to exp_design")
+    # the squared-draw estimators give variances, which only exp_design's
+    # gradient reads; a mean family would take them for its means
+    if estimator != ESTIMATOR_MEAN and not variance:
+        raise ValueError(f"{estimator} estimator only applies to exp_design")
     if estimator == ESTIMATOR_MEAN and variance:
         raise ValueError("exp_design estimates variances; use centered_square or sample_variance")
     # the radius calibration assumes routed values are sub-gaussian with the

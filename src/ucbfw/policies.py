@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -251,37 +251,6 @@ class FixedAllocationPolicy:
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         pass
-
-
-@dataclass(frozen=True)
-class StoppingResult:
-    tau: int
-    mean: float
-    triggered: bool
-
-
-def variance_stopping_tau(values: Iterable[float], horizon: int, delta: float) -> StoppingResult:
-    """First time the running mean of a [0, 1] stream clears the anytime
-    threshold sqrt(2*log(2*horizon/delta)/s); the triggered mean brackets the
-    true mean within a factor [1/2, 3/2] with probability >= 1 - delta."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    log_term = 2.0 * math.log(2.0 * horizon / delta)
-    total = 0.0
-    s = 0
-    for z in values:
-        if not 0.0 <= z <= 1.0:
-            raise ValueError(f"stream value out of [0, 1]: {z!r}")
-        s += 1
-        total += z
-        mean = total / s
-        if mean >= math.sqrt(log_term / s):
-            return StoppingResult(tau=s, mean=mean, triggered=True)
-        if s >= horizon:
-            return StoppingResult(tau=s, mean=mean, triggered=False)
-    raise ValueError(f"stream ended after {s} values, before the horizon {horizon}")
 
 
 def doubling_boundaries(beta: float, t_max: int) -> list[int]:

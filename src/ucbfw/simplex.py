@@ -2,14 +2,13 @@
 
 Pull counts are kept as exact whole numbers and the proportion vector
 p_t = T_i(t)/t is derived on demand, so the simplex constraints hold
-exactly instead of drifting through repeated float updates.  The
-incremental float recurrence p_{t+1} = p_t + (e_a - p_t)/(t+1) is
-provided only as a cross-check.
+exactly instead of drifting through repeated float updates of the
+recurrence p_{t+1} = p_t + (e_a - p_t)/(t+1).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,26 +73,3 @@ class OccupationState:
 
     def __repr__(self) -> str:
         return f"OccupationState(t={self.t}, counts={self.counts})"
-
-
-def float_recurrence(actions: Iterable[int], num_actions: int) -> list[float]:
-    """Fold p_{t+1} = p_t + (e_a - p_t)/(t+1) in floats, starting from p_1 = e_{a_1}.
-
-    Cross-check only: the returned vector should agree with the integer-count
-    proportions to within accumulated rounding (~1e-11 at t = 1e6).
-    """
-    it = iter(actions)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("empty action sequence") from None
-    p = [0.0] * num_actions
-    p[first] = 1.0
-    t = 1
-    for a in it:
-        t += 1
-        inv = 1.0 / t
-        for i in range(num_actions):
-            p[i] -= p[i] * inv
-        p[a] += inv
-    return p

@@ -3,10 +3,12 @@
 These are the list-path versions of `ucbfw.harness.run_trial`, of the
 loss families' `gradient`, `true_gradient` and `sensitivity` formulas
 (`gradient_from_params`, `loss_gradient`, `sensitivity`, with the tables'
-scalar `interp`), of `OccupationState` and `epsilon_diagnostic`, of the
-estimator state (`FeedbackState`, `route_and_update`, `gradient_estimate`),
-of the selection rules (`argmin_tie_break`, `ucb_fw_select`,
-`lcb_bandit_select`, `oracle_fw_select`) and of the policy classes, kept as
+scalar `interp`), of `OccupationState`, its float recurrence
+`float_recurrence` and `epsilon_diagnostic`, of the estimator state
+(`FeedbackState`, `route_and_update`, `gradient_estimate`) and its radius
+`deviation`, of the selection rules (`argmin_tie_break`, `ucb_fw_select`,
+`lcb_bandit_select`, `oracle_fw_select`), of the pre-sampling stopping rule
+(`variance_stopping_tau`) and of the policy classes, kept as
 the reference the lockstep engine is tested against: `run_trial` here runs
 one seed at a time, with one Python call per layer per round and plain
 lists for every point and gradient, and must give the same TrialRecord as
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from ucbfw.feedback import (
     DeviationSpec,
     ObservationModel,
     check_action_map,
-    deviation,
 )
 from ucbfw.harness import ExperimentConfig, TrialRecord, build_model
 from ucbfw.losses import LossModel, loss_value, minimizer
@@ -172,6 +173,29 @@ class OccupationState:
         return [c / t for c in self.counts]
 
 
+def float_recurrence(actions: Iterable[int], num_actions: int) -> list[float]:
+    """Fold p_{t+1} = p_t + (e_a - p_t)/(t+1) in floats, starting from p_1 = e_{a_1}.
+
+    Cross-check only: the returned vector should agree with the integer-count
+    proportions to within accumulated rounding (~1e-11 at t = 1e6).
+    """
+    it = iter(actions)
+    try:
+        first = next(it)
+    except StopIteration:
+        raise ValueError("empty action sequence") from None
+    p = [0.0] * num_actions
+    p[first] = 1.0
+    t = 1
+    for a in it:
+        t += 1
+        inv = 1.0 / t
+        for i in range(num_actions):
+            p[i] -= p[i] * inv
+        p[a] += inv
+    return p
+
+
 class StepDiagnostics(NamedTuple):
     chosen: int
     oracle_action: int
@@ -191,6 +215,29 @@ def epsilon_diagnostic(model: LossModel, p: Sequence[float], chosen: int) -> Ste
 
 
 # ---------------------------------------------------------------- estimator state
+
+
+INFINITE_DEVIATION = math.inf
+
+
+def deviation(spec: DeviationSpec, t: int, n_obs: int, delta: float) -> float:
+    """Radius around a parameter estimate built from n_obs observations.
+
+    Returns the infinite sentinel when n_obs = 0, which forces exploration
+    of the unobserved coefficient.
+    """
+    if t < 1:
+        raise ValueError(f"round index must be >= 1, got {t}")
+    if n_obs < 0:
+        raise ValueError(f"observation count must be >= 0, got {n_obs}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if n_obs == 0:
+        return INFINITE_DEVIATION
+    if spec.scale == 0.0:
+        return 0.0
+    x = spec.scale * math.log(t / delta) / n_obs
+    return math.sqrt(x) if spec.exponent == 0.5 else x**spec.exponent
 
 
 @dataclass
@@ -517,6 +564,37 @@ class DoublingUcbFwPolicy:
 
     def observe(self, action: int, obs: float) -> None:
         self.inner.observe(action, obs)
+
+
+@dataclass(frozen=True)
+class StoppingResult:
+    tau: int
+    mean: float
+    triggered: bool
+
+
+def variance_stopping_tau(values: Iterable[float], horizon: int, delta: float) -> StoppingResult:
+    """First time the running mean of a [0, 1] stream clears the anytime
+    threshold sqrt(2*log(2*horizon/delta)/s); the triggered mean brackets the
+    true mean within a factor [1/2, 3/2] with probability >= 1 - delta."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    log_term = 2.0 * math.log(2.0 * horizon / delta)
+    total = 0.0
+    s = 0
+    for z in values:
+        if not 0.0 <= z <= 1.0:
+            raise ValueError(f"stream value out of [0, 1]: {z!r}")
+        s += 1
+        total += z
+        mean = total / s
+        if mean >= math.sqrt(log_term / s):
+            return StoppingResult(tau=s, mean=mean, triggered=True)
+        if s >= horizon:
+            return StoppingResult(tau=s, mean=mean, triggered=False)
+    raise ValueError(f"stream ended after {s} values, before the horizon {horizon}")
 
 
 class PresampledUcbFwPolicy:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from reference_loop import float_recurrence, variance_stopping_tau
 from ucbfw import checks
 from ucbfw.cli import emit_csv
 from ucbfw.feedback import (
@@ -39,9 +40,8 @@ from ucbfw.policies import (
     OracleFwPolicy,
     PresampleConfig,
     UcbFwPolicy,
-    variance_stopping_tau,
 )
-from ucbfw.simplex import OccupationState, float_recurrence
+from ucbfw.simplex import OccupationState
 
 SEED_BASE = 20260101
 GRID = (1000, 3000, 10_000, 30_000, 100_000)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucbfw
-from ucbfw import checks, cli, losses
+from ucbfw import checks, cli, feedback, losses, policies
 from ucbfw.cli import (
     CSV_HEADER,
     ConfigError,
@@ -321,9 +321,9 @@ def _value_strategies(k, family, kind):
         else st.sampled_from(["gaussian", "bernoulli", "deterministic"]),
         "feedback.noise_sd": _floats(0.0, 1.0),
         "feedback.map": st.lists(st.integers(0, k - 1), min_size=k, max_size=k),
-        "feedback.estimator": st.sampled_from(
-            ["centered_square", "sample_variance"] if variance else ["mean", "sample_variance"]
-        ),
+        "feedback.estimator": st.sampled_from(["centered_square", "sample_variance"])
+        if variance
+        else st.just("mean"),
         "horizons": st.lists(st.integers(k, 10**6), min_size=1, max_size=4, unique=True).map(sorted),
         "seeds.count": st.integers(1, 1000),
         "seeds.base": st.integers(0, 2**32),
@@ -535,6 +535,25 @@ def test_run_command_seed_base_override(tmp_path):
     assert ",500," in csv_text and ",7," not in csv_text
 
 
+def test_run_command_reports_a_seed_base_past_2_64(tmp_path, capsys):
+    # the override is checked as the config's own seed base is: a config
+    # error naming the flag, not a traceback
+    path = write_config(tmp_path, BASIC)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(path), "--out", str(out), "--seed-base", str(2**64 - 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: run --seed-base {2**64 - 1}: seeds must be below 2**64")
+    assert not out.exists()
+
+
+def test_unreadable_config_path_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["run", "--config", str(missing)]) == 1
+    assert capsys.readouterr().err == f"config error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert main(["run", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_parse_rejects_a_negative_seed_base(tmp_path, capsys):
     # SeedSequence takes non-negative seeds only
     with pytest.raises(ConfigError, match=re.escape("seeds.base: must be >= 0, got -1")):
@@ -729,6 +748,11 @@ def test_run_command_rejects_non_finite_model_inputs(
             {"feedback": {"estimator": "centered_square"}},
             "feedback: centered_square estimator only applies to exp_design",
         ),
+        # a mean family's gradient would take the sample variances for its means
+        (
+            {"feedback": {"estimator": "sample_variance"}},
+            "feedback: sample_variance estimator only applies to exp_design",
+        ),
         (
             {
                 "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
@@ -798,6 +822,7 @@ def test_run_command_rejects_non_finite_model_inputs(
     ids=[
         "unknown-estimator",
         "centered-square-off-exp-design",
+        "sample-variance-off-exp-design",
         "bracket-count",
         "weight-count",
         "nan-sigma2",
@@ -939,3 +964,49 @@ def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    rows = [line.split() for line in out.splitlines()]
+    assert [row[0] for row in rows] == [
+        "fold_agreement",
+        "determinism",
+        "deviation_standard",
+        "deviation_unit",
+        "stopping_example",
+        "rate_fit_exact",
+        "aggregate_shape",
+        "gradcheck",
+    ]
+    details = {row[0]: row[2] for row in rows if len(row) > 2}
+    assert details["fold_agreement"] == "max_gap=0.00e+00"
+    assert details["deviation_standard"] == "value=3.716922"
+    assert details["deviation_unit"] == "value=0.500000"
+    assert details["stopping_example"] == "tau=19"
+    assert details["rate_fit_exact"] == "slope=-1.0000"
+
+
+_RADII = feedback.deviation_radii
+
+
+def _end_every_arm_at_once(self, actions, obs):
+    self._arm += 1
+
+
+@pytest.mark.parametrize(
+    "owner, name, wrong, failing",
+    [
+        (
+            feedback,
+            "deviation_radii",
+            lambda spec, t, counts: 2.0 * _RADII(spec, t, counts),
+            ["deviation_standard", "deviation_unit"],
+        ),
+        (policies.PresampledUcbFwPolicy, "observe", _end_every_arm_at_once, ["stopping_example"]),
+    ],
+    ids=["radii", "stopping"],
+)
+def test_selftest_fails_when_the_engine_rule_is_wrong(monkeypatch, capsys, owner, name, wrong, failing):
+    # selftest checks the block code the engine runs, so a wrong radius or
+    # stopping step shows up as FAIL
+    monkeypatch.setattr(owner, name, wrong)
+    assert main(["selftest"]) == 2
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows if row[1] == "FAIL"] == failing

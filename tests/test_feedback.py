@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_loop import FeedbackState, gradient_estimate, route_and_update
+from reference_loop import (
+    INFINITE_DEVIATION,
+    FeedbackState,
+    deviation,
+    gradient_estimate,
+    route_and_update,
+)
 from ucbfw import feedback
 from ucbfw.feedback import (
-    INFINITE_DEVIATION,
     POLICY_STREAM_TAG,
     DeviationSpec,
     ObservationModel,
     ObservationSampler,
-    deviation,
     deviation_radii,
     seeded_streams,
 )

@@ -569,7 +569,7 @@ def _grid_cases():
         for f, (family, model_cfg) in enumerate(GRID_FAMILIES.items()):
             variance = family == "exp_design"
             observation = "gaussian" if variance else ("gaussian", "bernoulli", "deterministic")[(j + f) % 3]
-            estimators = ("centered_square", "sample_variance") if variance else (None, "sample_variance")
+            estimators = ("centered_square", "sample_variance") if variance else (None, "mean")
             smooth = family not in ("exp_design", "cobb_douglas")
             cfg = ExperimentConfig(
                 experiment="grid",

@@ -14,6 +14,7 @@ from reference_loop import (
     oracle_fw_select,
     route_and_update,
     ucb_fw_select,
+    variance_stopping_tau,
 )
 from ucbfw.feedback import (
     DeviationSpec,
@@ -42,7 +43,6 @@ from ucbfw.policies import (
     doubling_boundaries,
     epsilon_diagnostic,
     lowest_argmin,
-    variance_stopping_tau,
 )
 from ucbfw.simplex import OccupationState
 

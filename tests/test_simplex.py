@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucbfw.simplex import (
-    OccupationState,
-    check_simplex,
-    float_recurrence,
-)
+from reference_loop import float_recurrence
+from ucbfw.simplex import OccupationState, check_simplex
 
 
 def make_state(counts):
