@@ -2,9 +2,9 @@
 
 Configs are YAML with strict keys; every parse error names the offending
 field.  Each key is declared once, in the table of its section, from which
-both the parser and `normalize_config` work.  CSV and summary emission
-format floats as %.12e so identical inputs produce byte-identical files
-regardless of worker count.
+the parser takes its allowed keys, conversions and errors.  CSV and summary
+emission format floats as %.12e so identical inputs produce byte-identical
+files regardless of worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
 import yaml
 
@@ -46,24 +46,16 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configs."""
 
 
-class _Kind(NamedTuple):
-    """How the value of a key is read (`parse(value, where)`) and written
-    back as plain data (`dump`)."""
-
-    parse: Callable[[Any, str], Any]
-    dump: Callable[[Any], Any] = lambda value: value
-
-
 class _Section:
-    """A mapping whose keys are table entries (key, field, kind).
+    """A mapping whose keys are table entries (key, field, kind), read by
+    calling it with the data and where it sits, as a kind is.
 
-    `parse` reads each key given by its kind into its field (a key left out
-    leaves the field's default) and returns `build(**fields)`, or the fields
-    when `build` is None; an error of `build` is reported under the section,
-    or under the key of the field it names.  `dump` writes back the fields
-    that are not None.
-    An entry without a field fills several: its kind parses to a dict of
-    them and dumps from the enclosing config.
+    Each key is read by its kind, a function of (value, where), into its
+    field (a key left out leaves the field's default); the section returns
+    `build(**fields)`, or the fields when `build` is None.  An error of
+    `build` is reported under the section, or under the key of the field it
+    names.  An entry without a field fills several: its kind returns a dict
+    of them.
     """
 
     def __init__(self, build, *entries, required=()):
@@ -72,7 +64,7 @@ class _Section:
         self.kinds = {key: (field, kind) for key, field, kind in entries}
         self.required = required
 
-    def parse(self, data: Any, where: str, prefix: str | None = None):
+    def __call__(self, data: Any, where: str, prefix: str | None = None):
         data = {} if data is None else data
         if not isinstance(data, Mapping):
             raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
@@ -87,7 +79,7 @@ class _Section:
             if key not in self.kinds:
                 raise ConfigError(f"{where}: unknown key {key!r} (allowed: {', '.join(self.kinds)})")
             field, kind = self.kinds[key]
-            parsed = kind.parse(value, prefix + key)
+            parsed = kind(value, prefix + key)
             if field is None:
                 fields.update(parsed)
             else:
@@ -101,21 +93,6 @@ class _Section:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
-    def dump(self, obj: Any) -> dict:
-        # a built tuple holds the fields in entry order
-        values = dict(zip([f for _, f, _ in self.entries], obj)) if isinstance(obj, tuple) else vars(obj)
-        out = {}
-        for key, field, kind in self.entries:
-            if field is None:
-                value = kind.dump(obj)
-            elif values[field] is not None:
-                value = kind.dump(values[field])
-            else:
-                continue
-            if value != {}:
-                out[key] = value
-        return out
-
     def key_of(self, path: Sequence[str]) -> str | None:
         """The dotted key of a field path such as ("policy", "weights")."""
         for key, field, kind in self.entries:
@@ -127,58 +104,44 @@ class _Section:
         return None
 
 
-class _Deviation(_Section):
-    """A preset name, or the {scale, exponent} of a custom radius."""
-
-    def parse(self, value: Any, where: str, prefix: str | None = None) -> dict:
-        if isinstance(value, str):
-            return {"deviation": value}
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{where}: expected a preset name or {{scale, exponent}}")
-        return {"deviation": "custom", **super().parse(value, where)}
-
-    def dump(self, policy: PolicyConfig):
-        return super().dump(policy) if policy.deviation == "custom" else policy.deviation
-
-
-def _scalar(accepts: Callable[[Any], bool], what: str, convert: Callable = None) -> _Kind:
+def _scalar(accepts: Callable[[Any], bool], what: str, convert: Callable = None) -> Callable:
     def parse(value: Any, where: str):
         if not accepts(value):
             raise ConfigError(f"{where}: expected {what}, got {value!r}")
         return value if convert is None else convert(value)
 
-    return _Kind(parse)
+    return parse
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _at_least(low: int) -> _Kind:
+def _at_least(low: int) -> Callable:
     def parse(value: Any, where: str) -> int:
-        value = _INT.parse(value, where)
+        value = _INT(value, where)
         if value < low:
             raise ConfigError(f"{where}: must be >= {low}, got {value}")
         return value
 
-    return _Kind(parse)
+    return parse
 
 
-def _list_of(item: _Kind, length: int | None = None) -> _Kind:
+def _list_of(item: Callable, length: int | None = None) -> Callable:
     what = f"a list of {length}" if length else "a list"
 
     def parse(value: Any, where: str) -> tuple:
         if not isinstance(value, (list, tuple)) or len(value) != (length or len(value)):
             raise ConfigError(f"{where}: expected {what}, got {value!r}")
-        return tuple([item.parse(v, f"{where}[{i}]") for i, v in enumerate(value)])
+        return tuple([item(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
-    return _Kind(parse, lambda value: [item.dump(v) for v in value])
+    return parse
 
 
 _STRING = _scalar(lambda v: isinstance(v, str) and v != "", "a nonempty string")
 _BOOL = _scalar(lambda v: isinstance(v, bool), "a boolean")
 _INT = _scalar(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_POSITIVE_OR_NULL = _Kind(lambda value, where: None if value is None else _at_least(1).parse(value, where))
+_POSITIVE_OR_NULL = lambda value, where: None if value is None else _at_least(1)(value, where)
 _NUMBER = _scalar(lambda v: _is_number(v) and math.isfinite(v), "a finite number", float)
 # model parameters, which their family checks, naming the one at fault
 _PARAM = _scalar(_is_number, "a number", float)
@@ -191,27 +154,25 @@ def _params(value: Any, where: str) -> tuple[float, ...]:
     return tuple(map(float, value))
 
 
-_PARAMS = _Kind(_params, list)
-
 _TABLE = _Section(
     lambda xs, ys: (xs, ys),
-    ("xs", "xs", _PARAMS),
-    ("ys", "ys", _PARAMS),
+    ("xs", "xs", _params),
+    ("ys", "ys", _params),
     required=("xs", "ys"),
 )
 
 _MODEL = _Section(
     ModelConfig,
     ("kind", "kind", _STRING),
-    ("mu", "mu", _PARAMS),
-    ("theta", "theta", _PARAMS),
-    ("sigma2", "sigma2", _PARAMS),
-    ("beta", "beta", _PARAMS),
-    ("covariance", "covariance", _list_of(_PARAMS)),
+    ("mu", "mu", _params),
+    ("theta", "theta", _params),
+    ("sigma2", "sigma2", _params),
+    ("beta", "beta", _params),
+    ("covariance", "covariance", _list_of(_params)),
     ("risk_weight", "risk_weight", _PARAM),
     ("tables", "tables", _list_of(_TABLE)),
-    ("centers", "centers", _PARAMS),
-    ("interior_floor", "interior_floor", _PARAMS),
+    ("centers", "centers", _params),
+    ("interior_floor", "interior_floor", _params),
     required=("kind",),
 )
 
@@ -224,17 +185,27 @@ _PRESAMPLE = _Section(
     ("max_rounds_per_arm", "max_rounds_per_arm", _POSITIVE_OR_NULL),
 )
 
-_DEVIATION = _Deviation(
-    None,
-    ("scale", "deviation_scale", _NUMBER),
-    ("exponent", "deviation_exponent", _NUMBER),
+_RADIUS = _Section(
+    lambda scale, exponent: (scale, exponent),
+    ("scale", "scale", _NUMBER),
+    ("exponent", "exponent", _NUMBER),
     required=("scale", "exponent"),
 )
+
+
+def _deviation(value: Any, where: str) -> str | tuple[float, float]:
+    """A preset name, or the (scale, exponent) pair of a {scale, exponent} radius."""
+    if isinstance(value, str):
+        return value
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where}: expected a preset name or {{scale, exponent}}")
+    return _RADIUS(value, where)
+
 
 _POLICY = _Section(
     PolicyConfig,
     ("kind", "kind", _STRING),
-    ("deviation", None, _DEVIATION),
+    ("deviation", "deviation", _deviation),
     ("sigma2", "sigma2", _NUMBER),
     ("weights", "weights", _list_of(_NUMBER)),
     ("presample", "presample", _PRESAMPLE),
@@ -276,7 +247,7 @@ _EXPERIMENT = _Section(
 def parse_config_data(data: Any, source: str = "<config>") -> ExperimentConfig:
     """The config `data` describes, checked as it is made, so that a config
     that cannot run fails here, naming a key."""
-    return _EXPERIMENT.parse(data, source, prefix="")
+    return _EXPERIMENT(data, source, prefix="")
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -292,11 +263,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid yaml in {path}: {exc}") from None
     return parse_config_data(data, source=str(path))
-
-
-def normalize_config(config: ExperimentConfig) -> dict:
-    """Canonical plain-data form; parsing it back yields an equal config."""
-    return _EXPERIMENT.dump(config)
 
 
 def _fmt(value: float | None) -> str:

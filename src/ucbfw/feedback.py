@@ -118,24 +118,18 @@ def _state_words(seeds: Sequence[int], keys: Sequence[int]) -> np.ndarray:
 @dataclass(frozen=True)
 class DeviationSpec:
     """Confidence radius (scale * log(t/delta_t) / n) ** exponent with
-    delta_t = 1/t^2, the schedule the paper's bounds sum over.
-
-    `sigma2` is the sub-Gaussian parameter the observation distributions are
-    required to satisfy.  The default radius is the `theorem1` preset of
-    `harness.DEVIATION_PRESETS`.
+    delta_t = 1/t^2, the schedule the paper's bounds sum over.  The default
+    radius is the `theorem1` preset of `harness.DEVIATION_PRESETS`.
     """
 
     scale: float = 4.0
     exponent: float = 0.5
-    sigma2: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.scale < math.inf:
             raise ValueError(f"deviation scale must be finite and nonnegative, got {self.scale}")
         if not 0.0 < self.exponent <= 0.5:
             raise ValueError(f"deviation exponent must be in (0, 1/2], got {self.exponent}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
 
     def delta_at(self, t: int) -> float:
         return 1.0 / (t * t)

@@ -60,7 +60,7 @@ MIN_BLOCK = 64
 MAX_BLOCK = 128
 
 # The radius scale each deviation preset sets from sigma2, at exponent 1/2.
-# A "custom" deviation gives its own scale and exponent instead.
+# A deviation given as a (scale, exponent) pair sets its radius itself.
 DEVIATION_PRESETS = {
     # 2*sqrt(log(t/delta)/n), the default used by the rate checks
     "theorem1": lambda sigma2: 4.0,
@@ -109,13 +109,11 @@ class FeedbackConfig:
 @dataclass(frozen=True)
 class PolicyConfig:
     """Primitive description of a policy (see build_policy), checked when
-    made.  `deviation_spec` is the radius the deviation fields describe:
-    a preset of DEVIATION_PRESETS, or "custom" with a scale and exponent."""
+    made.  `deviation` is a preset of DEVIATION_PRESETS or a (scale,
+    exponent) pair, and `deviation_spec` is the radius it describes."""
 
     kind: str = UCB_FW
-    deviation: str = "theorem1"
-    deviation_scale: float | None = None
-    deviation_exponent: float | None = None
+    deviation: str | tuple[float, float] = "theorem1"
     sigma2: float = 1.0
     weights: tuple[float, ...] | None = None
     presample: PresampleConfig | None = None
@@ -134,23 +132,18 @@ class PolicyConfig:
             check_simplex(self.weights)
         if not 0.0 < self.doubling_beta <= 0.5:
             raise ValueError(f"doubling beta must be in (0, 1/2], got {self.doubling_beta}")
-        if self.deviation == "custom":
-            if self.deviation_scale is None or self.deviation_exponent is None:
-                raise ValueError("custom deviation needs deviation_scale and deviation_exponent")
-            scale, exponent = self.deviation_scale, self.deviation_exponent
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
+        if not isinstance(self.deviation, str):
+            scale, exponent = self.deviation
+            spec = DeviationSpec(scale, exponent)
         elif self.deviation in DEVIATION_PRESETS:
-            if self.deviation_scale is not None or self.deviation_exponent is not None:
-                raise ValueError(
-                    f"deviation_scale and deviation_exponent are read only by a custom deviation, "
-                    f"not by the {self.deviation!r} preset"
-                )
-            scale, exponent = DEVIATION_PRESETS[self.deviation](self.sigma2), 0.5
+            spec = DeviationSpec(DEVIATION_PRESETS[self.deviation](self.sigma2))
         else:
             raise ValueError(
                 f"unknown deviation preset {self.deviation!r}; "
-                f"use one of {tuple(DEVIATION_PRESETS)} or 'custom'"
+                f"use one of {tuple(DEVIATION_PRESETS)} or a (scale, exponent) pair"
             )
-        spec = DeviationSpec(scale, exponent, self.sigma2)
         object.__setattr__(self, "deviation_spec", spec)
 
 
@@ -362,7 +355,7 @@ def _experiment_problem(config: ExperimentConfig) -> tuple[tuple[str, ...], str]
     if brackets is not None and len(brackets) != k:
         return ("policy", "presample", "brackets"), f"need one bracket per arm: {len(brackets)} vs {k}"
     try:
-        setup = _feedback_setup(config.feedback, model, config.policy.deviation_spec.sigma2)
+        setup = _feedback_setup(config.feedback, model, config.policy.sigma2)
     except ValueError as exc:
         return ("feedback",), str(exc)
     # derived fields, set past the frozen dataclass's __setattr__

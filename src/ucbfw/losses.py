@@ -439,9 +439,11 @@ class MarkowitzLoss(LossModel):
         """L(p) = p' Sigma p - lambda * mu . p (variance-penalized mean return)."""
         m = _as_floats(mu, "mu")
         k = len(m)
+        # row lengths first: numpy's error for ragged rows names no field
+        rows = tuple(map(np.size, covariance))
+        if rows != (k,) * k:
+            raise ValueError(f"covariance must be {k}x{k}, got rows of lengths {rows}")
         sig = np.asarray(covariance, dtype=float)
-        if sig.shape != (k, k):
-            raise ValueError(f"covariance must be {k}x{k}, got {sig.shape}")
         if not np.isfinite(sig).all():
             raise ValueError("covariance has a non-finite entry")
         if not np.allclose(sig, sig.T, atol=1e-10):

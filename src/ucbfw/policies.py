@@ -266,6 +266,9 @@ def doubling_boundaries(beta: float, t_max: int) -> list[int]:
             return out
         if not out or b > out[-1]:
             out.append(b)
+            # the next end needs r**j > log(b); jump to just short of the
+            # first such j, about log(log b)/beta steps on for a small beta
+            j = max(j, int(math.log(math.log(b)) / math.log(r)) - 1)
         j += 1
 
 

@@ -8,7 +8,8 @@ scalar `interp`), of `OccupationState`, its float recurrence
 (`FeedbackState`, `route_and_update`, `gradient_estimate`) and its radius
 `deviation`, of the selection rules (`argmin_tie_break`, `ucb_fw_select`,
 `lcb_bandit_select`, `oracle_fw_select`), of the pre-sampling stopping rule
-(`variance_stopping_tau`) and of the policy classes, kept as
+(`variance_stopping_tau`), of the doubling block ends
+(`doubling_boundaries`, one j at a time) and of the policy classes, kept as
 the reference the lockstep engine is tested against: `run_trial` here runs
 one seed at a time, with one Python call per layer per round and plain
 lists for every point and gradient, and must give the same TrialRecord as
@@ -46,7 +47,6 @@ from ucbfw.policies import (
     UCB_FW,
     UNIFORM,
     PresampleConfig,
-    doubling_boundaries,
 )
 from ucbfw.simplex import check_simplex
 
@@ -539,6 +539,23 @@ class FixedAllocationPolicy:
 
     def observe(self, action: int, obs: float) -> None:
         pass
+
+
+def doubling_boundaries(beta: float, t_max: int) -> list[int]:
+    """Block end times ceil(exp(r^j)) with r = 1/(1-beta), up to t_max, one
+    j at a time."""
+    if not 0.0 < beta <= 0.5:
+        raise ValueError(f"beta must be in (0, 1/2], got {beta}")
+    r = 1.0 / (1.0 - beta)
+    out: list[int] = []
+    j = 1
+    while True:
+        b = math.ceil(math.exp(r**j))
+        if b > t_max:
+            return out
+        if not out or b > out[-1]:
+            out.append(b)
+        j += 1
 
 
 class DoublingUcbFwPolicy:

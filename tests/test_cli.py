@@ -12,7 +12,6 @@ import textwrap
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ucbfw
@@ -23,7 +22,6 @@ from ucbfw.cli import (
     emit_csv,
     emit_summary,
     main,
-    normalize_config,
     parse_config,
     parse_config_data,
 )
@@ -34,7 +32,7 @@ from ucbfw.harness import (
     fit_rate,
     run_experiment,
 )
-from ucbfw.harness import DEVIATION_PRESETS
+from ucbfw.harness import DEVIATION_PRESETS, PolicyConfig
 from ucbfw.losses import FAMILIES
 from ucbfw.policies import POLICY_KINDS
 
@@ -102,6 +100,9 @@ def test_parse_error_messages_name_fields():
         cfg_from(output={"dir": 3})
     with pytest.raises(ConfigError, match="experiment"):
         cfg_from(experiment="")
+    ragged = {**MARKOWITZ_MODEL, "covariance": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0]]}
+    with pytest.raises(ConfigError, match=re.escape("model: covariance must be 3x3, got rows of lengths (3, 3, 1)")):
+        cfg_from(model=ragged)
 
 
 def test_parse_rejects_bad_action_map():
@@ -125,6 +126,16 @@ def test_parse_rejects_unknown_policy_and_deviation():
         cfg_from(policy={"deviation": {"scale": 1.0, "power": 0.5}})
     with pytest.raises(ConfigError, match="policy:"):
         cfg_from(policy={"deviation": "hoeffding"})
+    # a {scale, exponent} radius is held as a pair; "custom" is no preset
+    assert cfg_from(policy={"deviation": {"scale": 1.5, "exponent": 0.25}}).policy == PolicyConfig(
+        deviation=(1.5, 0.25)
+    )
+    with pytest.raises(ConfigError, match="policy: unknown deviation preset 'custom'"):
+        cfg_from(policy={"deviation": "custom"})
+    with pytest.raises(
+        ConfigError, match=re.escape("policy.deviation: expected a preset name or {scale, exponent}")
+    ):
+        cfg_from(policy={"deviation": 5})
 
 
 def test_parse_subgaussian_mismatch_is_config_error():
@@ -163,97 +174,14 @@ def test_shipped_configs_parse_alike_with_either_yaml_loader(tmp_path, monkeypat
         parse_config(bad)
 
 
-# ---------------------------------------------------------------- round trips
-
-
-ROUND_TRIP_CONFIGS = [
-    BASIC,
-    {
-        "experiment": "floors",
-        "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
-        "policy": {
-            "kind": "presampled_ucb_fw",
-            "deviation": "theorem1",
-            "presample": {"delta": 0.1, "variance_cap": 8.0, "horizon": 5000},
-        },
-        "feedback": {"observation": "gaussian"},
-        "horizons": [5000],
-        "seeds": {"count": 3, "base": 11},
-    },
-    {
-        "experiment": "floors_known",
-        "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
-        "policy": {
-            "kind": "presampled_ucb_fw",
-            "presample": {"brackets": [[1.0, 1.0], [2.0, 2.0]]},
-        },
-        "feedback": {"estimator": "sample_variance"},
-        "horizons": [100],
-        "seeds": {"count": 1, "base": 0},
-        "output": {"dir": "out"},
-    },
-    {
-        "experiment": "tables",
-        "model": {
-            "kind": "separable",
-            "mu": [0.2, 0.8],
-            "tables": [
-                {"xs": [0.0, 1.0], "ys": [0.0, 2.0]},
-                {"xs": [0.0, 1.0], "ys": [1.0, 1.5]},
-            ],
-        },
-        "policy": {"deviation": {"scale": 1.5, "exponent": 0.25}},
-        "feedback": {"observation": "bernoulli"},
-        "horizons": [50, 100],
-        "seeds": {"count": 2, "base": 3},
-        "record_epsilon": True,
-    },
-    {
-        "experiment": "blocks",
-        "model": {
-            "kind": "markowitz",
-            "covariance": [[1.0, 0.2], [0.2, 1.5]],
-            "risk_weight": 1.3,
-            "mu": [1.0, 0.5],
-        },
-        "policy": {"kind": "doubling_ucb_fw", "doubling_beta": 0.4, "sigma2": 1.0},
-        "feedback": {"observation": "gaussian", "noise_sd": 1.0},
-        "horizons": [200],
-        "seeds": {"count": 2, "base": 5},
-    },
-    {
-        "experiment": "baseline",
-        "model": {"kind": "cobb_douglas", "beta": [0.3, 0.7], "interior_floor": [0.1, 0.1]},
-        "policy": {"kind": "fixed_allocation", "weights": [0.3, 0.7]},
-        "feedback": {"observation": "deterministic"},
-        "horizons": [100],
-        "seeds": {"count": 1, "base": 9},
-    },
-    {
-        # doubling_beta is kept for every kind, not only doubling_ucb_fw
-        "experiment": "beta_of_plain_ucb",
-        "model": {"kind": "linear", "mu": [0.1, 0.5]},
-        "policy": {"kind": "ucb_fw", "doubling_beta": 0.3},
-        "horizons": [100],
-        "seeds": {"count": 1, "base": 2},
-    },
-]
-
-
-@pytest.mark.parametrize("data", ROUND_TRIP_CONFIGS, ids=[c["experiment"] for c in ROUND_TRIP_CONFIGS])
-def test_normalized_config_round_trips(data):
-    config = parse_config_data(data)
-    normalized = normalize_config(config)
-    assert parse_config_data(normalized) == config
-    # and through the yaml emitter as well
-    assert parse_config_data(yaml.safe_load(yaml.safe_dump(normalize_config(config), sort_keys=False))) == config
+# ---------------------------------------------------------------- table-drawn configs
 
 
 def _table_keys(section, prefix=""):
     """Every key of the parser's tables, dotted; a section is walked into,
-    except the deviation, whose value is a preset or a mapping."""
+    a key read by a function (the deviation's, a preset or a mapping) is not."""
     for key, _, kind in section.entries:
-        if isinstance(kind, cli._Section) and not isinstance(kind, cli._Deviation):
+        if isinstance(kind, cli._Section):
             yield from _table_keys(kind, f"{prefix}{key}.")
         else:
             yield prefix + key
@@ -368,12 +296,12 @@ def test_table_drawn_configs_cover_every_key():
     assert set(_value_strategies(3, "linear", "ucb_fw")) == set(_table_keys(cli._EXPERIMENT))
 
 
-@settings(max_examples=150, deadline=None)
-@given(table_configs())
-def test_table_drawn_configs_round_trip(data):
-    config = parse_config_data(data)
-    assert parse_config_data(normalize_config(config)) == config
-    assert parse_config_data(yaml.safe_load(yaml.safe_dump(normalize_config(config), sort_keys=False))) == config
+
+def test_readme_example_is_the_vertex_config():
+    # the first yaml block of README.md is configs/vertex_fast_rate.yaml
+    root = pathlib.Path(__file__).parent.parent
+    example = re.search(r"^```yaml\n(.*?)^```", (root / "README.md").read_text(), re.M | re.S).group(1)
+    assert parse_config_data(yaml.safe_load(example)) == parse_config(root / "configs" / "vertex_fast_rate.yaml")
 
 
 # ---------------------------------------------------------------- emission

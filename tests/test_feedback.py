@@ -76,7 +76,7 @@ def test_spec_and_observation_model_reject_non_finite_values(value):
     with pytest.raises(ValueError, match="deviation scale must be finite"):
         DeviationSpec(scale=value)
     with pytest.raises(ValueError, match="sigma2 must be finite"):
-        DeviationSpec(sigma2=value)
+        PolicyConfig(sigma2=value)
     with pytest.raises(ValueError, match="sds must be finite"):
         ObservationModel(kind="gaussian", means=(0.0, 0.0), sds=(1.0, value))
 
@@ -84,7 +84,7 @@ def test_spec_and_observation_model_reject_non_finite_values(value):
 def test_presets():
     # the default spec is the theorem1 preset's radius
     assert PolicyConfig().deviation_spec == DeviationSpec()
-    assert PolicyConfig(deviation="prop1", sigma2=2.0).deviation_spec == DeviationSpec(scale=4.0, sigma2=2.0)
+    assert PolicyConfig(deviation="prop1", sigma2=2.0).deviation_spec == DeviationSpec(scale=4.0)
     assert PolicyConfig(deviation="prop1_doubled", sigma2=2.0).deviation_spec.scale == 16.0
     assert PolicyConfig(deviation="noiseless").deviation_spec == DeviationSpec(scale=0.0)
 
@@ -277,7 +277,7 @@ def test_estimate_coverage_under_prop1_radius():
     # radius must cover the estimation error in all but ~delta of trials
     mu = (0.1, 0.5, -0.3)
     model = LinearLoss.build(mu)
-    spec = DeviationSpec(scale=2.0, sigma2=1.0)
+    spec = DeviationSpec(scale=2.0)
     counts = (10, 15, 25)
     t_eval = 1000
     delta = 0.05

@@ -2,8 +2,8 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
-from test_cli import table_configs
+from hypothesis import example, given, settings
+from test_cli import BASIC, table_configs
 
 from ucbfw import harness
 from ucbfw.cli import parse_config_data
@@ -81,9 +81,9 @@ def test_build_deviation_presets():
     assert PolicyConfig(deviation="prop1", sigma2=2.0).deviation_spec.scale == 4.0
     assert PolicyConfig(deviation="prop1_doubled", sigma2=2.0).deviation_spec.scale == 16.0
     assert PolicyConfig(deviation="noiseless").deviation_spec.scale == 0.0
-    custom = PolicyConfig(deviation="custom", deviation_scale=1.5, deviation_exponent=0.25).deviation_spec
+    custom = PolicyConfig(deviation=(1.5, 0.25)).deviation_spec
     assert (custom.scale, custom.exponent) == (1.5, 0.25)
-    with pytest.raises(ValueError, match="custom deviation"):
+    with pytest.raises(ValueError, match="unknown deviation preset 'custom'"):
         PolicyConfig(deviation="custom")
     with pytest.raises(ValueError, match="preset"):
         PolicyConfig(deviation="hoeffding")
@@ -107,13 +107,7 @@ def test_policy_config_validation():
         with pytest.raises(ValueError, match="sigma2 must be finite and positive"):
             PolicyConfig(deviation="theorem1", sigma2=sigma2)
     with pytest.raises(ValueError, match="deviation scale must be finite"):
-        PolicyConfig(deviation="custom", deviation_scale=math.nan, deviation_exponent=0.5)
-    # a preset sets its own radius; a scale or exponent beside it is refused
-    fields = "deviation_scale and deviation_exponent are read only by a custom deviation"
-    with pytest.raises(ValueError, match=f"{fields}, not by the 'theorem1' preset"):
-        PolicyConfig(deviation="theorem1", deviation_scale=9.0)
-    with pytest.raises(ValueError, match=fields):
-        PolicyConfig(deviation="prop1", deviation_exponent=0.25)
+        PolicyConfig(deviation=(math.nan, 0.5))
     # a NaN weight fails the simplex check
     with pytest.raises(ValueError, match="simplex coordinate 0"):
         PolicyConfig(kind="fixed_allocation", weights=(math.nan, 1.0))
@@ -288,8 +282,91 @@ def test_errors_are_nonnegative():
         assert all(e >= -1e-12 for e in rec.errors)
 
 
+# configs that each reach a different corner of the tables, run as
+# examples beside the drawn ones
+EXAMPLE_CONFIGS = [
+    BASIC,
+    {
+        "experiment": "floors",
+        "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
+        "policy": {
+            "kind": "presampled_ucb_fw",
+            "deviation": "theorem1",
+            "presample": {"delta": 0.1, "variance_cap": 8.0, "horizon": 5000},
+        },
+        "feedback": {"observation": "gaussian"},
+        "horizons": [5000],
+        "seeds": {"count": 3, "base": 11},
+    },
+    {
+        "experiment": "floors_known",
+        "model": {"kind": "exp_design", "sigma2": [1.0, 4.0]},
+        "policy": {
+            "kind": "presampled_ucb_fw",
+            "presample": {"brackets": [[1.0, 1.0], [2.0, 2.0]]},
+        },
+        "feedback": {"estimator": "sample_variance"},
+        "horizons": [100],
+        "seeds": {"count": 1, "base": 0},
+        "output": {"dir": "out"},
+    },
+    {
+        "experiment": "tables",
+        "model": {
+            "kind": "separable",
+            "mu": [0.2, 0.8],
+            "tables": [
+                {"xs": [0.0, 1.0], "ys": [0.0, 2.0]},
+                {"xs": [0.0, 1.0], "ys": [1.0, 1.5]},
+            ],
+        },
+        "policy": {"deviation": {"scale": 1.5, "exponent": 0.25}},
+        "feedback": {"observation": "bernoulli"},
+        "horizons": [50, 100],
+        "seeds": {"count": 2, "base": 3},
+        "record_epsilon": True,
+    },
+    {
+        "experiment": "blocks",
+        "model": {
+            "kind": "markowitz",
+            "covariance": [[1.0, 0.2], [0.2, 1.5]],
+            "risk_weight": 1.3,
+            "mu": [1.0, 0.5],
+        },
+        "policy": {"kind": "doubling_ucb_fw", "doubling_beta": 0.4, "sigma2": 1.0},
+        "feedback": {"observation": "gaussian", "noise_sd": 1.0},
+        "horizons": [200],
+        "seeds": {"count": 2, "base": 5},
+    },
+    {
+        "experiment": "baseline",
+        "model": {"kind": "cobb_douglas", "beta": [0.3, 0.7], "interior_floor": [0.1, 0.1]},
+        "policy": {"kind": "fixed_allocation", "weights": [0.3, 0.7]},
+        "feedback": {"observation": "deterministic"},
+        "horizons": [100],
+        "seeds": {"count": 1, "base": 9},
+    },
+    {
+        # doubling_beta is accepted for every kind, not only doubling_ucb_fw
+        "experiment": "beta_of_plain_ucb",
+        "model": {"kind": "linear", "mu": [0.1, 0.5]},
+        "policy": {"kind": "ucb_fw", "doubling_beta": 0.3},
+        "horizons": [100],
+        "seeds": {"count": 1, "base": 2},
+    },
+]
+
+
+def _with_examples(test):
+    for data in EXAMPLE_CONFIGS:
+        test = example(data)(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(table_configs())
+@_with_examples
 def test_every_accepted_config_runs(data):
     # any config the parser accepts runs, with 3 seeds on horizons from K:
     # every snapshot's counts sum to its horizon and no error is NaN (a
@@ -546,7 +623,7 @@ GRID_DEVIATIONS = (
     dict(deviation="theorem1"),
     dict(deviation="prop1"),
     dict(deviation="noiseless"),
-    dict(deviation="custom", deviation_scale=1.5, deviation_exponent=0.4),
+    dict(deviation=(1.5, 0.4)),
 )
 GRID_PRESAMPLE = (
     # a small variance cap and a loose delta let the stopping rule trigger

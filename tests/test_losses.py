@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -565,6 +566,11 @@ def test_markowitz_requires_symmetric_psd():
         MarkowitzLoss.build(((1.0, 0.5), (0.0, 1.0)), 1.0, (0.0, 1.0))
     with pytest.raises(ValueError, match="semidefinite"):
         MarkowitzLoss.build(((1.0, 2.0), (2.0, 1.0)), 1.0, (0.0, 1.0))
+    # one row of K entries per action, ragged rows included
+    with pytest.raises(ValueError, match=re.escape("covariance must be 2x2, got rows of lengths (2, 1)")):
+        MarkowitzLoss.build(((1.0, 0.0), (0.0,)), 1.0, (0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("covariance must be 2x2, got rows of lengths (3, 3, 3)")):
+        MarkowitzLoss.build(np.eye(3), 1.0, (0.0, 1.0))
 
 
 def test_markowitz_builds_64_actions_to_a_kkt_point():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -453,6 +454,20 @@ def test_doubling_boundaries_beta_half():
         doubling_boundaries(0.0, 100)
     with pytest.raises(ValueError, match="beta"):
         doubling_boundaries(0.7, 100)
+
+
+@pytest.mark.parametrize("t_max", [7, 100, 2981, 10_000, 100_000])
+def test_doubling_boundaries_match_the_one_step_loop(t_max):
+    for beta in [0.5, 0.4, 0.3, 0.1, 0.05, 0.01, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5]:
+        assert doubling_boundaries(beta, t_max) == reference_loop.doubling_boundaries(beta, t_max), beta
+
+
+def test_doubling_boundaries_of_a_tiny_beta_are_quick():
+    # r**j needs about log(log t)/beta steps to pass log(t); one j at a time
+    # that took minutes at beta = 1e-9, and every end from 3 on is a restart
+    start = time.perf_counter()
+    assert doubling_boundaries(1e-9, 10_000) == list(range(3, 10_001))
+    assert time.perf_counter() - start < 1.0
 
 
 def _run_policy(policy, obs_model, seed, t_max, k):
