@@ -105,8 +105,8 @@ def selftest() -> list[tuple[str, bool, str]]:
         seed_count=1,
         seed_base=7,
     )
-    r1 = run_trial(cfg, seed=123)
-    r2 = run_trial(cfg, seed=123)
+    r1 = run_trial(cfg, (123,))
+    r2 = run_trial(cfg, (123,))
     record("determinism", r1 == r2, "")
 
     # the engine's radii at two closed-form points; delta_t = 1/t^2

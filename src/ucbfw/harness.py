@@ -5,9 +5,9 @@ streams are keyed by (seed, action), policy randomness by (seed, stream
 tag), so trials can run in any order or process layout and still aggregate
 bit-identically once sorted by seed.
 
-Trials run in blocks: `run_trial` advances a block of seeds in lockstep,
-one round at a time on (S, K) arrays, and `run_experiment` gives each
-worker one contiguous block of seeds.
+Trials run in blocks: `run_trial` advances one block of seeds in lockstep,
+one round at a time on (S, K) arrays, and `run_experiment` plans the
+blocks, contiguous runs of seeds, and hands them to its workers.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from .policies import (
 from .simplex import OccupationState, check_simplex
 
 # Seeds per lockstep block.  `run_experiment` splits the seeds into at most
-# `workers` blocks, none smaller than MIN_BLOCK: a round costs about the
-# same for any block of up to ~64 seeds, so a smaller block gains nothing
-# from a worker of its own.  `run_trial` runs a longer block in slices of
-# at most MAX_BLOCK, which bounds the observation buffers.
+# `workers` parts, none smaller than MIN_BLOCK: a round costs about the
+# same for any block of up to ~64 seeds, so a smaller part gains nothing
+# from a worker of its own.  It cuts each part into blocks of at most
+# MAX_BLOCK, which bounds a block's observation buffers.
 MIN_BLOCK = 64
 MAX_BLOCK = 128
 
@@ -365,28 +365,19 @@ def _experiment_problem(config: ExperimentConfig) -> tuple[tuple[str, ...], str]
 
 
 def run_trial(
-    config: ExperimentConfig, seed: int | tuple[int, ...], t_max: int | None = None
-) -> TrialRecord | list[TrialRecord]:
-    """Seeded trajectories with error snapshots at the configured horizons.
-
-    `seed` is one trial seed, giving its TrialRecord, or a tuple of seeds,
-    run in lockstep blocks of at most MAX_BLOCK (of nearly equal size) and
-    giving one record per seed, in the order given.  Every record is the one
-    its seed gives alone.
-    """
-    if isinstance(seed, tuple):
-        slices = _split(seed, -(-len(seed) // MAX_BLOCK)) if seed else []
-        return [record for block in slices for record in _run_block(config, block, t_max)]
-    return _run_block(config, (seed,), t_max)[0]
-
-
-def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | None) -> list[TrialRecord]:
-    """The records of one lockstep block, in the order of `seeds`."""
+    config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | None = None
+) -> list[TrialRecord]:
+    """One lockstep block: the record of each of `seeds`, in the order
+    given, with error snapshots at the configured horizons up to t_max
+    (the last horizon by default).  Every record is the one its seed gives
+    alone."""
+    if not seeds:
+        return []
     model = build_model(config.model)
     info = minimizer(model)
-    horizons = tuple(sorted(config.horizons))
     if t_max is None:
-        t_max = horizons[-1]
+        t_max = config.horizons[-1]
+    horizons = tuple(h for h in config.horizons if h <= t_max)
     sampler = ObservationSampler(config.observations, seeds)
     policy = build_policy(config, model, seeds, t_max)
     k = model.num_actions
@@ -401,33 +392,29 @@ def _run_block(config: ExperimentConfig, seeds: tuple[int, ...], t_max: int | No
     eps_snap: list[list[float]] = []
     eps_total = np.zeros(len(seeds))
     uniform = np.full((len(seeds), k), 1.0 / k)
-    hidx = 0
-    next_h = horizons[0]
     select = policy.select
     observe = policy.observe
     draw = sampler.draw
     apply_ = occ.apply
-    for _ in range(t_max):
-        if record_eps:
-            p_prev = None
-            if eps_reads_p:
-                p_prev = uniform if occ.t == 0 else occ.proportions()
-            a = select(occ)
-            eps_total += epsilon_diagnostic(model, p_prev, a)
-        else:
-            a = select(occ)
-        observe(a, draw(a))
-        apply_(a)
-        if occ.t == next_h:
-            errors.append([loss_value(model, p) - loss_star for p in occ.proportions().tolist()])
-            counts_snap.append(occ.counts.astype(np.int64).tolist())
-            eps_snap.append(eps_total.tolist())
-            hidx += 1
-            next_h = horizons[hidx] if hidx < len(horizons) else -1
+    for h in horizons:
+        for _ in range(h - occ.t):
+            if record_eps:
+                p_prev = None
+                if eps_reads_p:
+                    p_prev = uniform if occ.t == 0 else occ.proportions()
+                a = select(occ)
+                eps_total += epsilon_diagnostic(model, p_prev, a)
+            else:
+                a = select(occ)
+            observe(a, draw(a))
+            apply_(a)
+        errors.append([loss_value(model, p) - loss_star for p in occ.proportions().tolist()])
+        counts_snap.append(occ.counts.astype(np.int64).tolist())
+        eps_snap.append(eps_total.tolist())
     return [
         TrialRecord(
             seed=s,
-            horizons=horizons[: len(errors)],
+            horizons=horizons,
             errors=tuple(e[i] for e in errors),
             counts=tuple(tuple(c[i]) for c in counts_snap),
             sum_epsilon=tuple(e[i] for e in eps_snap) if record_eps else None,
@@ -448,22 +435,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[TrialReco
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = tuple(config.seed_base + i for i in range(config.seed_count))
-    # at most `workers` blocks, none below MIN_BLOCK
-    blocks = _split(seeds, max(1, min(workers, len(seeds) // MIN_BLOCK)))
-    if len(blocks) == 1:
-        records = run_trial(config, seeds)
-    else:
-        # imported here, so that single-worker runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    # at most `workers` parts, none below MIN_BLOCK, each cut into blocks
+    # of at most MAX_BLOCK; the blocks are contiguous and run in seed order
+    parts = _split(seeds, max(1, min(workers, len(seeds) // MIN_BLOCK)))
+    blocks = [block for part in parts for block in _split(part, -(-len(part) // MAX_BLOCK))]
+    if len(parts) == 1:
+        return [r for block in blocks for r in run_trial(config, block)]
+    # imported here, so that single-worker runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # every block draws from numpy.random: loaded before the fork, no worker imports it
-        import numpy.random
+    # every block draws from numpy.random: loaded before the fork, no worker imports it
+    import numpy.random
 
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            done = pool.map(run_trial, [config] * len(blocks), blocks)
-            records = [r for block in done for r in block]
-    records.sort(key=lambda r: r.seed)
-    return records
+    with ProcessPoolExecutor(max_workers=len(parts)) as pool:
+        return [r for records in pool.map(run_trial, [config] * len(blocks), blocks) for r in records]
 
 
 def aggregate(records: Sequence[TrialRecord]) -> AggregateResult:

@@ -173,9 +173,6 @@ class UcbFwPolicy:
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
         self.fb.update(actions, obs)
 
-    def reset_estimator(self) -> None:
-        self.fb.reset()
-
 
 class LcbBanditPolicy:
     """Scalar-bandit selection on raw running means (no loss model) for a
@@ -242,8 +239,7 @@ class FixedAllocationPolicy:
     """Deterministic tracking of target weights by largest deficit."""
 
     def __init__(self, weights: Sequence[float]):
-        self.weights = tuple(check_simplex(tuple(float(w) for w in weights)))
-        self._w = np.array(self.weights)
+        self._w = np.array(check_simplex(tuple(float(w) for w in weights)))
 
     def select(self, occ: OccupationState) -> np.ndarray:
         # first index of the largest deficit, as a strict `>` scan finds it
@@ -288,7 +284,7 @@ class DoublingUcbFwPolicy:
 
     def select(self, occ: OccupationState) -> np.ndarray:
         if self._next_idx < len(self.boundaries) and occ.t >= self.boundaries[self._next_idx]:
-            self.inner.reset_estimator()
+            self.inner.fb.reset()
             self._next_idx += 1
             self.block += 1
         return self.inner.select(occ)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from test_cli import BASIC, table_configs
@@ -214,7 +215,7 @@ def test_per_family_answers(kind):
         with pytest.raises(ValueError, match="boundary"):
             linear_config(**eps)
     else:
-        assert run_trial(linear_config(**eps), seed=1).sum_epsilon is not None
+        assert run_trial(linear_config(**eps), (1,))[0].sum_epsilon is not None
 
     agg = AggregateResult(horizons=(10,), mean_error=(0.1,), stderr_error=(0.0,), n=1)
     rep = bound_check(agg, model, "prop2")
@@ -237,7 +238,7 @@ def test_uniform_policy_error_matches_counts():
         horizons=(4000,),
         seed_count=1,
     )
-    rec = run_trial(cfg, seed=5)
+    [rec] = run_trial(cfg, (5,))
     # loss is p[1], minimizer value 0, so the error is the exact pull share
     assert rec.errors[0] == pytest.approx(rec.counts[0][1] / 4000)
     assert abs(rec.errors[0] - 0.5) < 0.05
@@ -251,15 +252,15 @@ def test_oracle_noiseless_meets_pathwise_envelope():
         horizons=(10, 100, 1000),
         seed_count=1,
     )
-    rec = run_trial(cfg, seed=1)
+    [rec] = run_trial(cfg, (1,))
     for t, err in zip(rec.horizons, rec.errors):
         assert err <= math.log(math.e * t) / t + 1e-12
 
 
 def test_trial_determinism_and_worker_independence():
     cfg = linear_config(seed_count=4)
-    a = run_trial(cfg, seed=101)
-    b = run_trial(cfg, seed=101)
+    a = run_trial(cfg, (101,))
+    b = run_trial(cfg, (101,))
     assert a == b
     serial = run_experiment(cfg, workers=1)
     parallel = run_experiment(cfg, workers=4)
@@ -268,8 +269,37 @@ def test_trial_determinism_and_worker_independence():
 
 def test_run_trial_takes_a_tuple_of_seeds():
     cfg = linear_config(horizons=(50,))
-    assert run_trial(cfg, (7, 3)) == [run_trial(cfg, 7), run_trial(cfg, 3)]
+    assert run_trial(cfg, (7, 3)) == run_trial(cfg, (7,)) + run_trial(cfg, (3,))
     assert run_trial(cfg, ()) == []
+
+
+def test_run_experiment_plans_blocks_of_at_most_max_block(monkeypatch):
+    # 7 seeds cut into blocks of at most 2: four blocks in the parent, or
+    # parts of 4 and 3 seeds cut into blocks on a pool of two workers
+    monkeypatch.setattr(harness, "MIN_BLOCK", 1)
+    monkeypatch.setattr(harness, "MAX_BLOCK", 2)
+    cfg = linear_config(horizons=(50, 100), seed_count=7)
+    alone = [r for i in range(7) for r in run_trial(cfg, (cfg.seed_base + i,))]
+    assert run_experiment(cfg, workers=2) == alone
+    sizes = []
+
+    def spy(config, seeds, t_max=None):
+        sizes.append(len(seeds))
+        return run_trial(config, seeds, t_max)
+
+    monkeypatch.setattr(harness, "run_trial", spy)
+    assert run_experiment(cfg, workers=1) == alone
+    assert sizes == [2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("kind", ["ucb_fw", "doubling_ucb_fw"])
+def test_run_trial_stops_at_t_max(kind):
+    # the doubling policy restarts at rounds 8 and 55 under either t_max
+    cfg = linear_config(policy=PolicyConfig(kind=kind), horizons=(20, 60, 200))
+    full = run_trial(cfg, (4, 5))
+    short = run_trial(cfg, (4, 5), t_max=60)
+    assert [r.horizons for r in short] == [(20, 60)] * 2
+    assert [(r.errors, r.counts) for r in short] == [(r.errors[:2], r.counts[:2]) for r in full]
 
 
 def test_errors_are_nonnegative():
@@ -372,7 +402,8 @@ def test_every_accepted_config_runs(data):
     # every snapshot's counts sum to its horizon and no error is NaN (a
     # zero coordinate of a barrier loss is an error of +inf)
     config = parse_config_data(data)
-    k = build_model(config.model).num_actions
+    model = build_model(config.model)
+    k = model.num_actions
     config = dataclasses.replace(config, horizons=(k, 10, 40), seed_count=3)
     records = run_experiment(config)
     assert [r.seed for r in records] == [config.seed_base + i for i in range(3)]
@@ -380,15 +411,26 @@ def test_every_accepted_config_runs(data):
         assert r.horizons == config.horizons
         assert [sum(c) for c in r.counts] == list(config.horizons)
         assert not any(math.isnan(e) for e in r.errors)
+        # a convex loss's error is at most its Frank-Wolfe gap
+        # <g, p> - min g, which needs no minimizer; a barrier loss has no
+        # gradient at a zero coordinate
+        for t, c, error in zip(r.horizons, r.counts, r.errors):
+            p = np.array(c) / t
+            if not model.smooth_on_simplex and not p.all():
+                continue
+            g = model.true_gradient(p[None])[0]
+            gap = float(g @ p - g.min())
+            tol = 1e-9 * (1.0 + abs(gap) + abs(error))
+            assert -tol <= error <= gap + tol, (t, c, error, gap)
 
 
 def test_epsilon_sums_recorded_when_asked():
     cfg = linear_config(record_epsilon=True, horizons=(50, 100), seed_count=1)
-    rec = run_trial(cfg, seed=9)
+    [rec] = run_trial(cfg, (9,))
     assert rec.sum_epsilon is not None
     assert len(rec.sum_epsilon) == 2
     assert rec.sum_epsilon[1] >= rec.sum_epsilon[0] >= 0.0
-    plain = run_trial(linear_config(horizons=(50, 100), seed_count=1), seed=9)
+    [plain] = run_trial(linear_config(horizons=(50, 100), seed_count=1), (9,))
     assert plain.sum_epsilon is None
 
 
