@@ -265,9 +265,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return parse_config_data(data, source=str(path))
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
+def _fmt(value: float) -> str:
     return f"{value:.12e}"
 
 

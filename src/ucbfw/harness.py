@@ -384,7 +384,7 @@ def run_trial(
     occ = OccupationState(k, seeds=len(seeds))
     loss_star = info.loss_star
     record_eps = config.record_epsilon
-    # a constant-gradient epsilon does not read the points
+    # select leaves occ as it was; a constant-gradient epsilon reads no point
     eps_reads_p = not model.constant_gradient
 
     errors: list[list[float]] = []
@@ -398,14 +398,12 @@ def run_trial(
     apply_ = occ.apply
     for h in horizons:
         for _ in range(h - occ.t):
+            a = select(occ)
             if record_eps:
                 p_prev = None
                 if eps_reads_p:
                     p_prev = uniform if occ.t == 0 else occ.proportions()
-                a = select(occ)
                 eps_total += epsilon_diagnostic(model, p_prev, a)
-            else:
-                a = select(occ)
             observe(a, draw(a))
             apply_(a)
         errors.append([loss_value(model, p) - loss_star for p in occ.proportions().tolist()])

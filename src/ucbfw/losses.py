@@ -455,7 +455,7 @@ class MarkowitzLoss(LossModel):
         if not math.isfinite(lam):
             raise ValueError(f"risk_weight must be finite, got {lam}")
         if lam < 0.0:
-            raise ValueError(f"risk weight must be nonnegative, got {lam}")
+            raise ValueError(f"risk_weight must be nonnegative, got {lam}")
         # both the loss and each gradient coordinate are convex in p, so sup
         # norms over the simplex are attained at vertices
         vertex_losses = [sig[j, j] - lam * m[j] for j in range(k)]

@@ -8,12 +8,12 @@ implicit in the occupation bookkeeping, so a policy only ever picks the
 next action.
 
 Baselines (uniform, fixed allocation, oracle gradient, scalar bandit on
-raw means) and two wrappers (variance pre-sampling with occupancy floors,
-block restarts of the estimator state) share the same select/observe
-interface.  The policy classes advance a block of seeds in lockstep:
-`select` takes a block `OccupationState` and returns one action per seed,
-and `observe` takes one action and one observation per seed.  Each seed
-gets the action its trajectory alone would get.
+the estimator's means) and two wrappers (variance pre-sampling with
+occupancy floors, block restarts of the estimator state) choose only
+through `select`, a wrapper through its inner policy's.  A block of seeds
+advances in lockstep: `select` takes a block `OccupationState` and returns
+one action per seed, and `observe` takes one action and one observation
+per seed.  Each seed gets the action its trajectory alone would get.
 """
 
 from __future__ import annotations
@@ -106,25 +106,23 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
     return g[rows, chosen] - g[rows, lowest_argmin(g)]
 
 
-def _with_forced_exploration(fb: FeedbackBlock, t: int, rows: np.ndarray | None, choose) -> np.ndarray:
-    """One action per seed in `rows` (every seed when None).
+def _with_forced_exploration(fb: FeedbackBlock, t: int, choose) -> np.ndarray:
+    """One action per seed of the block.
 
     Forced exploration where it applies: round robin over the first K
     rounds, then any still-unobserved coefficient by lowest index (its
     radius is infinite), whose index is played as the action.  The other
-    seeds get `choose(free_rows)`.
+    seeds get `choose(free_rows)`, or `choose(None)` when every seed is free.
     """
     if t < fb.num_coeffs:
-        return np.full(len(fb.obs_counts) if rows is None else len(rows), t)
+        return np.full(len(fb.obs_counts), t)
     zero = fb.unobserved()
     if zero is None:
-        return choose(rows)
-    if rows is not None:
-        zero = zero[rows]
+        return choose(None)
     forced = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
     free = np.flatnonzero(forced < 0)
     if len(free):
-        forced[free] = choose(free if rows is None else rows[free])
+        forced[free] = choose(free)
     return forced
 
 
@@ -146,11 +144,7 @@ class UcbFwPolicy:
     def select(self, occ: OccupationState) -> np.ndarray:
         if self.fb.observed and occ.t >= self.fb.num_coeffs:
             return self._plug_in(occ, None)
-        return self.select_rows(occ, None)
-
-    def select_rows(self, occ: OccupationState, rows: np.ndarray | None) -> np.ndarray:
-        """Actions of the seeds in `rows` (every seed when None)."""
-        return _with_forced_exploration(self.fb, occ.t, rows, lambda r: self._plug_in(occ, r))
+        return _with_forced_exploration(self.fb, occ.t, lambda r: self._plug_in(occ, r))
 
     def _plug_in(self, occ: OccupationState, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
@@ -175,14 +169,14 @@ class UcbFwPolicy:
 
 
 class LcbBanditPolicy:
-    """Scalar-bandit selection on raw running means (no loss model) for a
-    block of seeds: each seed pulls the action minimizing (mean - radius)."""
+    """Scalar bandit on the estimator's running means, with no loss model, for
+    a block of seeds: each seed pulls the action minimizing (mean - radius)."""
 
     def __init__(self, fb: FeedbackBlock):
         self.fb = fb
 
     def select(self, occ: OccupationState) -> np.ndarray:
-        return _with_forced_exploration(self.fb, occ.t, None, self._pick)
+        return _with_forced_exploration(self.fb, occ.t, self._pick)
 
     def _pick(self, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
@@ -279,13 +273,11 @@ class DoublingUcbFwPolicy:
     def __init__(self, inner: UcbFwPolicy, beta: float, t_max: int):
         self.inner = inner
         self.boundaries = doubling_boundaries(beta, t_max)
-        self._next_idx = 0
         self.block = 0
 
     def select(self, occ: OccupationState) -> np.ndarray:
-        if self._next_idx < len(self.boundaries) and occ.t >= self.boundaries[self._next_idx]:
+        if self.block < len(self.boundaries) and occ.t >= self.boundaries[self.block]:
             self.inner.fb.reset()
-            self._next_idx += 1
             self.block += 1
         return self.inner.select(occ)
 
@@ -356,7 +348,7 @@ class PresampledUcbFwPolicy:
             held = rows[d.max(axis=1) <= 0.0]
             if len(held):
                 self.phase1_end_t[held[self.phase1_end_t[held] < 0]] = occ.t
-                out[held] = self.inner.select_rows(occ, held)
+                out[held] = self.inner.select(occ)[held]
         return out
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:

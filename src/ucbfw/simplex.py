@@ -56,11 +56,10 @@ class OccupationState:
         self._ones = np.ones(seeds)
         self._p = None
 
-    def apply(self, action) -> "OccupationState":
+    def apply(self, action) -> None:
         self._flat[self._row + action] += self._ones
         self._p = None
         self.t += 1
-        return self
 
     def proportions(self) -> np.ndarray:
         t = self.t

@@ -383,7 +383,7 @@ def ucb_fw_select(fb: FeedbackState, occ: OccupationState, model: LossModel) -> 
 
 
 def lcb_bandit_select(fb: FeedbackState, occ: OccupationState) -> int:
-    """Scalar-bandit selection on raw running means (no loss model)."""
+    """Scalar-bandit selection on the estimator's running means (no loss model)."""
     forced = _cold_start(fb, occ)
     if forced is not None:
         return forced

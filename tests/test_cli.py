@@ -103,6 +103,23 @@ def test_parse_error_messages_name_fields():
     ragged = {**MARKOWITZ_MODEL, "covariance": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0]]}
     with pytest.raises(ConfigError, match=re.escape("model: covariance must be 3x3, got rows of lengths (3, 3, 1)")):
         cfg_from(model=ragged)
+    with pytest.raises(ConfigError, match=re.escape("model: risk_weight must be nonnegative, got -1.0")):
+        cfg_from(model={**MARKOWITZ_MODEL, "risk_weight": -1.0})
+    with pytest.raises(ConfigError, match=re.escape("model: centers needs 2 coordinates, got 1")):
+        cfg_from(model={"kind": "exp_design", "sigma2": [1.0, 4.0], "centers": [0.0]})
+    with pytest.raises(ConfigError, match=re.escape("model: interior floor needs 2 coordinates, got 1")):
+        cfg_from(model={"kind": "cobb_douglas", "beta": [0.5, 0.5], "interior_floor": [0.1]})
+    with pytest.raises(ConfigError, match=re.escape("model: mu needs at least 2 coordinates")):
+        cfg_from(model={"kind": "linear", "mu": [0.5]})
+    with pytest.raises(ConfigError, match=re.escape("policy: expected a mapping, got int")):
+        cfg_from(policy=3)
+    with pytest.raises(ConfigError, match=re.escape("horizons: expected a list, got 5")):
+        cfg_from(horizons=5)
+    bad_bracket = {"kind": "presampled_ucb_fw", "presample": {"brackets": [[0.1, 0.2, 0.3], [0.1, 0.2]]}}
+    with pytest.raises(
+        ConfigError, match=re.escape("policy.presample.brackets[0]: expected a list of 2, got [0.1, 0.2, 0.3]")
+    ):
+        cfg_from(policy=bad_bracket)
 
 
 def test_parse_rejects_bad_action_map():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from test_cli import BASIC, table_configs
 
-from ucbfw import harness
+from ucbfw import harness, policies
 from ucbfw.cli import parse_config_data
 from ucbfw.feedback import ObservationSampler
 from ucbfw.harness import (
@@ -887,3 +887,21 @@ def test_presampled_state_matches_per_seed_loop(config, shows):
         assert policy.floors[i].tolist() == ref.floors
         assert policy.phase1_end_t[i] == ref.phase1_end_t
     assert shows(policy)
+
+
+def test_presampled_selection_passes_through_select(monkeypatch):
+    # the held seeds choose through the plug-in policy's `select`, the one
+    # hook a selection trace wraps, and get the same actions through it
+    config = _exp_design_presampled((1.0, 4.0, 2.0), GRID_PRESAMPLE[1])
+    seeds = (3, 4, 5)
+    plain = run_trial(config, seeds)
+    calls = []
+    select = policies.UcbFwPolicy.select
+
+    def counted(self, occ):
+        calls.append(occ.t)
+        return select(self, occ)
+
+    monkeypatch.setattr(policies.UcbFwPolicy, "select", counted)
+    assert run_trial(config, seeds) == plain
+    assert len(calls) > 0

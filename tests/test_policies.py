@@ -626,9 +626,9 @@ def test_plug_in_selection_passes_over_nan_scores():
     occ.t = 3
     policy = UcbFwPolicy(LinearLoss.build((0.0, 0.0, 0.0)), fb)
     assert policy.select(occ).tolist() == [argmin_tie_break(r) for r in means]
-    # a subset of the seeds, as the pre-sampling wrapper selects them
+    # a subset of the seeds, as forced exploration passes its free rows
     rows = np.array([4, 1, 2])
-    assert policy.select_rows(occ, rows).tolist() == [argmin_tie_break(means[i]) for i in rows]
+    assert policy._plug_in(occ, rows).tolist() == [argmin_tie_break(means[i]) for i in rows]
     # the linear plug-in gradient is the running means themselves, which
     # scoring must leave as they were
     np.testing.assert_array_equal(fb.means, means)
