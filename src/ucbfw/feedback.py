@@ -174,8 +174,8 @@ class FeedbackBlock:
     `centers` (known-center variance estimation), or Welford sample
     variance.  The arithmetic is that of a single trial, so each row holds
     exactly what that seed's trial alone would hold.  Every seed routes
-    one observation per round, so the number of rounds since the last
-    reset, `rounds`, is one integer for the whole block.
+    one observation per round, so `rounds`, the rounds since the last reset
+    and the policies' exploration clock, is one integer for the block.
     """
 
     def __init__(

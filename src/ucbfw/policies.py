@@ -8,7 +8,7 @@ implicit in the occupation bookkeeping, so a policy only ever picks the
 next action.
 
 Baselines (uniform, fixed allocation, oracle gradient, scalar bandit on
-the estimator's means) and two wrappers (variance pre-sampling with
+the estimator's estimates) and two wrappers (variance pre-sampling with
 occupancy floors, block restarts of the estimator state) choose only
 through `select`, a wrapper through its inner policy's.  A block of seeds
 advances in lockstep: `select` takes a block `OccupationState` and returns
@@ -106,16 +106,16 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
     return g[rows, chosen] - g[rows, lowest_argmin(g)]
 
 
-def _with_forced_exploration(fb: FeedbackBlock, t: int, choose) -> np.ndarray:
+def _with_forced_exploration(fb: FeedbackBlock, choose) -> np.ndarray:
     """One action per seed of the block.
 
     Forced exploration where it applies: round robin over the first K
-    rounds, then any still-unobserved coefficient by lowest index (its
-    radius is infinite), whose index is played as the action.  The other
-    seeds get `choose(free_rows)`, or `choose(None)` when every seed is free.
+    rounds since the last reset (`fb.rounds`), then any unobserved
+    coefficient by lowest index (its radius is infinite), played as the
+    action.  Free seeds get `choose(free_rows)`, or `choose(None)` if all are.
     """
-    if t < fb.num_coeffs:
-        return np.full(len(fb.obs_counts), t)
+    if fb.rounds < fb.num_coeffs:
+        return np.full(len(fb.obs_counts), fb.rounds)
     zero = fb.unobserved()
     if zero is None:
         return choose(None)
@@ -131,9 +131,9 @@ class UcbFwPolicy:
 
     Each seed pulls the action minimizing (gradient estimate - deviation
     radius), the lowest index on ties, with the answer its trajectory alone
-    would get.  The round count, delta_t and log(t / delta_t) are shared by
-    the block, so the log is taken once per round.  A constant-gradient
-    model never reads p, so the proportions are not formed for it.
+    would get.  The estimator's round count (the exploration clock), delta_t
+    and log(t / delta_t) are shared by the block, so the log is taken once
+    per round; a constant-gradient model never reads p, which is not formed.
     """
 
     def __init__(self, model: LossModel, fb: FeedbackBlock):
@@ -142,9 +142,9 @@ class UcbFwPolicy:
         self._reads_p = not model.constant_gradient
 
     def select(self, occ: OccupationState) -> np.ndarray:
-        if self.fb.observed and occ.t >= self.fb.num_coeffs:
+        if self.fb.observed:  # so fb.rounds >= K: a round observes once per seed
             return self._plug_in(occ, None)
-        return _with_forced_exploration(self.fb, occ.t, lambda r: self._plug_in(occ, r))
+        return _with_forced_exploration(self.fb, lambda r: self._plug_in(occ, r))
 
     def _plug_in(self, occ: OccupationState, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
@@ -169,21 +169,21 @@ class UcbFwPolicy:
 
 
 class LcbBanditPolicy:
-    """Scalar bandit on the estimator's running means, with no loss model, for
-    a block of seeds: each seed pulls the action minimizing (mean - radius)."""
+    """Scalar bandit on the estimator's estimates, with no loss model, for a
+    block of seeds: each seed pulls the action minimizing (estimate - radius)."""
 
     def __init__(self, fb: FeedbackBlock):
         self.fb = fb
 
     def select(self, occ: OccupationState) -> np.ndarray:
-        return _with_forced_exploration(self.fb, occ.t, self._pick)
+        return _with_forced_exploration(self.fb, self._pick)
 
     def _pick(self, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
-        means, counts = fb.means, fb.obs_counts
+        est, counts = fb.estimates(), fb.obs_counts
         if rows is not None:
-            means, counts = means[rows], counts[rows]
-        scores = means - deviation_radii(fb.deviation_spec, fb.rounds, counts)
+            est, counts = est[rows], counts[rows]
+        scores = est - deviation_radii(fb.deviation_spec, fb.rounds, counts)
         return lowest_argmin(scores)
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
@@ -265,9 +265,9 @@ def doubling_boundaries(beta: float, t_max: int) -> list[int]:
 class DoublingUcbFwPolicy:
     """Restart the estimator state at exponentially spaced block ends.
 
-    Occupation counts are never reset; only the feedback state forgets, so
-    each block re-explores with fresh confidence radii.  The block ends are
-    the same for every seed, so the whole block of seeds restarts at once.
+    Only the feedback state forgets, not the occupation counts, so each
+    block re-runs the round robin, under any action map, with fresh radii.
+    The block ends are shared, so the whole block of seeds restarts at once.
     """
 
     def __init__(self, inner: UcbFwPolicy, beta: float, t_max: int):

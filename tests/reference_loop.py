@@ -354,12 +354,13 @@ def gradient_estimate(
     return ghat, radii
 
 
-def _cold_start(fb: FeedbackState, occ: OccupationState) -> int | None:
-    """Forced exploration: round robin for the first K rounds, then any
-    still-unobserved coefficient (its radius is infinite) by lowest index."""
-    k = len(fb.obs_counts)
-    if occ.t < k:
-        return occ.t
+def _cold_start(fb: FeedbackState) -> int | None:
+    """Forced exploration: round robin for the first K rounds since the last
+    reset, then any still-unobserved coefficient (its radius is infinite) by
+    lowest index."""
+    t = fb.rounds()
+    if t < fb.num_coeffs:
+        return t
     for i, n in enumerate(fb.obs_counts):
         if n == 0:
             return i
@@ -374,7 +375,7 @@ def argmin_tie_break(values: Sequence[float]) -> int:
 
 def ucb_fw_select(fb: FeedbackState, occ: OccupationState, model: LossModel) -> int:
     """Pull the action minimizing (gradient estimate - deviation radius)."""
-    forced = _cold_start(fb, occ)
+    forced = _cold_start(fb)
     if forced is not None:
         return forced
     ghat, radii = gradient_estimate(fb, model, occ.proportions())
@@ -382,9 +383,9 @@ def ucb_fw_select(fb: FeedbackState, occ: OccupationState, model: LossModel) -> 
     return argmin_tie_break(scores)
 
 
-def lcb_bandit_select(fb: FeedbackState, occ: OccupationState) -> int:
-    """Scalar-bandit selection on the estimator's running means (no loss model)."""
-    forced = _cold_start(fb, occ)
+def lcb_bandit_select(fb: FeedbackState) -> int:
+    """Scalar-bandit selection on the estimator's estimates (no loss model)."""
+    forced = _cold_start(fb)
     if forced is not None:
         return forced
     spec = fb.deviation_spec
@@ -392,7 +393,7 @@ def lcb_bandit_select(fb: FeedbackState, occ: OccupationState) -> int:
     delta = spec.delta_at(t)
     scores = [
         m - deviation(spec, t, n, delta)
-        for m, n in zip(fb.means, fb.obs_counts)
+        for m, n in zip(fb.estimates(), fb.obs_counts)
     ]
     return argmin_tie_break(scores)
 
@@ -473,7 +474,7 @@ class LcbBanditPolicy:
         self.fb = fb
 
     def select(self, occ: OccupationState) -> int:
-        return lcb_bandit_select(self.fb, occ)
+        return lcb_bandit_select(self.fb)
 
     def observe(self, action: int, obs: float) -> None:
         route_and_update(self.fb, action, obs)

@@ -831,6 +831,25 @@ def test_engine_action_traces_match_per_seed_loop(config):
     assert traces == [_reference_actions(config, s, 300)[0] for s in seeds]
 
 
+@pytest.mark.parametrize("action_map", [None, (2, 2, 0)], ids=["identity", "map"])
+def test_doubling_restart_reruns_the_round_robin(action_map):
+    # the round robin runs on the estimator's own round count, which each
+    # restart sets back to 0, so it runs again whatever the routing
+    config = linear_config(
+        model=GRID_FAMILIES["quadratic"],
+        policy=PolicyConfig(kind="doubling_ucb_fw", doubling_beta=0.5),
+        feedback=FeedbackConfig(action_map=action_map),
+        horizons=(60,),
+    )
+    seeds = (5, 6, 7)
+    traces, policy = _engine_actions(config, seeds, 60)
+    references = [_reference_actions(config, s, 60)[0] for s in seeds]
+    assert policy.boundaries == [8, 55]
+    for b in policy.boundaries:
+        for trace in traces + references:
+            assert trace[b : b + 3] == [0, 1, 2]
+
+
 def _exp_design_presampled(sigma2, presample):
     return linear_config(
         model=ModelConfig(kind="exp_design", sigma2=sigma2),

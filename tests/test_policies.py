@@ -56,8 +56,8 @@ def make_occ(counts):
     return occ
 
 
-def identity_fb(spec, values_per_coeff):
-    fb = FeedbackState.fresh(len(values_per_coeff), spec)
+def identity_fb(spec, values_per_coeff, **kw):
+    fb = FeedbackState.fresh(len(values_per_coeff), spec, **kw)
     for i, values in enumerate(values_per_coeff):
         for v in values:
             route_and_update(fb, i, v)
@@ -204,9 +204,18 @@ def test_block_selection_matches_reference_with_sensitivity():
 def test_lcb_bandit_examples():
     spec = DeviationSpec()
     fb = identity_fb(spec, [[0.3], [0.3]])
-    assert lcb_bandit_select(fb, make_occ((1, 1))) == 0
+    assert lcb_bandit_select(fb) == 0
     fb2 = identity_fb(spec, [[], [0.1] * 5])
-    assert lcb_bandit_select(fb2, make_occ((0, 5))) == 0  # cold start
+    assert lcb_bandit_select(fb2) == 0  # cold start
+    # the scores are the estimator's estimates: sample variances 8 and 2
+    # here, where the raw draw means 0 and 2 would pick action 0
+    spec0 = DeviationSpec(scale=0.0)
+    values = [[2.0, -2.0], [1.0, 3.0]]
+    fb3 = identity_fb(spec0, values, estimator="sample_variance")
+    assert fb3.estimates() == [8.0, 2.0]
+    assert lcb_bandit_select(fb3) == 1
+    block = block_fb(spec0, values, estimator="sample_variance")
+    assert pick(LcbBanditPolicy(block), block_occ((2, 2))) == 1
 
 
 def test_linear_trace_equivalence():
