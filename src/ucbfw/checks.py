@@ -15,6 +15,7 @@ from .harness import (
     ModelConfig,
     PolicyConfig,
     aggregate,
+    build_model,
     fit_rate,
     run_trial,
 )
@@ -138,8 +139,23 @@ def selftest() -> list[tuple[str, bool, str]]:
     record("rate_fit_exact", abs(fit.slope + 1.0) <= 1e-9, f"slope={fit.slope:.4f}")
 
     # aggregate of two seeds
-    agg = aggregate(run_trial(cfg, (1, 2)))
+    records = run_trial(cfg, (1, 2))
+    agg = aggregate(records)
     record("aggregate_shape", agg.n == 2 and len(agg.mean_error) == 1, "")
+
+    # a convex loss's error is at most its Frank-Wolfe gap
+    # <grad L(p), p> - min_k grad_k L(p), which needs no minimizer
+    model = build_model(cfg.model)
+    within, margin = True, math.inf
+    for r in records:
+        for t, c, error in zip(r.horizons, r.counts, r.errors):
+            p = np.array(c) / t
+            g = model.true_gradient(p[None])[0]
+            gap = float(g @ p - g.min())
+            tol = 1e-9 * (1.0 + abs(gap) + abs(error))
+            within = within and -tol <= error <= gap + tol
+            margin = min(margin, gap - error)
+    record("fw_gap", within, f"min_margin={margin:.4f}")
 
     # gradients across every loss family
     grads = gradcheck(points=20)

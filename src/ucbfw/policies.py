@@ -3,17 +3,18 @@
 The central policy follows the plug-in Frank-Wolfe scheme: estimate the
 gradient of the loss at the current proportion vector, widen each
 coordinate downward by its confidence radius, and pull the action with the
-smallest widened value.  The update p_{t+1} = p_t + (e_a - p_t)/(t+1) is
-implicit in the occupation bookkeeping, so a policy only ever picks the
-next action.
+smallest widened value, after the forced exploration that its `select`
+also carries.  The update p_{t+1} = p_t + (e_a - p_t)/(t+1) is implicit
+in the occupation bookkeeping, so a policy only ever picks the next action.
 
-Baselines (uniform, fixed allocation, oracle gradient, scalar bandit on
-the estimator's estimates) and two wrappers (variance pre-sampling with
-occupancy floors, block restarts of the estimator state) choose only
-through `select`, a wrapper through its inner policy's.  A block of seeds
-advances in lockstep: `select` takes a block `OccupationState` and returns
-one action per seed, and `observe` takes one action and one observation
-per seed.  Each seed gets the action its trajectory alone would get.
+Baselines (uniform, fixed allocation, oracle gradient, and the scalar
+bandit: the central policy on the linear loss of the estimator's estimates)
+and two wrappers (variance pre-sampling with occupancy floors, block
+restarts of the estimator state) choose only through `select`, a wrapper
+through its inner policy's.  A block of seeds advances in lockstep:
+`select` takes a block `OccupationState` and returns one action per seed,
+and `observe` takes one action and one observation per seed.  Each seed
+gets the action its trajectory alone would get.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .feedback import POLICY_STREAM_TAG, FeedbackBlock, deviation_radii, seeded_streams
-from .losses import LossModel, gradient_from_params, sensitivity
+from .losses import LinearLoss, LossModel, gradient_from_params, sensitivity
 from .simplex import OccupationState, check_simplex
 
 UCB_FW = "ucb_fw"
@@ -106,26 +107,6 @@ def epsilon_diagnostic(model: LossModel, p: np.ndarray | None, chosen: np.ndarra
     return g[rows, chosen] - g[rows, lowest_argmin(g)]
 
 
-def _with_forced_exploration(fb: FeedbackBlock, choose) -> np.ndarray:
-    """One action per seed of the block.
-
-    Forced exploration where it applies: round robin over the first K
-    rounds since the last reset (`fb.rounds`), then any unobserved
-    coefficient by lowest index (its radius is infinite), played as the
-    action.  Free seeds get `choose(free_rows)`, or `choose(None)` if all are.
-    """
-    if fb.rounds < fb.num_coeffs:
-        return np.full(len(fb.obs_counts), fb.rounds)
-    zero = fb.unobserved()
-    if zero is None:
-        return choose(None)
-    forced = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
-    free = np.flatnonzero(forced < 0)
-    if len(free):
-        forced[free] = choose(free)
-    return forced
-
-
 class UcbFwPolicy:
     """Plug-in Frank-Wolfe selection for a block of seeds in lockstep.
 
@@ -142,9 +123,23 @@ class UcbFwPolicy:
         self._reads_p = not model.constant_gradient
 
     def select(self, occ: OccupationState) -> np.ndarray:
-        if self.fb.observed:  # so fb.rounds >= K: a round observes once per seed
+        """One action per seed: forced exploration where it applies (round
+        robin over the first K rounds since the last reset, `fb.rounds`, then
+        any unobserved coefficient by lowest index, played as the action: its
+        radius is infinite), the plug-in action elsewhere."""
+        fb = self.fb
+        if fb.observed:  # so fb.rounds >= K: a round observes once per seed
             return self._plug_in(occ, None)
-        return _with_forced_exploration(self.fb, lambda r: self._plug_in(occ, r))
+        if fb.rounds < fb.num_coeffs:
+            return np.full(len(fb.obs_counts), fb.rounds)
+        zero = fb.unobserved()
+        if zero is None:
+            return self._plug_in(occ, None)
+        forced = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+        free = np.flatnonzero(forced < 0)
+        if len(free):
+            forced[free] = self._plug_in(occ, free)
+        return forced
 
     def _plug_in(self, occ: OccupationState, rows: np.ndarray | None) -> np.ndarray:
         fb = self.fb
@@ -168,26 +163,14 @@ class UcbFwPolicy:
         self.fb.update(actions, obs)
 
 
-class LcbBanditPolicy:
-    """Scalar bandit on the estimator's estimates, with no loss model, for a
-    block of seeds: each seed pulls the action minimizing (estimate - radius)."""
+class LcbBanditPolicy(UcbFwPolicy):
+    """Scalar bandit on the estimator's estimates: UCB-FW on a linear loss,
+    whose plug-in gradient is the estimates and whose sensitivity is None,
+    so each seed pulls the action minimizing (estimate - radius).  The
+    model's costs (all zero) are never read."""
 
     def __init__(self, fb: FeedbackBlock):
-        self.fb = fb
-
-    def select(self, occ: OccupationState) -> np.ndarray:
-        return _with_forced_exploration(self.fb, self._pick)
-
-    def _pick(self, rows: np.ndarray | None) -> np.ndarray:
-        fb = self.fb
-        est, counts = fb.estimates(), fb.obs_counts
-        if rows is not None:
-            est, counts = est[rows], counts[rows]
-        scores = est - deviation_radii(fb.deviation_spec, fb.rounds, counts)
-        return lowest_argmin(scores)
-
-    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        self.fb.update(actions, obs)
+        super().__init__(LinearLoss.build((0.0,) * fb.num_coeffs), fb)
 
 
 class OracleFwPolicy:

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import strategies as st
 
 import ucbfw
-from ucbfw import checks, cli, feedback, losses, policies
+from ucbfw import checks, cli, feedback, harness, losses, policies
 from ucbfw.cli import (
     CSV_HEADER,
     ConfigError,
@@ -918,6 +918,7 @@ def test_selftest_command(capsys):
         "stopping_example",
         "rate_fit_exact",
         "aggregate_shape",
+        "fw_gap",
         "gradcheck",
     ]
     details = {row[0]: row[2] for row in rows if len(row) > 2}
@@ -929,10 +930,16 @@ def test_selftest_command(capsys):
 
 
 _RADII = feedback.deviation_radii
+_MINIMIZER = harness.minimizer
 
 
 def _end_every_arm_at_once(self, actions, obs):
     self._arm += 1
+
+
+def _shifted_minimizer(model):
+    info = _MINIMIZER(model)
+    return dataclasses.replace(info, loss_star=info.loss_star - 1.0)
 
 
 @pytest.mark.parametrize(
@@ -945,12 +952,13 @@ def _end_every_arm_at_once(self, actions, obs):
             ["deviation_standard", "deviation_unit"],
         ),
         (policies.PresampledUcbFwPolicy, "observe", _end_every_arm_at_once, ["stopping_example"]),
+        (harness, "minimizer", _shifted_minimizer, ["fw_gap"]),
     ],
-    ids=["radii", "stopping"],
+    ids=["radii", "stopping", "loss_star"],
 )
 def test_selftest_fails_when_the_engine_rule_is_wrong(monkeypatch, capsys, owner, name, wrong, failing):
-    # selftest checks the block code the engine runs, so a wrong radius or
-    # stopping step shows up as FAIL
+    # selftest checks the block code the engine runs, so a wrong radius,
+    # stopping step or minimum loss shows up as FAIL
     monkeypatch.setattr(owner, name, wrong)
     assert main(["selftest"]) == 2
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
