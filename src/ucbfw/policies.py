@@ -123,10 +123,10 @@ class UcbFwPolicy:
         self._reads_p = not model.constant_gradient
 
     def select(self, occ: OccupationState) -> np.ndarray:
-        """One action per seed: forced exploration where it applies (round
-        robin over the first K rounds since the last reset, `fb.rounds`, then
-        any unobserved coefficient by lowest index, played as the action: its
-        radius is infinite), the plug-in action elsewhere."""
+        """One action per seed.  Forced exploration comes first: round robin
+        over the first K rounds since the last reset (`fb.rounds`), then the
+        lowest-index unobserved coefficient (its radius is infinite), played
+        as the action.  Every other seed gets the plug-in action."""
         fb = self.fb
         if fb.observed:  # so fb.rounds >= K: a round observes once per seed
             return self._plug_in(occ, None)
