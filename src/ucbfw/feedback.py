@@ -29,6 +29,10 @@ ESTIMATORS = (ESTIMATOR_MEAN, ESTIMATOR_CENTERED_SQUARE, ESTIMATOR_SAMPLE_VARIAN
 # never names an observation stream.
 POLICY_STREAM_TAG = 1 << 31
 
+# What an ObservationSampler's buffers may hold for a whole block, unless
+# CHUNK-sized refills alone need more (see ObservationSampler).
+BUFFER_BYTES = 1 << 20
+
 _WORD = 0xFFFFFFFF
 # numpy's SeedSequence: a 4-word pool, O'Neill's seed_seq hash constants
 _POOL_SIZE = 4
@@ -299,11 +303,19 @@ class ObservationSampler:
 
     Stream (s, a) is the `seeded_streams` stream of (s, a), consumed in pull
     order, so draw n of action a for seed s is reproducible in isolation.
-    Each `draw` call is one round.  Every CHUNK rounds, each stream holding
-    fewer than CHUNK unused draws gets CHUNK more, so no stream runs dry
-    before the next top-up and the buffers hold under 2 * CHUNK values per
-    stream.  Chunking does not change the values.  A deterministic stream
-    is its mean, drawn from no generator.
+    Each `draw` call is one round.  Every `refill` rounds, each stream
+    holding fewer than `refill` unused draws gets `refill` more, so no
+    stream runs dry before the next top-up and the buffers hold under
+    2 * `refill` values per stream.  Chunking does not change the values.
+    A deterministic stream is its mean, drawn from no generator.
+
+    `refill` is sized once, from the block's S seeds and K actions and the
+    horizon `t_max`, as max(CHUNK, min(BUFFER_BYTES // (16 S K), t_max // K)):
+    a block's buffers stay within BUFFER_BYTES, or within 2 * CHUNK values
+    per stream where that is larger, and the first fill draws no more than
+    the S * t_max values a run of t_max rounds uses.  Without a horizon it
+    is CHUNK.  The horizon only sizes the refills: drawing past it stays
+    correct.
 
     `draw` takes one action per seed (an int array; a plain int draws that
     action for every seed) and returns the seeds' observations as an array.
@@ -311,11 +323,16 @@ class ObservationSampler:
 
     CHUNK = 64
 
-    def __init__(self, obs_model: ObservationModel, seeds: Sequence[int]):
+    def __init__(self, obs_model: ObservationModel, seeds: Sequence[int], t_max: int | None = None):
         self.obs_model = obs_model
         k = len(obs_model.means)
         streams = len(seeds) * k
-        width = 2 * self.CHUNK
+        self.refill = self.CHUNK
+        if t_max is not None:
+            # each stream's slot holds 2 * refill doubles, 16 * refill bytes
+            fit = BUFFER_BYTES // (16 * streams)
+            self.refill = max(self.CHUNK, min(fit, t_max // k))
+        width = 2 * self.refill
         # each stream's mean, and sd if gaussian, in stream order
         self._means = np.tile(np.array(obs_model.means, dtype=float), len(seeds))
         self._sds = np.tile(obs_model.sds, len(seeds)) if obs_model.kind == "gaussian" else None
@@ -341,7 +358,7 @@ class ObservationSampler:
         stream drawn from."""
         if self._until_top_up == 0:
             self._top_up()
-            self._until_top_up = self.CHUNK
+            self._until_top_up = self.refill
         self._until_top_up -= 1
         stream = self._row + action
         i = self._next[stream]
@@ -352,8 +369,8 @@ class ObservationSampler:
 
     def _top_up(self) -> None:
         # each low stream's unused draws move to the start of its slot, and
-        # CHUNK fresh draws follow them
-        chunk = self.CHUNK
+        # `refill` fresh draws follow them
+        chunk = self.refill
         buf, nxt, end = self._buf, self._next, self._end
         unused = end - nxt
         low = np.flatnonzero(unused < chunk)

@@ -55,7 +55,9 @@ from .simplex import OccupationState, check_simplex
 # `workers` parts, none smaller than MIN_BLOCK: a round costs about the
 # same for any block of up to ~64 seeds, so a smaller part gains nothing
 # from a worker of its own.  It cuts each part into blocks of at most
-# MAX_BLOCK, which bounds a block's observation buffers.
+# MAX_BLOCK.  The sampler keeps a block's observation buffers within
+# feedback.BUFFER_BYTES, or within 2 * CHUNK values per stream where that
+# is larger, so MAX_BLOCK bounds them only once S * K exceeds 1024.
 MIN_BLOCK = 64
 MAX_BLOCK = 128
 
@@ -378,7 +380,7 @@ def run_trial(
     if t_max is None:
         t_max = config.horizons[-1]
     horizons = tuple(h for h in config.horizons if h <= t_max)
-    sampler = ObservationSampler(config.observations, seeds)
+    sampler = ObservationSampler(config.observations, seeds, t_max)
     policy = build_policy(config, model, seeds, t_max)
     k = model.num_actions
     occ = OccupationState(k, seeds=len(seeds))

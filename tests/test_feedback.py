@@ -382,7 +382,7 @@ def test_draws_do_not_depend_on_interleaving():
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "deterministic"])
 def test_draws_do_not_depend_on_chunk_or_block(kind, monkeypatch):
     # draw n of stream (seed, action) is the n-th value of that stream's
-    # generator, whatever the top-up size and whichever seeds share a block
+    # generator, whatever the refill size and whichever seeds share a block
     model = ObservationModel(kind=kind, means=(0.3, 0.6), sds=(1.0, 2.0))
     seeds = (11, 12, 13)
     rng = np.random.default_rng(2)
@@ -404,11 +404,31 @@ def test_draws_do_not_depend_on_chunk_or_block(kind, monkeypatch):
         alone.append(draws)
         one = one_seed(model, seed)
         assert [one(int(a)) for a in actions[:, i]] == draws
-    for chunk in (256, 7):
+    # (CHUNK, BUFFER_BYTES, t_max, refill) for a block of 3 seeds x 2 actions
+    cases = [
+        (64, 1 << 20, None, 64),  # no horizon: CHUNK
+        (7, 1 << 20, 13, 7),  # t_max // 2 = 6, floored at CHUNK; drawn past t_max
+        (64, 1 << 20, 700, 350),  # capped by the horizon, under the bytes' 10922
+        (64, 16 * 6 * 100, 10**6, 100),  # set by the bytes
+    ]
+    for chunk, buffer_bytes, t_max, refill in cases:
         monkeypatch.setattr(ObservationSampler, "CHUNK", chunk)
-        block = ObservationSampler(model, seeds)
+        monkeypatch.setattr(feedback, "BUFFER_BYTES", buffer_bytes)
+        block = ObservationSampler(model, seeds, t_max)
+        assert block.refill == refill
         rounds = [block.draw(a).tolist() for a in actions]
-        assert [list(col) for col in zip(*rounds)] == alone
+        assert [list(col) for col in zip(*rounds)] == alone, (chunk, buffer_bytes, t_max)
+
+
+@pytest.mark.parametrize("seeds, k, refill", [(4, 2, 8192), (100, 3, 218), (64, 1024, 64)])
+def test_buffers_stay_within_buffer_bytes(seeds, k, refill):
+    # a block's buffers hold at most BUFFER_BYTES, or CHUNK-sized refills
+    # where those need more, so wide K refills CHUNK at a time.
+    # Deterministic streams size the same buffer with no generators.
+    model = ObservationModel(kind="deterministic", means=(0.5,) * k)
+    sampler = ObservationSampler(model, range(seeds), t_max=10**6)
+    assert sampler.refill == refill
+    assert sampler._buf.nbytes <= max(feedback.BUFFER_BYTES, 16 * seeds * k * ObservationSampler.CHUNK)
 
 
 def test_bernoulli_mean_concentrates():
