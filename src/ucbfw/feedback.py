@@ -306,7 +306,9 @@ class ObservationSampler:
     Each `draw` call is one round.  Every `refill` rounds, each stream
     holding fewer than `refill` unused draws gets `refill` more, so no
     stream runs dry before the next top-up and the buffers hold under
-    2 * `refill` values per stream.  Chunking does not change the values.
+    2 * `refill` values per stream.  The last top-up before the horizon
+    `t_max` covers only the rounds left, n < `refill`: streams with fewer
+    than n unused draws get n more.  Chunking does not change the values.
     A deterministic stream is its mean, drawn from no generator.
 
     `refill` is sized once, from the block's S seeds and K actions and the
@@ -314,8 +316,8 @@ class ObservationSampler:
     a block's buffers stay within BUFFER_BYTES, or within 2 * CHUNK values
     per stream where that is larger, and the first fill draws no more than
     the S * t_max values a run of t_max rounds uses.  Without a horizon it
-    is CHUNK.  The horizon only sizes the refills: drawing past it stays
-    correct.
+    is CHUNK.  The horizon only sizes the top-ups: drawing past it stays
+    correct, with top-ups of `refill` from t_max on.
 
     `draw` takes one action per seed (an int array; a plain int draws that
     action for every seed) and returns the seeds' observations as an array.
@@ -352,13 +354,14 @@ class ObservationSampler:
         # an array operand: a Python scalar costs a conversion every round
         self._one = np.ones(len(seeds), dtype=self._next.dtype)
         self._until_top_up = 0
+        # rounds left before t_max, or None without a horizon
+        self._left = t_max
 
     def draw(self, action) -> np.ndarray:
         """Next observation of each seed's action; consumes one value of each
         stream drawn from."""
         if self._until_top_up == 0:
             self._top_up()
-            self._until_top_up = self.refill
         self._until_top_up -= 1
         stream = self._row + action
         i = self._next[stream]
@@ -368,13 +371,21 @@ class ObservationSampler:
         return obs
 
     def _top_up(self) -> None:
-        # each low stream's unused draws move to the start of its slot, and
-        # `refill` fresh draws follow them
+        # the next top-up comes after `chunk` rounds: `refill`, or the rounds
+        # left before t_max if fewer (at t_max, `refill` again).  Each stream
+        # with fewer than `chunk` unused draws moves them to the start of its
+        # slot, and `chunk` fresh draws follow them
         chunk = self.refill
+        left = self._left
+        if left is not None:
+            if 0 < left < chunk:
+                chunk = left
+            self._left = left - chunk
+        self._until_top_up = chunk
         buf, nxt, end = self._buf, self._next, self._end
         unused = end - nxt
         low = np.flatnonzero(unused < chunk)
-        start = low * (2 * chunk)
+        start = low * (2 * self.refill)
         fresh = start + unused[low]
         kind = self.obs_model.kind
         if kind == "gaussian":

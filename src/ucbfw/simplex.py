@@ -3,7 +3,9 @@
 Pull counts are kept as exact whole numbers and the proportion vector
 p_t = T_i(t)/t is derived on demand, so the simplex constraints hold
 exactly instead of drifting through repeated float updates of the
-recurrence p_{t+1} = p_t + (e_a - p_t)/(t+1).
+recurrence p_{t+1} = p_t + (e_a - p_t)/(t+1).  While nobody reads them,
+the counts are not updated each round: the actions are logged and folded
+in when the counts are next read.
 """
 
 from __future__ import annotations
@@ -39,36 +41,80 @@ class OccupationState:
     p_t = T_i(t) / t.  Actions come from the block policies and are not
     range-checked.
 
+    The counts are folded in when read.  If they were read since the last
+    `apply`, as a policy that reads them every round does, `apply` adds
+    the actions to them at once; otherwise it only logs the actions, up to
+    LOG_ROUNDS rounds, and the next read of `counts` or `proportions`
+    (or a full log) adds the logged rounds in one pass.  Whole numbers sum
+    exactly in any order, so the counts are the same either way.  An array
+    held from an earlier read may therefore lag: read `counts` again after
+    `apply`.  Writes into the array `counts` returns land as usual.
+
     Mutated only by the trial that owns it; counts never decrease.
     """
 
-    __slots__ = ("t", "counts", "num_actions", "_flat", "_row", "_ones", "_p")
+    LOG_ROUNDS = 256
+
+    __slots__ = ("t", "num_actions", "_counts", "_flat", "_row", "_ones", "_seen", "_log", "_logged")
 
     def __init__(self, num_actions: int, seeds: int):
         if num_actions < 2:
             raise ValueError(f"need at least 2 actions, got {num_actions}")
         self.t = 0
         self.num_actions = num_actions
-        self.counts = np.zeros((seeds, num_actions))
-        self._flat = self.counts.reshape(-1)
+        self._counts = np.zeros((seeds, num_actions))
+        self._flat = self._counts.reshape(-1)
         self._row = np.arange(seeds) * num_actions
         # an array operand: a Python scalar costs a conversion every round
         self._ones = np.ones(seeds)
-        self._p = None
+        # what was read since the last apply: None (nothing, so the next
+        # apply logs), True (`counts`, or no apply yet) or the proportions,
+        # kept until the next apply (callers only read them)
+        self._seen = True
+        # one row of actions per logged round; rows [0, _logged) are not
+        # yet in the counts
+        self._log = np.empty((self.LOG_ROUNDS, seeds), dtype=np.intp)
+        self._logged = 0
+
+    @property
+    def counts(self) -> np.ndarray:
+        if self._logged:
+            self._fold()
+        if self._seen is None:
+            self._seen = True
+        return self._counts
 
     def apply(self, action) -> None:
-        self._flat[self._row + action] += self._ones
-        self._p = None
+        if self._seen is None:
+            n = self._logged
+            if n == self.LOG_ROUNDS:
+                self._fold()
+                n = 0
+            self._log[n] = action
+            self._logged = n + 1
+        else:
+            self._flat[self._row + action] += self._ones
+            self._seen = None
         self.t += 1
 
+    def _fold(self) -> None:
+        cells = self._row + self._log[: self._logged]
+        self._flat += np.bincount(cells.reshape(-1), minlength=len(self._flat))
+        self._logged = 0
+
     def proportions(self) -> np.ndarray:
-        t = self.t
-        if t == 0:
-            raise ValueError("occupation measure is undefined before the first action")
-        # kept until the next apply; callers only read it
-        if self._p is None:
-            self._p = self.counts / float(t)
-        return self._p
+        p = self._seen
+        if p is None:
+            if self._logged:
+                self._fold()
+        elif p is True:
+            # the one state t = 0 can be in
+            if not self.t:
+                raise ValueError("occupation measure is undefined before the first action")
+        else:
+            return p
+        p = self._seen = self._counts / float(self.t)
+        return p
 
     def __repr__(self) -> str:
         return f"OccupationState(t={self.t}, counts={self.counts})"

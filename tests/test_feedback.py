@@ -379,36 +379,62 @@ def test_draws_do_not_depend_on_interleaving():
     assert got == seq
 
 
+class CountingStream:
+    """A generator stand-in that counts the values drawn from it."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.drawn = 0
+
+    def normal(self, mean, sd, n):
+        self.drawn += n
+        return self.gen.normal(mean, sd, n)
+
+    def random(self, n):
+        self.drawn += n
+        return self.gen.random(n)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "bernoulli", "deterministic"])
 def test_draws_do_not_depend_on_chunk_or_block(kind, monkeypatch):
     # draw n of stream (seed, action) is the n-th value of that stream's
     # generator, whatever the refill size and whichever seeds share a block
     model = ObservationModel(kind=kind, means=(0.3, 0.6), sds=(1.0, 2.0))
     seeds = (11, 12, 13)
-    rng = np.random.default_rng(2)
-    actions = rng.integers(0, 2, size=(700, 3))
-    alone = []
-    for i, seed in enumerate(seeds):
+    streams = []
+    for seed in seeds:
         gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, a)))) for a in (0, 1)]
         if kind == "gaussian":
-            streams = [g.normal(m, sd, size=700) for g, m, sd in zip(gens, model.means, model.sds)]
+            streams.append([g.normal(m, sd, size=700) for g, m, sd in zip(gens, model.means, model.sds)])
         elif kind == "bernoulli":
-            streams = [(g.random(700) < m).astype(float) for g, m in zip(gens, model.means)]
+            streams.append([(g.random(700) < m).astype(float) for g, m in zip(gens, model.means)])
         else:
-            streams = [np.full(700, m) for m in model.means]
-        used = [0, 0]
-        draws = []
-        for a in actions[:, i]:
-            draws.append(float(streams[a][used[a]]))
-            used[a] += 1
-        alone.append(draws)
+            streams.append([np.full(700, m) for m in model.means])
+
+    def alone(actions):
+        """Each seed's draws, in round order, from numpy's streams."""
+        out = []
+        for i, seed_streams in enumerate(streams):
+            used = [0, 0]
+            draws = []
+            for a in actions[:, i]:
+                draws.append(float(seed_streams[a][used[a]]))
+                used[a] += 1
+            out.append(draws)
+        return out
+
+    rng = np.random.default_rng(2)
+    actions = rng.integers(0, 2, size=(700, 3))
+    expected = alone(actions)
+    for i, seed in enumerate(seeds):
         one = one_seed(model, seed)
-        assert [one(int(a)) for a in actions[:, i]] == draws
+        assert [one(int(a)) for a in actions[:, i]] == expected[i]
     # (CHUNK, BUFFER_BYTES, t_max, refill) for a block of 3 seeds x 2 actions
     cases = [
         (64, 1 << 20, None, 64),  # no horizon: CHUNK
         (7, 1 << 20, 13, 7),  # t_max // 2 = 6, floored at CHUNK; drawn past t_max
         (64, 1 << 20, 700, 350),  # capped by the horizon, under the bytes' 10922
+        (64, 1 << 20, 333, 166),  # t_max not a multiple of refill: a short last top-up
         (64, 16 * 6 * 100, 10**6, 100),  # set by the bytes
     ]
     for chunk, buffer_bytes, t_max, refill in cases:
@@ -417,7 +443,27 @@ def test_draws_do_not_depend_on_chunk_or_block(kind, monkeypatch):
         block = ObservationSampler(model, seeds, t_max)
         assert block.refill == refill
         rounds = [block.draw(a).tolist() for a in actions]
-        assert [list(col) for col in zip(*rounds)] == alone, (chunk, buffer_bytes, t_max)
+        assert [list(col) for col in zip(*rounds)] == expected, (chunk, buffer_bytes, t_max)
+
+    # t_max = 13 with refill 6: top-ups at rounds 0 and 6 draw 6 values per
+    # low stream, the one at round 12 only the 1 round left, and from t_max
+    # on, top-ups of 6 resume.  Seed 11 always plays action 0, seed 12
+    # alternates, seed 13 always plays action 1.
+    monkeypatch.setattr(ObservationSampler, "CHUNK", 4)
+    monkeypatch.setattr(feedback, "BUFFER_BYTES", 1 << 20)
+    block = ObservationSampler(model, seeds, 13)
+    assert block.refill == 6
+    if block._gens is not None:
+        block._gens[:] = [CountingStream(g) for g in block._gens]
+    steady = np.array([[0, t % 2, 1] for t in range(20)])
+    rounds = [block.draw(a).tolist() for a in steady[:13]]
+    if block._gens is not None:
+        # streams (seed, action) in seed-major order; 39 values used
+        assert [g.drawn for g in block._gens] == [13, 6, 12, 12, 6, 13]
+    rounds += [block.draw(a).tolist() for a in steady[13:]]
+    if block._gens is not None:
+        assert [g.drawn for g in block._gens] == [25, 6, 18, 18, 6, 25]
+    assert [list(col) for col in zip(*rounds)] == alone(steady)
 
 
 @pytest.mark.parametrize("seeds, k, refill", [(4, 2, 8192), (100, 3, 218), (64, 1024, 64)])

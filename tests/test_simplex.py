@@ -101,17 +101,36 @@ def test_float_recurrence_rejects_empty():
         float_recurrence([], 2)
 
 
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=400))
-def test_counts_are_exact_for_any_action_sequence(actions):
-    occ = OccupationState(4, seeds=1)
-    for a in actions:
-        occ.apply(a)
-    assert occ.t == len(actions)
-    assert occ.counts[0].tolist() == [actions.count(i) for i in range(4)]
-    assert occ.counts.sum() == occ.t
-    p = one_row(occ)
-    assert all(v >= 0.0 for v in p)
-    assert abs(sum(p) - 1.0) <= 1e-12
+@given(st.data())
+def test_counts_are_exact_for_any_action_sequence(data):
+    # A block under plain-int and per-seed actions, read at drawn rounds:
+    # runs past LOG_ROUNDS fill the log, and a read after unread rounds
+    # folds them in.  A write through `counts` (swapping two columns) may
+    # come while rows are pending, and must land on the folded counts.
+    seeds = data.draw(st.integers(1, 3))
+    action = st.integers(0, 3) | st.lists(st.integers(0, 3), min_size=seeds, max_size=seeds)
+    actions = data.draw(st.lists(action, min_size=1, max_size=400))
+    t_max = len(actions)
+    reads = data.draw(st.dictionaries(st.integers(1, t_max), st.sampled_from(["counts", "proportions"])))
+    swap = data.draw(st.none() | st.integers(1, t_max))
+    occ = OccupationState(4, seeds=seeds)
+    tally = np.zeros((seeds, 4), dtype=np.int64)
+    for t, a in enumerate(actions, start=1):
+        occ.apply(np.array(a) if isinstance(a, list) else a)
+        tally[np.arange(seeds), a] += 1
+        if t == swap:
+            occ.counts[:, [0, 1]] = tally[:, [1, 0]]
+            tally[:, [0, 1]] = tally[:, [1, 0]]
+        if reads.get(t) == "counts":
+            assert occ.counts.tolist() == tally.tolist()
+        elif reads.get(t) == "proportions":
+            assert occ.proportions().tolist() == (tally / t).tolist()
+    assert occ.t == t_max
+    assert occ.counts.tolist() == tally.tolist()
+    assert occ.counts.sum(axis=1).tolist() == [t_max] * seeds
+    p = occ.proportions()
+    assert (p >= 0.0).all()
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 @settings(max_examples=50)
