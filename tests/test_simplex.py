@@ -108,15 +108,18 @@ def test_counts_are_exact_for_any_action_sequence(data):
     # folds them in.  A write through `counts` (swapping two columns) may
     # come while rows are pending, and must land on the folded counts.
     seeds = data.draw(st.integers(1, 3))
-    action = st.integers(0, 3) | st.lists(st.integers(0, 3), min_size=seeds, max_size=seeds)
-    actions = data.draw(st.lists(action, min_size=1, max_size=400))
-    t_max = len(actions)
+    # the length drawn first, so runs past LOG_ROUNDS are common; the
+    # actions come from a drawn numpy seed, which is quicker to draw
+    t_max = data.draw(st.integers(1, 400))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    per_seed = rng.integers(0, 4, size=(t_max, seeds))
+    actions = [int(a[0]) if plain else a for a, plain in zip(per_seed, rng.random(t_max) < 0.5)]
     reads = data.draw(st.dictionaries(st.integers(1, t_max), st.sampled_from(["counts", "proportions"])))
     swap = data.draw(st.none() | st.integers(1, t_max))
     occ = OccupationState(4, seeds=seeds)
     tally = np.zeros((seeds, 4), dtype=np.int64)
     for t, a in enumerate(actions, start=1):
-        occ.apply(np.array(a) if isinstance(a, list) else a)
+        occ.apply(a)
         tally[np.arange(seeds), a] += 1
         if t == swap:
             occ.counts[:, [0, 1]] = tally[:, [1, 0]]
