@@ -45,8 +45,10 @@ class OccupationState:
     `apply`, as a policy that reads them every round does, `apply` adds
     the actions to them at once; otherwise it only logs the actions, up to
     LOG_ROUNDS rounds, and the next read of `counts` or `proportions`
-    (or a full log) adds the logged rounds in one pass.  Whole numbers sum
-    exactly in any order, so the counts are the same either way.  An array
+    (or a full log) adds the logged rounds in one pass.  That pass costs
+    more than the at-once add for a single round, so a reader of every
+    round keeps the add.  Whole numbers sum exactly in any order, so the
+    counts are the same either way.  An array
     held from an earlier read may therefore lag: read `counts` again after
     `apply`.  Writes into the array `counts` returns land as usual.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reference_loop import float_recurrence
 from ucbfw.simplex import OccupationState, check_simplex
@@ -108,12 +109,11 @@ def test_counts_are_exact_for_any_action_sequence(data):
     # folds them in.  A write through `counts` (swapping two columns) may
     # come while rows are pending, and must land on the folded counts.
     seeds = data.draw(st.integers(1, 3))
-    # the length drawn first, so runs past LOG_ROUNDS are common; the
-    # actions come from a drawn numpy seed, which is quicker to draw
+    # the length drawn first, so runs past LOG_ROUNDS are common
     t_max = data.draw(st.integers(1, 400))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    per_seed = rng.integers(0, 4, size=(t_max, seeds))
-    actions = [int(a[0]) if plain else a for a, plain in zip(per_seed, rng.random(t_max) < 0.5)]
+    per_seed = data.draw(arrays(np.intp, (t_max, seeds), elements=st.integers(0, 3)))
+    plain = data.draw(arrays(bool, t_max))
+    actions = [int(a[0]) if p else a for a, p in zip(per_seed, plain)]
     reads = data.draw(st.dictionaries(st.integers(1, t_max), st.sampled_from(["counts", "proportions"])))
     swap = data.draw(st.none() | st.integers(1, t_max))
     occ = OccupationState(4, seeds=seeds)
