@@ -19,7 +19,7 @@ from .harness import (
     fit_rate,
     run_trial,
 )
-from .policies import PresampleConfig, PresampledUcbFwPolicy, UcbFwPolicy
+from .policies import PresampleConfig, PresampledUcbFwPolicy
 from .simplex import OccupationState
 
 
@@ -122,9 +122,9 @@ def selftest() -> list[tuple[str, bool, str]]:
     # the pre-sampling stopping rule on one seed whose squared centered
     # draws scale to z = 3^2 / 10 = 0.9 every round: arm 0's rule stops at
     # the first s with 0.9 >= sqrt(2 log(2 * 100 / 0.1) / s), s = 19
-    inner = UcbFwPolicy(losses.LinearLoss.build((0.1, 0.5)), FeedbackBlock(1, 2, DeviationSpec()))
+    fb = FeedbackBlock(1, 2, DeviationSpec(), centers=(0.0, 0.0))
     config = PresampleConfig(delta=0.1, variance_cap=10.0, horizon=100)
-    presampled = PresampledUcbFwPolicy(inner, config, centers=(0.0, 0.0))
+    presampled = PresampledUcbFwPolicy(losses.LinearLoss.build((0.1, 0.5)), fb, config)
     occ = OccupationState(2, seeds=1)
     while presampled._arm[0] == 0 and occ.t < config.horizon:
         a = presampled.select(occ)

@@ -204,7 +204,7 @@ class FeedbackBlock:
         self.m2 = np.zeros((num_seeds, num_coeffs))
         self.rounds = 0
         self._map = None if amap == tuple(range(num_coeffs)) else np.array(amap)
-        self._centers = None if centers is None else np.array(centers, dtype=float)
+        self.centers = None if centers is None else np.array(centers, dtype=float)
         self._row = np.arange(num_seeds) * num_coeffs
         # an array operand: a Python scalar costs a conversion every round
         self._ones = np.ones(num_seeds)
@@ -220,11 +220,9 @@ class FeedbackBlock:
         self.observed = False
 
     def unobserved(self) -> np.ndarray | None:
-        """Mask of the coefficients each seed has not observed yet; None once
-        every seed has observed every coefficient (counts only grow until the
-        next reset, so that answer is kept)."""
-        if self.observed:
-            return None
+        """Mask of the coefficients each seed has not observed yet, asked only
+        while `observed` is False; None, and `observed` set, once every seed
+        has observed every coefficient (counts only grow until the next reset)."""
         zero = self.obs_counts == 0.0
         if zero.any():
             return zero
@@ -248,7 +246,7 @@ class FeedbackBlock:
         """Route each seed's observation through the action map and fold it in."""
         j = actions if self._map is None else self._map[actions]
         if self._centered:
-            d = obs - self._centers[j]
+            d = obs - self.centers[j]
             value = d * d
         else:
             value = obs

@@ -9,12 +9,12 @@ in the occupation bookkeeping, so a policy only ever picks the next action.
 
 Baselines (uniform, fixed allocation, oracle gradient, and the scalar
 bandit: the central policy on the linear loss of the estimator's estimates)
-and two wrappers (variance pre-sampling with occupancy floors, block
-restarts of the estimator state) choose only through `select`, a wrapper
-through its inner policy's.  A block of seeds advances in lockstep:
-`select` takes a block `OccupationState` and returns one action per seed,
-and `observe` takes one action and one observation per seed.  Each seed
-gets the action its trajectory alone would get.
+choose only through `select`; variance pre-sampling with occupancy floors
+and block restarts of the estimator state are the central policy with a
+forced first phase or a restart schedule.  A block of seeds advances in
+lockstep: `select` takes a block `OccupationState` and returns one action
+per seed, and `observe` takes one action and one observation per seed.
+Each seed gets the action its trajectory alone would get.
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ class UcbFwPolicy:
     would get.  The estimator's round count (the exploration clock), delta_t
     and log(t / delta_t) are shared by the block, so the log is taken once
     per round; a constant-gradient model never reads p, which is not formed.
+    Subclasses reach `select` and `observe` through `super()`, so a hook on
+    these class attributes sees every plug-in selection and update.
     """
 
     def __init__(self, model: LossModel, fb: FeedbackBlock):
@@ -173,7 +175,14 @@ class LcbBanditPolicy(UcbFwPolicy):
         super().__init__(LinearLoss.build((0.0,) * fb.num_coeffs), fb)
 
 
-class OracleFwPolicy:
+class OpenLoopPolicy:
+    """A policy whose choices never read its observations."""
+
+    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
+        pass
+
+
+class OracleFwPolicy(OpenLoopPolicy):
     """Noise-free Frank-Wolfe on the true gradient, round robin to start."""
 
     def __init__(self, model: LossModel):
@@ -184,11 +193,8 @@ class OracleFwPolicy:
             return np.full(len(occ.counts), occ.t)
         return lowest_argmin(self.model.true_gradient(occ.proportions()))
 
-    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        pass
 
-
-class UniformPolicy:
+class UniformPolicy(OpenLoopPolicy):
     """Independent uniform action each round from each seed's own stream."""
 
     CHUNK = 4096
@@ -208,11 +214,8 @@ class UniformPolicy:
         self._pos += 1
         return a
 
-    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        pass
 
-
-class FixedAllocationPolicy:
+class FixedAllocationPolicy(OpenLoopPolicy):
     """Deterministic tracking of target weights by largest deficit."""
 
     def __init__(self, weights: Sequence[float]):
@@ -221,9 +224,6 @@ class FixedAllocationPolicy:
     def select(self, occ: OccupationState) -> np.ndarray:
         # first index of the largest deficit, as a strict `>` scan finds it
         return (self._w * (occ.t + 1) - occ.counts).argmax(axis=1)
-
-    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        pass
 
 
 def doubling_boundaries(beta: float, t_max: int) -> list[int]:
@@ -245,37 +245,34 @@ def doubling_boundaries(beta: float, t_max: int) -> list[int]:
         j += 1
 
 
-class DoublingUcbFwPolicy:
-    """Restart the estimator state at exponentially spaced block ends.
+class DoublingUcbFwPolicy(UcbFwPolicy):
+    """UCB-FW whose estimator state restarts at exponentially spaced block ends.
 
     Only the feedback state forgets, not the occupation counts, so each
     block re-runs the round robin, under any action map, with fresh radii.
     The block ends are shared, so the whole block of seeds restarts at once.
     """
 
-    def __init__(self, inner: UcbFwPolicy, beta: float, t_max: int):
-        self.inner = inner
+    def __init__(self, model: LossModel, fb: FeedbackBlock, beta: float, t_max: int):
+        super().__init__(model, fb)
         self.boundaries = doubling_boundaries(beta, t_max)
         self.block = 0
 
     def select(self, occ: OccupationState) -> np.ndarray:
         if self.block < len(self.boundaries) and occ.t >= self.boundaries[self.block]:
-            self.inner.fb.reset()
+            self.fb.reset()
             self.block += 1
-        return self.inner.select(occ)
-
-    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        self.inner.observe(actions, obs)
+        return super().select(occ)
 
 
-class PresampledUcbFwPolicy:
-    """Variance pre-sampling followed by floor-constrained plug-in selection.
+class PresampledUcbFwPolicy(UcbFwPolicy):
+    """UCB-FW after variance pre-sampling, with occupancy floors.
 
     Phase 1 estimates per-arm deviation brackets (either given, or found by
-    the stopping rule on squared centered draws scaled into [0, 1]), then
-    keeps pulling the most deficient arm until every occupancy clears its
-    floor p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2 enforces the
-    floors and otherwise defers to the plug-in selection.
+    the stopping rule on squared draws around `fb.centers`, scaled into
+    [0, 1]), then keeps pulling the most deficient arm until every occupancy
+    clears its floor p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2
+    enforces the floors and otherwise defers to the plug-in selection.
 
     Each seed of the block moves through the phases on its own: it samples
     arm `_arm` until that arm's stopping rule ends (`_arm == K` once every
@@ -285,12 +282,10 @@ class PresampledUcbFwPolicy:
     then) hold what phase 1 found.
     """
 
-    def __init__(self, inner: UcbFwPolicy, config: PresampleConfig, centers: Sequence[float]):
-        self.inner = inner
+    def __init__(self, model: LossModel, fb: FeedbackBlock, config: PresampleConfig):
+        super().__init__(model, fb)
         self.config = config
-        self.centers = np.array([float(c) for c in centers])
-        s, k = inner.fb.obs_counts.shape
-        self.num_actions = k
+        s, k = fb.obs_counts.shape
         self.brackets_hat = np.full((s, k, 2), np.nan)
         self.stopping_triggered = np.zeros((s, k), dtype=bool)
         self.floors = np.zeros((s, k))
@@ -323,7 +318,7 @@ class PresampledUcbFwPolicy:
 
     def select(self, occ: OccupationState) -> np.ndarray:
         out = self._arm.copy()
-        rows = np.flatnonzero(out == self.num_actions)
+        rows = np.flatnonzero(out == self.fb.num_coeffs)
         if len(rows):
             d = self.floors[rows] * (occ.t + 1) - occ.counts[rows]
             # the most deficient arm, first on ties, while one is deficient
@@ -331,15 +326,15 @@ class PresampledUcbFwPolicy:
             held = rows[d.max(axis=1) <= 0.0]
             if len(held):
                 self.phase1_end_t[held[self.phase1_end_t[held] < 0]] = occ.t
-                out[held] = self.inner.select(occ)[held]
+                out[held] = super().select(occ)[held]
         return out
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        self.inner.observe(actions, obs)
-        rows = np.flatnonzero(self._arm < self.num_actions)
+        super().observe(actions, obs)
+        rows = np.flatnonzero(self._arm < self.fb.num_coeffs)
         if not len(rows):
             return
-        d = obs[rows] - self.centers[actions[rows]]
+        d = obs[rows] - self.fb.centers[actions[rows]]
         cap = self.config.variance_cap
         x = d * d / cap
         z = np.where(x < 1.0, x, 1.0)  # min(1.0, x), which also maps NaN to 1.0
@@ -359,4 +354,4 @@ class PresampledUcbFwPolicy:
         self._arm[rows] = arm + 1
         self._z_count[rows] = 0
         self._z_total[rows] = 0.0
-        self._set_floors(rows[arm + 1 == self.num_actions])
+        self._set_floors(rows[arm + 1 == self.fb.num_coeffs])

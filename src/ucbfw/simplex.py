@@ -117,6 +117,3 @@ class OccupationState:
             return p
         p = self._seen = self._counts / float(self.t)
         return p
-
-    def __repr__(self) -> str:
-        return f"OccupationState(t={self.t}, counts={self.counts})"

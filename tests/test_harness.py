@@ -848,6 +848,10 @@ def test_doubling_restart_reruns_the_round_robin(action_map):
     for b in policy.boundaries:
         for trace in traces + references:
             assert trace[b : b + 3] == [0, 1, 2]
+    # the restart schedule and the estimator it resets live on one policy object
+    assert isinstance(policy, policies.UcbFwPolicy)
+    assert policy.block == 2
+    assert policy.fb.rounds == 60 - 55
 
 
 def _exp_design_presampled(sigma2, presample):
@@ -900,7 +904,7 @@ def test_presampled_state_matches_per_seed_loop(config, shows):
     for i, s in enumerate(seeds):
         trace, ref = _reference_actions(config, s, 300)
         assert traces[i] == trace
-        assert len(ref.brackets_hat) == policy.num_actions
+        assert len(ref.brackets_hat) == policy.fb.num_coeffs
         assert policy.brackets_hat[i].tolist() == [list(b) for b in ref.brackets_hat]
         assert policy.stopping_triggered[i].tolist() == ref.stopping_triggered
         assert policy.floors[i].tolist() == ref.floors

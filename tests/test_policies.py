@@ -497,8 +497,8 @@ def test_doubling_matches_inner_before_first_boundary():
     plain, _ = _run_policy(
         UcbFwPolicy(model, FeedbackBlock(1, 2, spec)), obs_model, 21, 8, 2
     )
-    inner = UcbFwPolicy(model, FeedbackBlock(1, 2, spec))
-    wrapped, _ = _run_policy(DoublingUcbFwPolicy(inner, 0.5, 8), obs_model, 21, 8, 2)
+    doubling = DoublingUcbFwPolicy(model, FeedbackBlock(1, 2, spec), 0.5, 8)
+    wrapped, _ = _run_policy(doubling, obs_model, 21, 8, 2)
     assert wrapped == plain
 
 
@@ -506,30 +506,28 @@ def test_doubling_resets_estimator_but_not_occupation():
     spec = DeviationSpec()
     model = LinearLoss.build((0.0, 0.5))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.5), sds=(1.0, 1.0))
-    inner = UcbFwPolicy(model, FeedbackBlock(1, 2, spec))
-    policy = DoublingUcbFwPolicy(inner, 0.5, 100)
+    policy = DoublingUcbFwPolicy(model, FeedbackBlock(1, 2, spec), 0.5, 100)
     _, occ = _run_policy(policy, obs_model, 22, 100, 2)
     assert occ.t == 100
     assert policy.block == 2  # crossed 8 and 55
     # estimator only remembers observations after the latest restart
-    assert inner.fb.obs_counts.sum() == 100 - 55
+    assert policy.fb.obs_counts.sum() == 100 - 55
 
 
 # ---------------------------------------------------------------- presample
 
 
-def exp_design_inner(spec=None):
+def exp_design_block(spec=None):
     model = ExpDesignLoss.build((1.0, 4.0))
     fb = FeedbackBlock(
         1, 2, spec or DeviationSpec(), estimator="centered_square", centers=(0.0, 0.0)
     )
-    return model, UcbFwPolicy(model, fb)
+    return model, fb
 
 
 def test_presample_known_brackets_floor_enforcement():
-    _, inner = exp_design_inner()
     cfg = PresampleConfig(brackets=((1.0, 1.0), (2.0, 2.0)))
-    policy = PresampledUcbFwPolicy(inner, cfg, centers=(0.0, 0.0))
+    policy = PresampledUcbFwPolicy(*exp_design_block(), cfg)
     assert policy.phase1_end_t[0] == 0
     assert policy.floors[0] == pytest.approx([1 / 3, 2 / 3])
     occ = block_occ((2, 7))  # arm 0 at 2/9 < 1/3
@@ -537,24 +535,23 @@ def test_presample_known_brackets_floor_enforcement():
 
 
 def test_presample_defers_when_floors_hold():
-    _, inner = exp_design_inner()
+    model, fb = exp_design_block()
     cfg = PresampleConfig(brackets=((1.0, 2.0), (2.0, 3.0)))
-    policy = PresampledUcbFwPolicy(inner, cfg, centers=(0.0, 0.0))
+    policy = PresampledUcbFwPolicy(model, fb, cfg)
     assert policy.floors[0] == pytest.approx([0.2, 0.4])
     rng = np.random.default_rng(8)
     occ = OccupationState(2, seeds=1)
     for a in rng.integers(0, 2, size=10):
         step(policy, occ, int(a), float(rng.normal()))
     occ2 = block_occ((5, 5))  # both above floor at t=10
-    assert pick(policy, occ2) == pick(inner, occ2)
+    assert pick(policy, occ2) == pick(UcbFwPolicy(model, fb), occ2)
 
 
 def test_presample_stopping_mode_reaches_tracking():
     model = ExpDesignLoss.build((1.0, 4.0))
     obs_model = ObservationModel(kind="gaussian", means=(0.0, 0.0), sds=(1.0, 2.0))
-    _, inner = exp_design_inner()
     cfg = PresampleConfig(delta=0.1, variance_cap=8.0, horizon=3000)
-    policy = PresampledUcbFwPolicy(inner, cfg, centers=(0.0, 0.0))
+    policy = PresampledUcbFwPolicy(*exp_design_block(), cfg)
     sampler = ObservationSampler(obs_model, (30,))
     occ = OccupationState(2, seeds=1)
     for _ in range(3000):
@@ -584,11 +581,8 @@ def test_presample_config_validation():
         with pytest.raises(ValueError, match=f"max_rounds_per_arm must be >= 1, got {rounds}"):
             PresampleConfig(max_rounds_per_arm=rounds)
     assert PresampleConfig(max_rounds_per_arm=1).max_rounds_per_arm == 1
-    _, inner = exp_design_inner()
     with pytest.raises(ValueError, match="one bracket per arm"):
-        PresampledUcbFwPolicy(
-            inner, PresampleConfig(brackets=((1.0, 1.0),)), centers=(0.0, 0.0)
-        )
+        PresampledUcbFwPolicy(*exp_design_block(), PresampleConfig(brackets=((1.0, 1.0),)))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
