@@ -498,8 +498,8 @@ def test_doubling_matches_inner_before_first_boundary():
         UcbFwPolicy(model, FeedbackBlock(1, 2, spec)), obs_model, 21, 8, 2
     )
     doubling = DoublingUcbFwPolicy(model, FeedbackBlock(1, 2, spec), 0.5, 8)
-    wrapped, _ = _run_policy(doubling, obs_model, 21, 8, 2)
-    assert wrapped == plain
+    restarted, _ = _run_policy(doubling, obs_model, 21, 8, 2)
+    assert restarted == plain
 
 
 def test_doubling_resets_estimator_but_not_occupation():
