@@ -175,11 +175,13 @@ class FeedbackBlock:
     (`action_to_coeff[a]` names the coefficient an observation of action a
     informs) and folds it into that coefficient's `estimator`, one of
     ESTIMATORS: the running mean of raw draws, of squared draws around
-    `centers` (known-center variance estimation), or Welford sample
-    variance.  The arithmetic is that of a single trial, so each row holds
-    exactly what that seed's trial alone would hold.  Every seed routes
-    one observation per round, so `rounds`, the rounds since the last reset
-    and the policies' exploration clock, is one integer for the block.
+    the drawn action's known mean `centers[a]` (known-center variance
+    estimation), or Welford sample variance.  `centers` is indexed by
+    action, as the draws are, so no reader routes it.  The arithmetic is
+    that of a single trial, so each row holds exactly what that seed's
+    trial alone would hold.  Every seed routes one observation per round,
+    so `rounds`, the rounds since the last reset and the policies'
+    exploration clock, is one integer for the block.
     """
 
     def __init__(
@@ -246,7 +248,7 @@ class FeedbackBlock:
         """Route each seed's observation through the action map and fold it in."""
         j = actions if self._map is None else self._map[actions]
         if self._centered:
-            d = obs - self.centers[j]
+            d = obs - self.centers[actions]
             value = d * d
         else:
             value = obs

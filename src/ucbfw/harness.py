@@ -176,7 +176,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     observations: ObservationModel = field(init=False, compare=False, repr=False)
     estimator: str = field(init=False, compare=False, repr=False)
-    centers: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         problem = _experiment_problem(self)
@@ -255,12 +254,13 @@ def build_model(cfg: ModelConfig) -> LossModel:
 
 def _feedback_setup(
     fb_cfg: FeedbackConfig, model: LossModel, sigma2: float
-) -> tuple[ObservationModel, str, tuple[float, ...]]:
-    """The observation model, the estimator and the centers of `fb_cfg` on
-    `model`, whose draws the radius declares sub-gaussian with parameter
-    sigma2; ValueError when they cannot run.  The centers, which the
-    centered-square estimator and the pre-sampling stopping rule square
-    draws around, are the model's known ones under variance feedback, else 0."""
+) -> tuple[ObservationModel, str]:
+    """The observation model and the estimator of `fb_cfg` on `model`, whose
+    draws the radius declares sub-gaussian with parameter sigma2; ValueError
+    when they cannot run.  Action a draws around the parameter of the
+    coefficient it reports or, under variance feedback, around that
+    coefficient's known center, the draw center the feedback block squares
+    a's draws around (see build_policy): the one place centers are routed."""
     amap = check_action_map(fb_cfg.action_map, model.num_actions)
     variance = model.variance_feedback
     if variance:
@@ -290,7 +290,7 @@ def _feedback_setup(
             f"observation sub-gaussian parameter {par} exceeds the declared "
             f"deviation sigma2 {sigma2}"
         )
-    return observations, estimator, model.centers if variance else (0.0,) * model.num_actions
+    return observations, estimator
 
 
 def build_policy(config: ExperimentConfig, model: LossModel, seeds: Sequence[int], t_max: int):
@@ -308,7 +308,7 @@ def build_policy(config: ExperimentConfig, model: LossModel, seeds: Sequence[int
         cfg.deviation_spec,
         action_to_coeff=config.feedback.action_map,
         estimator=config.estimator,
-        centers=config.centers,
+        centers=config.observations.means if model.variance_feedback else (0.0,) * model.num_actions,
     )
     if cfg.kind == LCB_BANDIT:
         return LcbBanditPolicy(fb)
@@ -361,7 +361,7 @@ def _experiment_problem(config: ExperimentConfig) -> tuple[tuple[str, ...], str]
     except ValueError as exc:
         return ("feedback",), str(exc)
     # derived fields, set past the frozen dataclass's __setattr__
-    for name, value in zip(("observations", "estimator", "centers"), setup):
+    for name, value in zip(("observations", "estimator"), setup):
         object.__setattr__(config, name, value)
     return None
 

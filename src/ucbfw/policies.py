@@ -269,10 +269,11 @@ class PresampledUcbFwPolicy(UcbFwPolicy):
     """UCB-FW after variance pre-sampling, with occupancy floors.
 
     Phase 1 estimates per-arm deviation brackets (either given, or found by
-    the stopping rule on squared draws around `fb.centers`, scaled into
-    [0, 1]), then keeps pulling the most deficient arm until every occupancy
-    clears its floor p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2
-    enforces the floors and otherwise defers to the plug-in selection.
+    the stopping rule on squared draws around each arm's known mean
+    `fb.centers[arm]`, scaled into [0, 1]), then keeps pulling the most
+    deficient arm until every occupancy clears its floor
+    p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2 enforces the floors
+    and otherwise defers to the plug-in selection.
 
     Each seed of the block moves through the phases on its own: it samples
     arm `_arm` until that arm's stopping rule ends (`_arm == K` once every

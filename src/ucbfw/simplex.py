@@ -37,9 +37,9 @@ class OccupationState:
     `counts` is an (S, K) float64 array of whole numbers: exact, and c / t
     then needs no conversion to give the correctly rounded quotient of the
     integers.  `apply` takes one action per seed (an int array; a plain int
-    applies to every row) and `proportions` returns the (S, K) array
-    p_t = T_i(t) / t.  Actions come from the block policies and are not
-    range-checked.
+    applies to every row) and `proportions` returns a fresh (S, K) array
+    p_t = T_i(t) / t on each call.  Actions come from the block policies
+    and are not range-checked.
 
     The counts are folded in when read.  If they were read since the last
     `apply`, as a policy that reads them every round does, `apply` adds
@@ -57,7 +57,7 @@ class OccupationState:
 
     LOG_ROUNDS = 256
 
-    __slots__ = ("t", "num_actions", "_counts", "_flat", "_row", "_ones", "_seen", "_log", "_logged")
+    __slots__ = ("t", "num_actions", "_counts", "_flat", "_row", "_ones", "_read", "_log", "_logged")
 
     def __init__(self, num_actions: int, seeds: int):
         if num_actions < 2:
@@ -69,10 +69,9 @@ class OccupationState:
         self._row = np.arange(seeds) * num_actions
         # an array operand: a Python scalar costs a conversion every round
         self._ones = np.ones(seeds)
-        # what was read since the last apply: None (nothing, so the next
-        # apply logs), True (`counts`, or no apply yet) or the proportions,
-        # kept until the next apply (callers only read them)
-        self._seen = True
+        # whether the counts were read since the last apply (or no apply
+        # came yet): if so the next apply adds at once, else it logs
+        self._read = True
         # one row of actions per logged round; rows [0, _logged) are not
         # yet in the counts
         self._log = np.empty((self.LOG_ROUNDS, seeds), dtype=np.intp)
@@ -82,21 +81,20 @@ class OccupationState:
     def counts(self) -> np.ndarray:
         if self._logged:
             self._fold()
-        if self._seen is None:
-            self._seen = True
+        self._read = True
         return self._counts
 
     def apply(self, action) -> None:
-        if self._seen is None:
+        if self._read:
+            self._flat[self._row + action] += self._ones
+            self._read = False
+        else:
             n = self._logged
             if n == self.LOG_ROUNDS:
                 self._fold()
                 n = 0
             self._log[n] = action
             self._logged = n + 1
-        else:
-            self._flat[self._row + action] += self._ones
-            self._seen = None
         self.t += 1
 
     def _fold(self) -> None:
@@ -105,15 +103,6 @@ class OccupationState:
         self._logged = 0
 
     def proportions(self) -> np.ndarray:
-        p = self._seen
-        if p is None:
-            if self._logged:
-                self._fold()
-        elif p is True:
-            # the one state t = 0 can be in
-            if not self.t:
-                raise ValueError("occupation measure is undefined before the first action")
-        else:
-            return p
-        p = self._seen = self._counts / float(self.t)
-        return p
+        if not self.t:
+            raise ValueError("occupation measure is undefined before the first action")
+        return self.counts / float(self.t)

@@ -619,9 +619,10 @@ class PresampledUcbFwPolicy:
     """Variance pre-sampling followed by floor-constrained plug-in selection.
 
     Phase 1 estimates per-arm deviation brackets (either given, or found by
-    the stopping rule on squared centered draws scaled into [0, 1]), then
-    keeps pulling the most deficient arm until every occupancy clears its
-    floor p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2 enforces the
+    the stopping rule on squared draws scaled into [0, 1], centered on
+    `centers[j]` for the coefficient j the arm reports), then keeps pulling
+    the most deficient arm until every occupancy clears its floor
+    p_floor_i = sigma_lo_i / sum_j sigma_hi_j.  Phase 2 enforces the
     floors and otherwise defers to the plug-in selection.  `phase1_end_t`
     records when the floors first all held.
     """
@@ -695,7 +696,7 @@ class PresampledUcbFwPolicy:
         self.inner.observe(action, obs)
         if self._phase != "estimate":
             return
-        d = obs - self.centers[action]
+        d = obs - self.centers[self.inner.fb.action_to_coeff[action]]
         z = min(1.0, d * d / self.config.variance_cap)
         self._z_count += 1
         self._z_total += z
@@ -724,12 +725,14 @@ def build_policy(config: ExperimentConfig, model: LossModel, trial_seed: int, t_
         return FixedAllocationPolicy(cfg.weights)
     if cfg.kind == ORACLE_FW:
         return OracleFwPolicy(model)
+    # indexed by coefficient, as the model's are: readers route them
+    centers = model.centers if model.variance_feedback else (0.0,) * model.num_actions
     fb = FeedbackState.fresh(
         model.num_actions,
         cfg.deviation_spec,
         action_to_coeff=config.feedback.action_map,
         estimator=config.estimator,
-        centers=config.centers,
+        centers=centers,
     )
     if cfg.kind == LCB_BANDIT:
         return LcbBanditPolicy(fb)
@@ -739,7 +742,7 @@ def build_policy(config: ExperimentConfig, model: LossModel, trial_seed: int, t_
     if cfg.kind == DOUBLING_UCB_FW:
         return DoublingUcbFwPolicy(inner, cfg.doubling_beta, t_max)
     if cfg.kind == PRESAMPLED_UCB_FW:
-        return PresampledUcbFwPolicy(inner, cfg.presample, config.centers)
+        return PresampledUcbFwPolicy(inner, cfg.presample, centers)
     raise ValueError(f"unknown policy kind {cfg.kind!r}")
 
 

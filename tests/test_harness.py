@@ -854,10 +854,11 @@ def test_doubling_restart_reruns_the_round_robin(action_map):
     assert policy.fb.rounds == 60 - 55
 
 
-def _exp_design_presampled(sigma2, presample):
+def _exp_design_presampled(sigma2, presample, centers=None, action_map=None):
     return linear_config(
-        model=ModelConfig(kind="exp_design", sigma2=sigma2),
+        model=ModelConfig(kind="exp_design", sigma2=sigma2, centers=centers),
         policy=PolicyConfig(kind="presampled_ucb_fw", presample=presample),
+        feedback=FeedbackConfig(action_map=action_map),
     )
 
 
@@ -894,6 +895,16 @@ def _exp_design_presampled(sigma2, presample):
             lambda policy: (policy.phase1_end_t == 0).all(),
             id="known_brackets",
         ),
+        # each arm's draws are squared around the center of the coefficient
+        # it reports: the engine holds them per action, the reference per
+        # coefficient and routes them
+        pytest.param(
+            _exp_design_presampled(
+                (1.0, 4.0, 2.0), GRID_PRESAMPLE[0], centers=(1.0, -2.0, 0.5), action_map=(2, 0, 1)
+            ),
+            lambda policy: policy.fb.centers.tolist() == [0.5, 1.0, -2.0],
+            id="routed_centers",
+        ),
     ],
 )
 def test_presampled_state_matches_per_seed_loop(config, shows):
@@ -910,6 +921,25 @@ def test_presampled_state_matches_per_seed_loop(config, shows):
         assert policy.floors[i].tolist() == ref.floors
         assert policy.phase1_end_t[i] == ref.phase1_end_t
     assert shows(policy)
+
+
+def test_presampled_brackets_do_not_depend_on_the_map():
+    # both arms draw with sd 1 around known centers 1 and -1.  Under the map
+    # (1, 0) action 0 reports coefficient 1, so its draws come around -1;
+    # streams are keyed by action, so once centered they are the identity
+    # run's draws up to the rounding of the shift, and each bracket (lo, hi)
+    # must hold the true sd 1
+    runs = []
+    for action_map in (None, (1, 0)):
+        config = _exp_design_presampled(
+            (1.0, 1.0), PresampleConfig(), centers=(1.0, -1.0), action_map=action_map
+        )
+        runs.append(_engine_actions(config, (1, 2, 3, 4), 4000)[1])
+    identity, mapped = runs
+    np.testing.assert_allclose(mapped.brackets_hat, identity.brackets_hat, rtol=1e-12)
+    assert mapped.stopping_triggered.tolist() == identity.stopping_triggered.tolist()
+    assert mapped.phase1_end_t.tolist() == identity.phase1_end_t.tolist()
+    assert (mapped.brackets_hat[:, :, 0] <= 1.0).all() and (mapped.brackets_hat[:, :, 1] >= 1.0).all()
 
 
 def test_presampled_selection_passes_through_select(monkeypatch):

@@ -245,6 +245,30 @@ def test_markowitz_agrees_with_grid_search():
         assert info.loss_star <= best + 1e-9
 
 
+def test_support_candidate_solves_a_singular_consistent_system():
+    # zero covariance: the two stationarity rows are equal, so `solve`
+    # refuses the system, and the least-squares solution solves it exactly
+    sig, mu = np.zeros((2, 2)), np.array([1.0, 1.0])
+    p, value = losses._support_candidate(sig, 1.0, mu, [0, 1])
+    assert p.tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert value == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sig, mu, support",
+    [
+        # equal stationarity rows with unequal right-hand sides: no solution
+        pytest.param(np.zeros((2, 2)), (1.0, 2.0), [0, 1], id="singular_inconsistent"),
+        # stationary on both actions at p = (3, -2), off the simplex
+        pytest.param(np.eye(2), (10.0, 0.0), [0, 1], id="negative_weight"),
+        # the vertex e_1, whose gradient still points toward action 0
+        pytest.param(np.eye(2), (10.0, 0.0), [1], id="fails_kkt"),
+    ],
+)
+def test_support_candidate_refuses(sig, mu, support):
+    assert losses._support_candidate(sig, 1.0, np.array(mu), support) is None
+
+
 def _reference_simplex_qp(sig, lam, mu):
     """The full 2^K enumeration: every support solved and checked, the best
     loss kept, ties going to the lowest support bitmask."""

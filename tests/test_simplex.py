@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -102,28 +102,46 @@ def test_float_recurrence_rejects_empty():
         float_recurrence([], 2)
 
 
-@given(st.data())
-def test_counts_are_exact_for_any_action_sequence(data):
+@st.composite
+def block_runs(draw):
+    """A block's seed count, its actions (one a round: a plain int or one
+    per seed), the rounds read and what is read there, and the round whose
+    counts get two columns swapped, with whether `proportions` is read
+    just before the swap (None: no swap)."""
+    seeds = draw(st.integers(1, 3))
+    # the length drawn first, so runs past LOG_ROUNDS are common
+    t_max = draw(st.integers(1, 400))
+    per_seed = draw(arrays(np.intp, (t_max, seeds), elements=st.integers(0, 3)))
+    plain = draw(arrays(bool, t_max))
+    actions = [int(a[0]) if p else a for a, p in zip(per_seed, plain)]
+    reads = draw(st.dictionaries(st.integers(1, t_max), st.sampled_from(["counts", "proportions"])))
+    swap = draw(st.none() | st.tuples(st.integers(1, t_max), st.booleans()))
+    return seeds, actions, reads, swap
+
+
+@given(block_runs())
+# p = (2/3, 1/3, 0, 0) read after actions 0, 0, 1, then counts swapped to (1, 2, 0, 0)
+@example((1, [0, 0, 1], {}, (3, True)))
+def test_counts_are_exact_for_any_action_sequence(run):
     # A block under plain-int and per-seed actions, read at drawn rounds:
     # runs past LOG_ROUNDS fill the log, and a read after unread rounds
     # folds them in.  A write through `counts` (swapping two columns) may
-    # come while rows are pending, and must land on the folded counts.
-    seeds = data.draw(st.integers(1, 3))
-    # the length drawn first, so runs past LOG_ROUNDS are common
-    t_max = data.draw(st.integers(1, 400))
-    per_seed = data.draw(arrays(np.intp, (t_max, seeds), elements=st.integers(0, 3)))
-    plain = data.draw(arrays(bool, t_max))
-    actions = [int(a[0]) if p else a for a, p in zip(per_seed, plain)]
-    reads = data.draw(st.dictionaries(st.integers(1, t_max), st.sampled_from(["counts", "proportions"])))
-    swap = data.draw(st.none() | st.integers(1, t_max))
+    # come while rows are pending, or just after a `proportions` read,
+    # and must land on the folded counts and show in the next proportions.
+    seeds, actions, reads, swap = run
+    swap_t, read_first = swap or (None, False)
+    t_max = len(actions)
     occ = OccupationState(4, seeds=seeds)
     tally = np.zeros((seeds, 4), dtype=np.int64)
     for t, a in enumerate(actions, start=1):
         occ.apply(a)
         tally[np.arange(seeds), a] += 1
-        if t == swap:
+        if t == swap_t:
+            if read_first:
+                assert occ.proportions().tolist() == (tally / t).tolist()
             occ.counts[:, [0, 1]] = tally[:, [1, 0]]
             tally[:, [0, 1]] = tally[:, [1, 0]]
+            assert occ.proportions().tolist() == (tally / t).tolist()
         if reads.get(t) == "counts":
             assert occ.counts.tolist() == tally.tolist()
         elif reads.get(t) == "proportions":
