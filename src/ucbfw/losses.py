@@ -111,6 +111,10 @@ class LossModel:
     smoothness_C: float = 0.0
     sup_loss: float = 0.0
     sup_grad: float = 0.0
+    params_array: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params_array", _read_only(self.params))
 
     @property
     def num_actions(self) -> int:
@@ -125,8 +129,9 @@ class LossModel:
         raise NotImplementedError
 
     def true_gradient(self, p: np.ndarray) -> np.ndarray:
-        """The gradient at each point of the block p with the true parameters."""
-        return self.gradient(np.tile(self.params, (len(p), 1)), p)
+        """The gradient at each point of the block p with the true parameters,
+        one read-only row that each inheriting formula broadcasts."""
+        return self.gradient(self.params_array, p)
 
     def sensitivity(self, p: np.ndarray) -> np.ndarray | None:
         """Per-coordinate factor turning a parameter deviation into a gradient deviation.
@@ -187,15 +192,6 @@ def _dot(xs: Sequence[float], ys: Sequence[float]) -> float:
     return fold_sum(x * y for x, y in zip(xs, ys))
 
 
-def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """`_dot(row, p_s)` for every row of `rows` and every point p_s of the block p.
-
-    `cumsum` adds left to right as `_dot` does; adding 0.0 turns the -0.0
-    an all-zero product row can leave into the 0.0 `_dot` gives.
-    """
-    return (p[:, None, :] * rows).cumsum(axis=-1)[..., -1] + 0.0
-
-
 def _require_interior(p, kind: str, zero_ok: bool = False) -> bool:
     """Raise, naming the first offending coordinate, unless every coordinate
     of p (one point or a block of points) is strictly positive, or with
@@ -223,6 +219,7 @@ class LinearLoss(LossModel):
     gaps: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        super().__post_init__()
         costs = self.gradient(np.array([self.params], dtype=float), None)[0]
         star = int(costs.argmin())
         object.__setattr__(self, "costs", tuple(costs.tolist()))
@@ -427,10 +424,12 @@ class MarkowitzLoss(LossModel):
     covariance: tuple[tuple[float, ...], ...]
     risk_weight: float
     qp_solution: tuple[tuple[float, ...], float] = field(compare=False, repr=False)
-    cov_array: np.ndarray = field(init=False, compare=False, repr=False)
+    cov2_t: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cov_array", _read_only(self.covariance))
+        super().__post_init__()
+        cov2_t = np.ascontiguousarray(2.0 * np.array(self.covariance).T[:, None, :])
+        object.__setattr__(self, "cov2_t", _read_only(cov2_t))
 
     @classmethod
     def build(
@@ -473,14 +472,18 @@ class MarkowitzLoss(LossModel):
             qp_solution=(tuple(float(v) for v in p_star), loss_star),
         )
 
-    # Row products are summed left to right (`_dot`, `_row_dots`); a numpy
-    # matvec would sum them in another order and change the floats.
+    # Row products are summed left to right from 0.0, as `_dot` does; a numpy
+    # matvec would sum them in another order.  `gradient` reduces the (K, S, K)
+    # products p[s, j] * 2 Sigma[i, j] over j, the outermost axis in memory (C
+    # order pinned on `cov2_t` and on the product): numpy sums a contiguous
+    # axis pairwise.  Doubling is exact, so the folded 2 changes no float.
     def value(self, p):
         quad = _dot(p, [_dot(row, p) for row in self.covariance])
         return quad - self.risk_weight * _dot(self.params, p)
 
     def gradient(self, params, p):
-        return 2.0 * _row_dots(self.cov_array, p) - self.risk_weight * params
+        terms = np.multiply(p.T[:, :, None], self.cov2_t, order="C")
+        return np.add.reduce(terms, axis=0, initial=0.0) - self.risk_weight * params
 
     def sensitivity(self, p):
         lam = self.risk_weight

@@ -115,8 +115,9 @@ class UcbFwPolicy:
     would get.  The estimator's round count (the exploration clock), delta_t
     and log(t / delta_t) are shared by the block, so the log is taken once
     per round; a constant-gradient model never reads p, which is not formed.
-    Subclasses reach `select` and `observe` through `super()`, so a hook on
-    these class attributes sees every plug-in selection and update.
+    Subclasses call `UcbFwPolicy.select` and `UcbFwPolicy.observe` through
+    the class (cheaper than `super()`), so a hook on these class attributes
+    sees every plug-in selection and update.
     """
 
     def __init__(self, model: LossModel, fb: FeedbackBlock):
@@ -262,7 +263,7 @@ class DoublingUcbFwPolicy(UcbFwPolicy):
         if self.block < len(self.boundaries) and occ.t >= self.boundaries[self.block]:
             self.fb.reset()
             self.block += 1
-        return super().select(occ)
+        return UcbFwPolicy.select(self, occ)
 
 
 class PresampledUcbFwPolicy(UcbFwPolicy):
@@ -327,11 +328,11 @@ class PresampledUcbFwPolicy(UcbFwPolicy):
             held = rows[d.max(axis=1) <= 0.0]
             if len(held):
                 self.phase1_end_t[held[self.phase1_end_t[held] < 0]] = occ.t
-                out[held] = super().select(occ)[held]
+                out[held] = UcbFwPolicy.select(self, occ)[held]
         return out
 
     def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        super().observe(actions, obs)
+        UcbFwPolicy.observe(self, actions, obs)
         rows = np.flatnonzero(self._arm < self.fb.num_coeffs)
         if not len(rows):
             return

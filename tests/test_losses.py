@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -387,19 +388,29 @@ def test_simplex_qp_agrees_with_full_enumeration(data):
 # ---------------------------------------------------------------- step formulas
 
 
+def _left_to_right(xs):
+    # sum() as before Python 3.12, which made float sums compensated
+    acc = 0.0
+    for x in xs:
+        acc += x
+    return acc
+
+
 def _reference_markowitz_gradient(model, params, p):
     """The index-loop gradient that `MarkowitzLoss.gradient` must match bit for bit."""
     sig = model.covariance
     lam = model.risk_weight
     k = len(p)
-    return [2.0 * sum(sig[i][j] * p[j] for j in range(k)) - lam * params[i] for i in range(k)]
+    return [2.0 * _left_to_right(sig[i][j] * p[j] for j in range(k)) - lam * params[i] for i in range(k)]
 
 
 def _reference_markowitz_value(model, p):
     """The index-loop value that `MarkowitzLoss.value` must match bit for bit."""
     sig = model.covariance
-    quad = sum(x * sum(row[j] * p[j] for j in range(len(p))) for x, row in zip(p, sig))
-    return quad - model.risk_weight * sum(m * x for m, x in zip(model.params, p))
+    quad = _left_to_right(
+        x * _left_to_right(row[j] * p[j] for j in range(len(p))) for x, row in zip(p, sig)
+    )
+    return quad - model.risk_weight * _left_to_right(m * x for m, x in zip(model.params, p))
 
 
 def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
@@ -413,6 +424,29 @@ def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
             params = rng.normal(size=k).tolist()
             assert plug_in_gradient(model, params, p) == _reference_markowitz_gradient(model, params, p)
             assert model.value(p) == _reference_markowitz_value(model, p)
+
+
+def test_markowitz_gradient_does_not_depend_on_block_layout():
+    # the sum over j must stay left to right whatever the memory layout of
+    # the block: one point, a C block, an F block and a transposed view
+    rng = np.random.default_rng(20261021)
+    for k in range(8, 17):
+        a = rng.normal(size=(k, k))
+        model = MarkowitzLoss.build(a @ a.T / k, float(rng.uniform(0.0, 2.0)), rng.normal(size=k))
+        p = rng.dirichlet(np.ones(k), size=6)
+        p[0] = np.eye(k)[k // 2]  # a vertex
+        params = rng.normal(size=p.shape)
+        want = [_reference_markowitz_gradient(model, params[s].tolist(), p[s].tolist()) for s in range(len(p))]
+        for s in range(len(p)):
+            one = model.gradient(np.array([params[s].tolist()]), np.array([p[s].tolist()]))
+            assert one.tolist() == [want[s]], (k, s)
+        blocks = (
+            (params, np.ascontiguousarray(p)),
+            (np.asfortranarray(params), np.asfortranarray(p)),
+            (params.T.copy().T, p.T.copy().T),
+        )
+        for pars, block in blocks:
+            assert model.gradient(pars, block).tolist() == want, (k, block.flags.c_contiguous)
 
 
 INTERP_TABLES = (
@@ -507,8 +541,9 @@ def test_step_results_do_not_alias_model_state():
             assert call(p).tolist() == want, (m.kind, call.__name__)
     cached = [m.costs_array for m in all_models() if m.constant_gradient]
     cached += [m.lipschitz_array for m in all_models() if m.kind == "separable"]
-    cached += [m.cov_array for m in all_models() if m.kind == "markowitz"]
-    assert len(cached) == 4 and not any(a.flags.writeable for a in cached)
+    cached += [m.cov2_t for m in all_models() if m.kind == "markowitz"]
+    cached += [m.params_array for m in all_models()]
+    assert len(cached) == 10 and not any(a.flags.writeable for a in cached)
 
 
 # ---------------------------------------------------------------- constants
@@ -696,10 +731,23 @@ def test_block_gradient_names_the_first_boundary_row():
 
 def test_markowitz_sums_row_products_left_to_right():
     # a compensated sum (Python >= 3.12's sum()) would give 1.0 here
-    terms = [1e16, 1.0, -1e16]
+    terms = (1e16, 1.0, -1e16)
     assert losses._dot(terms, [1.0, 1.0, 1.0]) == 0.0
-    rows = np.array([terms, terms[::-1]])
-    assert losses._row_dots(rows, np.ones((1, 3))).tolist() == [[0.0, 0.0]]
+    # built directly: these rows are no covariance, but at p = 1 each sums
+    # to exactly 0.0 when its products are added left to right from 0.0
+    mu, lam = (2.0, -4.0, 1.0), 0.5
+    model = MarkowitzLoss(
+        params=mu,
+        covariance=(terms, terms[::-1], (-0.0, -0.0, -0.0)),
+        risk_weight=lam,
+        qp_solution=((1.0, 0.0, 0.0), 0.0),
+    )
+    params, p = np.array([mu, mu]), np.ones((2, 3))
+    want = [0.0 - lam * m for m in mu]
+    assert model.gradient(params, p).tolist() == [want, want]
+    assert model.true_gradient(p[:1]).tolist() == [want]
+    # the -0.0 products sum to 0.0, as `_dot` gives, not to -0.0
+    assert not np.signbit(replace(model, risk_weight=0.0).gradient(params, p)).any()
 
 
 def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
