@@ -388,29 +388,19 @@ def test_simplex_qp_agrees_with_full_enumeration(data):
 # ---------------------------------------------------------------- step formulas
 
 
-def _left_to_right(xs):
-    # sum() as before Python 3.12, which made float sums compensated
-    acc = 0.0
-    for x in xs:
-        acc += x
-    return acc
-
-
+# The references sum with the per-seed loop's `_dot`, left to right from 0.0:
+# sum() is compensated from Python 3.12 on.
 def _reference_markowitz_gradient(model, params, p):
     """The index-loop gradient that `MarkowitzLoss.gradient` must match bit for bit."""
     sig = model.covariance
     lam = model.risk_weight
-    k = len(p)
-    return [2.0 * _left_to_right(sig[i][j] * p[j] for j in range(k)) - lam * params[i] for i in range(k)]
+    return [2.0 * reference_loop._dot(sig[i], p) - lam * params[i] for i in range(len(p))]
 
 
 def _reference_markowitz_value(model, p):
     """The index-loop value that `MarkowitzLoss.value` must match bit for bit."""
-    sig = model.covariance
-    quad = _left_to_right(
-        x * _left_to_right(row[j] * p[j] for j in range(len(p))) for x, row in zip(p, sig)
-    )
-    return quad - model.risk_weight * _left_to_right(m * x for m, x in zip(model.params, p))
+    quad = reference_loop._dot(p, [reference_loop._dot(row, p) for row in model.covariance])
+    return quad - model.risk_weight * reference_loop._dot(model.params, p)
 
 
 def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
