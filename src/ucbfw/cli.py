@@ -228,10 +228,7 @@ _SEEDS = _Section(
 )
 
 _EXPERIMENT = _Section(
-    # the policy and feedback sections may be left out, for their defaults
-    lambda policy=PolicyConfig(), feedback=FeedbackConfig(), **fields: ExperimentConfig(
-        policy=policy, feedback=feedback, **fields
-    ),
+    ExperimentConfig,
     ("experiment", "experiment", _STRING),
     ("model", "model", _MODEL),
     ("policy", "policy", _POLICY),
@@ -250,6 +247,22 @@ def parse_config_data(data: Any, source: str = "<config>") -> ExperimentConfig:
     return _EXPERIMENT(data, source, prefix="")
 
 
+class _UniqueKeys:
+    """A YAML loader mixin that refuses a key repeated within one mapping,
+    of which the plain loaders keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if key.value in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key.value!r}", key.start_mark
+                    )
+                seen.add(key.value)
+        return super().construct_mapping(node, deep=deep)
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
@@ -257,9 +270,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         # the error's own text names the path, as in "[Errno 21] Is a directory: 'configs'"
         raise ConfigError(str(exc)) from None
     # the libyaml loader, where PyYAML was built with it, gives the same data
-    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
-        data = yaml.load(text, Loader=loader)
+        data = yaml.load(text, Loader=type("Loader", (_UniqueKeys, base), {}))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid yaml in {path}: {exc}") from None
     return parse_config_data(data, source=str(path))

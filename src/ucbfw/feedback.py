@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -387,25 +388,14 @@ class ObservationSampler:
         low = np.flatnonzero(unused < chunk)
         start = low * (2 * self.refill)
         fresh = start + unused[low]
-        kind = self.obs_model.kind
-        if kind == "gaussian":
+        if self._gens is not None:
+            # a bernoulli stream has no sd: its uniforms are compared with its mean
+            sds = self._sds[low].tolist() if self._sds is not None else repeat(None)
             refills = zip(
-                self._gens[low],
-                nxt[low].tolist(),
-                start.tolist(),
-                fresh.tolist(),
-                self._means[low].tolist(),
-                self._sds[low].tolist(),
+                self._gens[low], nxt[low].tolist(), start.tolist(), fresh.tolist(), self._means[low].tolist(), sds
             )
             for gen, i, s, f, mean, sd in refills:
                 buf[s:f] = buf[i : i + f - s]
-                buf[f : f + chunk] = gen.normal(mean, sd, chunk)
-        elif kind == "bernoulli":
-            # uniforms, then compared with the means
-            for gen, i, s, f in zip(self._gens[low], nxt[low].tolist(), start.tolist(), fresh.tolist()):
-                buf[s:f] = buf[i : i + f - s]
-                buf[f : f + chunk] = gen.random(chunk)
-            cells = fresh[:, None] + np.arange(chunk)
-            buf[cells] = buf[cells] < self._means[low, None]
+                buf[f : f + chunk] = gen.random(chunk) < mean if sd is None else gen.normal(mean, sd, chunk)
         nxt[low] = start
         end[low] = fresh + chunk

@@ -76,9 +76,13 @@ DEVIATION_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelConfig:
-    """Primitive description of a loss instance (see build_model).
+    """A loss instance: its family's `kind` and the fields `given` to the
+    family's `build`, as (name, value) pairs in the order given, as in
+    `ModelConfig(kind="linear", mu=(0.1, 0.5))`.  A field given as None is
+    not given.  `build_model` checks the names against the family's `needs`
+    and `options`.
 
     `build_model` keeps the model it builds in `built`, so one parsed config
     builds its model, and for Markowitz solves its minimizer, once: every
@@ -87,16 +91,13 @@ class ModelConfig:
     """
 
     kind: str
-    mu: tuple[float, ...] | None = None
-    theta: tuple[float, ...] | None = None
-    sigma2: tuple[float, ...] | None = None
-    beta: tuple[float, ...] | None = None
-    covariance: tuple[tuple[float, ...], ...] | None = None
-    risk_weight: float | None = None
-    tables: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...] | None = None
-    centers: tuple[float, ...] | None = None
-    interior_floor: tuple[float, ...] | None = None
-    built: LossModel | None = field(default=None, init=False, compare=False, repr=False)
+    given: tuple[tuple[str, object], ...]
+    built: LossModel | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, kind: str, **fields):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "given", tuple((n, v) for n, v in fields.items() if v is not None))
+        object.__setattr__(self, "built", None)
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,19 @@ class ConfigFieldError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """An experiment, checked when made: one that cannot run raises
-    ConfigFieldError.  The check builds the model (kept on `model.built`)
-    and keeps the feedback set-up every trial shares (see _feedback_setup)."""
+    """An experiment, made with keywords and checked when made: one that
+    cannot run raises ConfigFieldError at the first field at fault, in the
+    order model, horizons, seeds, diagnostics, policy fields, feedback.
+    `policy` and `feedback` may be left out, for their defaults.  The check
+    builds the model (kept on `model.built`) and keeps the feedback set-up
+    every trial shares (see _feedback_setup)."""
 
     experiment: str
     model: ModelConfig
-    policy: PolicyConfig
-    feedback: FeedbackConfig
+    policy: PolicyConfig = PolicyConfig()
+    feedback: FeedbackConfig = FeedbackConfig()
     horizons: tuple[int, ...]
     seed_count: int
     seed_base: int
@@ -178,9 +182,48 @@ class ExperimentConfig:
     estimator: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        problem = _experiment_problem(self)
-        if problem is not None:
-            raise ConfigFieldError(*problem)
+        try:
+            model = build_model(self.model)
+        except ValueError as exc:
+            raise ConfigFieldError(("model",), str(exc)) from None
+        horizons, k = self.horizons, model.num_actions
+        if not horizons:
+            raise ConfigFieldError(("horizons",), "need at least one horizon")
+        if any(b <= a for a, b in zip(horizons, horizons[1:])):
+            raise ConfigFieldError(("horizons",), f"horizons must be strictly increasing, got {horizons}")
+        if horizons[0] < k:
+            raise ConfigFieldError(
+                ("horizons",), f"first horizon {horizons[0]} is shorter than the forced round robin over {k} actions"
+            )
+        if self.seed_count < 1:
+            raise ConfigFieldError(("seed_count",), f"seed count must be >= 1, got {self.seed_count}")
+        if self.seed_base < 0:
+            raise ConfigFieldError(("seed_base",), f"seed base must be >= 0, got {self.seed_base}")
+        if self.seed_base + self.seed_count > 1 << 64:
+            raise ConfigFieldError(
+                ("seed_base",), f"seeds must be below 2**64, got base {self.seed_base} with {self.seed_count} seeds"
+            )
+        if self.record_epsilon and not model.smooth_on_simplex:
+            raise ConfigFieldError(
+                ("record_epsilon",),
+                "per-step gradient diagnostics need a loss with simplex-wide "
+                f"gradients; {model.kind} is undefined at the early boundary points",
+            )
+        weights = self.policy.weights
+        if weights is not None and len(weights) != k:
+            raise ConfigFieldError(("policy", "weights"), f"need one weight per action: {len(weights)} vs {k}")
+        brackets = self.policy.presample and self.policy.presample.brackets
+        if brackets is not None and len(brackets) != k:
+            raise ConfigFieldError(
+                ("policy", "presample", "brackets"), f"need one bracket per arm: {len(brackets)} vs {k}"
+            )
+        try:
+            setup = _feedback_setup(self.feedback, model, self.policy.sigma2)
+        except ValueError as exc:
+            raise ConfigFieldError(("feedback",), str(exc)) from None
+        # derived fields, set past the frozen dataclass's __setattr__
+        for name, value in zip(("observations", "estimator"), setup):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -238,17 +281,17 @@ def build_model(cfg: ModelConfig) -> LossModel:
         family = FAMILIES.get(cfg.kind)
         if family is None:
             raise ValueError(f"unknown model kind {cfg.kind!r}")
-        missing = [name for name in family.needs if getattr(cfg, name) is None]
+        given = dict(cfg.given)
+        missing = [name for name in family.needs if name not in given]
         if missing:
             raise ValueError(f"{cfg.kind} model needs {', '.join(missing)}")
-        takes = ("kind",) + family.needs + family.options
-        unread = [name for name, value in vars(cfg).items() if value is not None and name not in takes]
+        takes = family.needs + family.options
+        unread = [name for name in given if name not in takes]
         if unread:
-            raise ValueError(f"{cfg.kind} model takes {', '.join(takes[1:])}, not {', '.join(unread)}")
-        model = family.build(**{name: getattr(cfg, name) for name in family.needs + family.options})
+            raise ValueError(f"{cfg.kind} model takes {', '.join(takes)}, not {', '.join(unread)}")
         # `built` is a cache, not part of the description, so it is set
         # past the frozen dataclass's __setattr__
-        object.__setattr__(cfg, "built", model)
+        object.__setattr__(cfg, "built", family.build(**given))
     return cfg.built
 
 
@@ -317,53 +360,6 @@ def build_policy(config: ExperimentConfig, model: LossModel, seeds: Sequence[int
     if cfg.kind == DOUBLING_UCB_FW:
         return DoublingUcbFwPolicy(model, fb, cfg.doubling_beta, t_max)
     return PresampledUcbFwPolicy(model, fb, cfg.presample)
-
-
-def _experiment_problem(config: ExperimentConfig) -> tuple[tuple[str, ...], str] | None:
-    """The first way `config` cannot run (its model, horizons, seeds,
-    diagnostics, policy fields or feedback), as the path of the config
-    field at fault and a message; None when it can, once the feedback
-    set-up is kept on `config`."""
-    try:
-        model = build_model(config.model)
-    except ValueError as exc:
-        return ("model",), str(exc)
-    horizons, k = config.horizons, model.num_actions
-    if not horizons:
-        return ("horizons",), "need at least one horizon"
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        return ("horizons",), f"horizons must be strictly increasing, got {horizons}"
-    if horizons[0] < k:
-        return ("horizons",), (
-            f"first horizon {horizons[0]} is shorter than the forced round robin over {k} actions"
-        )
-    if config.seed_count < 1:
-        return ("seed_count",), f"seed count must be >= 1, got {config.seed_count}"
-    if config.seed_base < 0:
-        return ("seed_base",), f"seed base must be >= 0, got {config.seed_base}"
-    if config.seed_base + config.seed_count > 1 << 64:
-        return ("seed_base",), (
-            f"seeds must be below 2**64, got base {config.seed_base} with {config.seed_count} seeds"
-        )
-    if config.record_epsilon and not model.smooth_on_simplex:
-        return ("record_epsilon",), (
-            "per-step gradient diagnostics need a loss with simplex-wide "
-            f"gradients; {model.kind} is undefined at the early boundary points"
-        )
-    weights = config.policy.weights
-    if weights is not None and len(weights) != k:
-        return ("policy", "weights"), f"need one weight per action: {len(weights)} vs {k}"
-    brackets = config.policy.presample and config.policy.presample.brackets
-    if brackets is not None and len(brackets) != k:
-        return ("policy", "presample", "brackets"), f"need one bracket per arm: {len(brackets)} vs {k}"
-    try:
-        setup = _feedback_setup(config.feedback, model, config.policy.sigma2)
-    except ValueError as exc:
-        return ("feedback",), str(exc)
-    # derived fields, set past the frozen dataclass's __setattr__
-    for name, value in zip(("observations", "estimator"), setup):
-        object.__setattr__(config, name, value)
-    return None
 
 
 def run_trial(
@@ -569,6 +565,10 @@ def _thm4(model: LossModel, info, records):
     return env
 
 
+# how far below its envelope a bound row's error may fall and still pass
+BOUND_TOL = 1e-9
+
+
 class Bound(NamedTuple):
     """A rate envelope.  `check(model, minimizer info, records)` gives the
     precondition the model fails, as a reason, or the envelope: a function
@@ -596,7 +596,6 @@ def bound_check(
     model: LossModel,
     selector: str,
     records: Sequence[TrialRecord] | None = None,
-    tol: float = 1e-9,
 ) -> BoundReport:
     """Compare empirical errors against the envelope of BOUNDS[selector].
 
@@ -618,5 +617,5 @@ def bound_check(
             candidates = [(agg.mean_error[i], envelope(t))]
         err, value = min(candidates, key=lambda c: c[1] - c[0])
         margin = value - err
-        rows.append(BoundRow(horizon=t, empirical=err, bound=value, margin=margin, passed=margin >= -tol))
+        rows.append(BoundRow(horizon=t, empirical=err, bound=value, margin=margin, passed=margin >= -BOUND_TOL))
     return BoundReport(selector=selector, supported=True, reason="", rows=tuple(rows))

@@ -299,7 +299,6 @@ class ExpDesignLoss(LossModel):
     variance_feedback = True
 
     centers: tuple[float, ...]
-    interior_floor: tuple[float, ...] | None = None
 
     @classmethod
     def build(
@@ -328,7 +327,7 @@ class ExpDesignLoss(LossModel):
             if any(not math.isfinite(v) for v in cen):
                 raise ValueError(f"centers has a non-finite entry: {cen}")
         floor = _check_floor(interior_floor, k) if interior_floor is not None else None
-        model = cls(params=s2, centers=cen, interior_floor=floor, strong_convexity=2.0 * min(s2))
+        model = cls(params=s2, centers=cen, strong_convexity=2.0 * min(s2))
         if floor is None:
             return replace(model, smoothness_C=math.inf, sup_loss=math.inf, sup_grad=math.inf)
         return replace(
@@ -367,8 +366,6 @@ class CobbDouglasLoss(LossModel):
     options = ("interior_floor",)
     smooth_on_simplex = False
 
-    interior_floor: tuple[float, ...] | None = None
-
     @classmethod
     def build(
         cls, beta: Sequence[float], interior_floor: Sequence[float] | None = None
@@ -379,7 +376,7 @@ class CobbDouglasLoss(LossModel):
             if not 0.0 < v < 1.0:
                 raise ValueError(f"beta coordinate {i} must be in (0, 1), got {v}")
         floor = _check_floor(interior_floor, len(b)) if interior_floor is not None else None
-        model = cls(params=b, interior_floor=floor, strong_convexity=min(b))
+        model = cls(params=b, strong_convexity=min(b))
         if floor is None:
             return replace(model, smoothness_C=math.inf, sup_loss=math.inf, sup_grad=math.inf)
         return replace(

@@ -66,7 +66,7 @@ def cfg_from(**overrides):
 def test_parse_basic_config():
     config = cfg_from()
     assert config.experiment == "vertex"
-    assert config.model.mu == (0.1, 0.5)
+    assert dict(config.model.given)["mu"] == (0.1, 0.5)
     assert config.horizons == (100, 300)
     assert (config.seed_count, config.seed_base) == (2, 7)
     assert build_model(config.model).gaps == pytest.approx((0.0, 0.4))
@@ -189,6 +189,23 @@ def test_shipped_configs_parse_alike_with_either_yaml_loader(tmp_path, monkeypat
     assert [parse_config(path) for path in SHIPPED_CONFIGS] == default
     with pytest.raises(ConfigError, match="invalid yaml"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_parse_refuses_a_key_repeated_in_one_mapping(tmp_path, monkeypatch, libyaml):
+    # the plain loaders keep a repeated key's last value; either loader refuses it
+    monkeypatch.setattr(yaml, "__with_libyaml__", libyaml and yaml.__with_libyaml__)
+    head = "experiment: dup\nmodel: {kind: linear, mu: [0.1, 0.5]}\nseeds: {count: 2, base: 7}\n"
+    cases = {
+        "horizons": "horizons: [10, 20]\nhorizons: [10, 30]\n",
+        "kind": "horizons: [10, 20]\npolicy:\n  kind: ucb_fw\n  kind: uniform\n",
+    }
+    for key, tail in cases.items():
+        path = tmp_path / f"{key}.yaml"
+        path.write_text(head + tail)
+        line = (head + tail).count("\n")
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: .*duplicate key '{key}'\n.*line {line},"):
+            parse_config(path)
 
 
 # ---------------------------------------------------------------- table-drawn configs
@@ -432,6 +449,7 @@ def test_emit_summary_payload():
     assert "rate_fit" not in bare and "bound" not in bare
 
 
+@pytest.mark.bitwise
 def test_golden_csv_is_stable(tmp_path):
     config = parse_config_data(
         {

@@ -16,6 +16,8 @@ import functools
 import json
 import pathlib
 
+import pytest
+
 from ucbfw.cli import emit_csv, emit_summary, parse_config, parse_config_data
 from ucbfw.harness import aggregate, bound_check, build_model, run_experiment
 
@@ -23,6 +25,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_bounds.json"
 GOLDEN_CSV = ROOT / "tests" / "data" / "golden_runs.json"
 SELECTORS = ("lemma1", "thm1", "prop2", "thm4")
+
+pytestmark = pytest.mark.bitwise
 
 
 def _tied(name: str, mu: list[float]):

@@ -72,9 +72,11 @@ def test_build_model_rejects_fields_its_family_never_reads():
         build_model(ModelConfig(kind="linear", mu=(0.1, 0.5), theta=(0.5, 0.5), interior_floor=(0.3, 0.3)))
     with pytest.raises(ValueError, match="exp_design model takes sigma2, centers, interior_floor, not mu"):
         build_model(ModelConfig(kind="exp_design", sigma2=(1.0, 4.0), mu=(0.1, 0.5)))
-    # a family's options are taken
+    # a family's options are taken: the floor reaches the family's constants
     floored = ModelConfig(kind="exp_design", sigma2=(1.0, 4.0), centers=(0.0, 1.0), interior_floor=(0.1, 0.1))
-    assert build_model(floored).interior_floor == (0.1, 0.1)
+    assert math.isfinite(build_model(floored).smoothness_C)
+    unfloored = ModelConfig(kind="exp_design", sigma2=(1.0, 4.0), centers=(0.0, 1.0))
+    assert build_model(unfloored).smoothness_C == math.inf
 
 
 def test_build_deviation_presets():
@@ -183,6 +185,13 @@ def test_experiment_validation():
         assert exc.value.path == path
 
 
+def test_experiment_config_holds_policy_and_feedback_defaults():
+    fields = dict(experiment="unit", model=ModelConfig(kind="linear", mu=(0.0, 0.5)), horizons=(10,))
+    bare = ExperimentConfig(**fields, seed_count=1, seed_base=0)
+    full = ExperimentConfig(**fields, policy=PolicyConfig(), feedback=FeedbackConfig(), seed_count=1, seed_base=0)
+    assert bare == full
+
+
 # One valid instance per loss family, with the fields its model requires.
 FAMILY_CONFIGS = {
     "linear": (ModelConfig(kind="linear", mu=(0.0, 0.5)), ("mu",)),
@@ -207,7 +216,7 @@ def test_per_family_answers(kind):
     cfg, required = FAMILY_CONFIGS[kind]
     for name in required:
         with pytest.raises(ValueError, match=f"{kind} model needs .*{name}"):
-            build_model(dataclasses.replace(cfg, **{name: None}))
+            build_model(ModelConfig(kind=kind, **{n: v for n, v in cfg.given if n != name}))
     model = build_model(cfg)
 
     eps = dict(model=cfg, record_epsilon=True, horizons=(20,), seed_count=1)
@@ -743,6 +752,7 @@ def test_every_grid_family_meets_every_axis_value():
         assert tuple(len(seen[family, axis]) for axis in range(len(sizes))) == sizes, family
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("config, workers", _grid_cases())
 def test_engine_matches_per_seed_loop(config, workers, monkeypatch):
     import reference_loop

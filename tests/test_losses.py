@@ -403,6 +403,7 @@ def _reference_markowitz_value(model, p):
     return quad - model.risk_weight * reference_loop._dot(model.params, p)
 
 
+@pytest.mark.bitwise
 def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
     rng = np.random.default_rng(20261019)
     for k in range(2, 13):
@@ -416,6 +417,7 @@ def test_markowitz_step_formulas_match_index_loops_bit_for_bit():
             assert model.value(p) == _reference_markowitz_value(model, p)
 
 
+@pytest.mark.bitwise
 def test_markowitz_gradient_does_not_depend_on_block_layout():
     # the sum over j must stay left to right whatever the memory layout of
     # the block: one point, a C block, an F block and a transposed view
@@ -692,6 +694,7 @@ def _block_case(model, rng, rows=9):
     return params, p
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("model", checks._check_instances(), ids=lambda m: m.kind)
 def test_block_methods_match_list_path_row_by_row(model):
     # the engine evaluates a block of seeds at once; every row must be the

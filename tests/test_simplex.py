@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 from reference_loop import float_recurrence
 from ucbfw.simplex import OccupationState, check_simplex
 
+pytestmark = pytest.mark.bitwise
+
 
 def make_state(counts):
     """A one-seed block holding `counts`."""
