@@ -34,6 +34,7 @@ from .policies import (
     DOUBLING_UCB_FW,
     FIXED_ALLOCATION,
     LCB_BANDIT,
+    OPEN_LOOP_KINDS,
     ORACLE_FW,
     POLICY_KINDS,
     PRESAMPLED_UCB_FW,
@@ -102,10 +103,11 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class FeedbackConfig:
-    """How observations are generated and folded into parameter estimates."""
+    """How observations are generated and folded into parameter estimates;
+    `noise_sd` (1.0 when not given) is for gaussian draws of a mean family."""
 
     observation: str = "gaussian"
-    noise_sd: float = 1.0
+    noise_sd: float | None = None
     action_map: tuple[int, ...] | None = None
     estimator: str | None = None
 
@@ -114,14 +116,15 @@ class FeedbackConfig:
 class PolicyConfig:
     """Primitive description of a policy (see build_policy), checked when
     made.  `deviation` is a preset of DEVIATION_PRESETS or a (scale,
-    exponent) pair, and `deviation_spec` is the radius it describes."""
+    exponent) pair, and `deviation_spec` is the radius it describes.
+    `doubling_beta` is doubling_ucb_fw's alone, 0.5 when not given."""
 
     kind: str = UCB_FW
     deviation: str | tuple[float, float] = "theorem1"
     sigma2: float = 1.0
     weights: tuple[float, ...] | None = None
     presample: PresampleConfig | None = None
-    doubling_beta: float = 0.5
+    doubling_beta: float | None = None
     deviation_spec: DeviationSpec = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -134,7 +137,12 @@ class PolicyConfig:
             raise ValueError(f"{self.kind} policy {'needs' if self.presample is None else 'takes no'} presample")
         if self.weights is not None:
             check_simplex(self.weights)
-        if not 0.0 < self.doubling_beta <= 0.5:
+        if self.kind != DOUBLING_UCB_FW:
+            if self.doubling_beta is not None:
+                raise ValueError(f"{self.kind} policy takes no doubling_beta")
+        elif self.doubling_beta is None:
+            object.__setattr__(self, "doubling_beta", 0.5)
+        elif not 0.0 < self.doubling_beta <= 0.5:
             raise ValueError(f"doubling beta must be in (0, 1/2], got {self.doubling_beta}")
         if not 0.0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
@@ -217,8 +225,9 @@ class ExperimentConfig:
             raise ConfigFieldError(
                 ("policy", "presample", "brackets"), f"need one bracket per arm: {len(brackets)} vs {k}"
             )
+        sigma2 = math.inf if self.policy.kind in OPEN_LOOP_KINDS else self.policy.sigma2
         try:
-            setup = _feedback_setup(self.feedback, model, self.policy.sigma2)
+            setup = _feedback_setup(self.feedback, model, sigma2)
         except ValueError as exc:
             raise ConfigFieldError(("feedback",), str(exc)) from None
         # derived fields, set past the frozen dataclass's __setattr__
@@ -313,8 +322,11 @@ def _feedback_setup(
         means = tuple(model.centers[j] for j in amap)
     else:
         means = tuple(model.params[j] for j in amap)
-        sds = tuple(fb_cfg.noise_sd for _ in means) if fb_cfg.observation == "gaussian" else None
+        sd = 1.0 if fb_cfg.noise_sd is None else fb_cfg.noise_sd
+        sds = tuple(sd for _ in means) if fb_cfg.observation == "gaussian" else None
     observations = ObservationModel(kind=fb_cfg.observation, means=means, sds=sds)
+    if fb_cfg.noise_sd is not None and (variance or observations.kind != "gaussian"):
+        raise ValueError(f"{model.kind if variance else observations.kind} feedback takes no noise_sd")
     estimator = fb_cfg.estimator or (ESTIMATOR_CENTERED_SQUARE if variance else ESTIMATOR_MEAN)
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
@@ -376,8 +388,10 @@ def run_trial(
     if t_max is None:
         t_max = config.horizons[-1]
     horizons = tuple(h for h in config.horizons if h <= t_max)
-    sampler = ObservationSampler(config.observations, seeds, t_max)
     policy = build_policy(config, model, seeds, t_max)
+    observe = None  # an open-loop kind reads no observation: none is drawn
+    if config.policy.kind not in OPEN_LOOP_KINDS:
+        observe, draw = policy.observe, ObservationSampler(config.observations, seeds, t_max).draw
     k = model.num_actions
     occ = OccupationState(k, seeds=len(seeds))
     loss_star = info.loss_star
@@ -391,8 +405,6 @@ def run_trial(
     eps_total = np.zeros(len(seeds))
     uniform = np.full((len(seeds), k), 1.0 / k)
     select = policy.select
-    observe = policy.observe
-    draw = sampler.draw
     apply_ = occ.apply
     for h in horizons:
         for _ in range(h - occ.t):
@@ -402,7 +414,8 @@ def run_trial(
                 if eps_reads_p:
                     p_prev = uniform if occ.t == 0 else occ.proportions()
                 eps_total += epsilon_diagnostic(model, p_prev, a)
-            observe(a, draw(a))
+            if observe is not None:
+                observe(a, draw(a))
             apply_(a)
         errors.append([loss_value(model, p) - loss_star for p in occ.proportions().tolist()])
         counts_snap.append(occ.counts.astype(np.int64).tolist())

@@ -7,13 +7,14 @@ smallest widened value, after the forced exploration that its `select`
 also carries.  The update p_{t+1} = p_t + (e_a - p_t)/(t+1) is implicit
 in the occupation bookkeeping, so a policy only ever picks the next action.
 
-Baselines (uniform, fixed allocation, oracle gradient, and the scalar
-bandit: the central policy on the linear loss of the estimator's estimates)
-choose only through `select`; variance pre-sampling with occupancy floors
-and block restarts of the estimator state are the central policy with a
-forced first phase or a restart schedule.  A block of seeds advances in
-lockstep: `select` takes a block `OccupationState` and returns one action
-per seed, and `observe` takes one action and one observation per seed.
+Baselines choose only through `select`.  The open-loop ones (uniform, fixed
+allocation and the noise-free oracle gradient: OPEN_LOOP_KINDS) read no
+observation and have no `observe`.  The scalar bandit is the central policy
+on the linear loss of the estimator's estimates; variance pre-sampling with
+occupancy floors and block restarts of the estimator state are the central
+policy with a forced first phase or a restart schedule.  A block of seeds
+advances in lockstep: `select` takes a block `OccupationState` and returns
+one action per seed, and `observe` one action and one observation per seed.
 Each seed gets the action its trajectory alone would get.
 """
 
@@ -46,6 +47,9 @@ POLICY_KINDS = (
     PRESAMPLED_UCB_FW,
     DOUBLING_UCB_FW,
 )
+
+# the kinds whose choices read no observation: a run draws none for them
+OPEN_LOOP_KINDS = (ORACLE_FW, UNIFORM, FIXED_ALLOCATION)
 
 
 @dataclass(frozen=True)
@@ -176,14 +180,7 @@ class LcbBanditPolicy(UcbFwPolicy):
         super().__init__(LinearLoss.build((0.0,) * fb.num_coeffs), fb)
 
 
-class OpenLoopPolicy:
-    """A policy whose choices never read its observations."""
-
-    def observe(self, actions: np.ndarray, obs: np.ndarray) -> None:
-        pass
-
-
-class OracleFwPolicy(OpenLoopPolicy):
+class OracleFwPolicy:
     """Noise-free Frank-Wolfe on the true gradient, round robin to start."""
 
     def __init__(self, model: LossModel):
@@ -195,7 +192,7 @@ class OracleFwPolicy(OpenLoopPolicy):
         return lowest_argmin(self.model.true_gradient(occ.proportions()))
 
 
-class UniformPolicy(OpenLoopPolicy):
+class UniformPolicy:
     """Independent uniform action each round from each seed's own stream."""
 
     CHUNK = 4096
@@ -216,7 +213,7 @@ class UniformPolicy(OpenLoopPolicy):
         return a
 
 
-class FixedAllocationPolicy(OpenLoopPolicy):
+class FixedAllocationPolicy:
     """Deterministic tracking of target weights by largest deficit."""
 
     def __init__(self, weights: Sequence[float]):

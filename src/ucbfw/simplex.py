@@ -17,15 +17,15 @@ import numpy as np
 SIMPLEX_SUM_TOL = 1e-12
 
 
-def check_simplex(coords: Sequence[float], tol: float = SIMPLEX_SUM_TOL) -> Sequence[float]:
-    """Validate a simplex point (nonnegative, l1 norm 1 within tol); a NaN
-    coordinate fails both tests."""
+def check_simplex(coords: Sequence[float]) -> Sequence[float]:
+    """Validate a simplex point (nonnegative, l1 norm 1 within
+    SIMPLEX_SUM_TOL); a NaN coordinate fails both tests."""
     total = 0.0
     for i, c in enumerate(coords):
         if not c >= 0.0:
             raise ValueError(f"simplex coordinate {i} must be nonnegative, got {c!r}")
         total += c
-    if not abs(total - 1.0) <= tol:
+    if not abs(total - 1.0) <= SIMPLEX_SUM_TOL:
         raise ValueError(f"simplex coordinates sum to {total!r}, expected 1.0")
     return coords
 

@@ -106,14 +106,10 @@ def test_criterion_03_oracle_meets_pathwise_envelope_at_every_t(report):
     t0 = time.perf_counter()
     model = QuadraticLoss.build((0.5, 0.5))
     policy = OracleFwPolicy(model)
-    obs = ObservationModel(kind="deterministic", means=(0.5, 0.5))
-    sampler = ObservationSampler(obs, (SEED_BASE,))
     occ = OccupationState(2, seeds=1)
     worst_margin = math.inf
     for _ in range(10_000):
-        a = policy.select(occ)
-        policy.observe(a, sampler.draw(a))
-        occ.apply(a)
+        occ.apply(policy.select(occ))
         t = occ.t
         err = loss_value(model, occ.proportions()[0].tolist())
         worst_margin = min(worst_margin, math.log(math.e * t) / t - err)

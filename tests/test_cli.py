@@ -318,6 +318,13 @@ def table_configs(draw):
             elif path in owned:
                 if kind != owned[path]:
                     continue
+            # read by one kind, or by gaussian draws of a mean family, and optional there
+            elif path == "policy.doubling_beta" and kind != "doubling_ucb_fw":
+                continue
+            elif path == "feedback.noise_sd" and (
+                family == "exp_design" or data.get("observation", "gaussian") != "gaussian"
+            ):
+                continue
             elif key not in table.required and path not in reads and not draw(st.booleans()):
                 continue
             data[key] = draw(values[path]) if path in values else section(sub, path + ".")

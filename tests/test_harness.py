@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from test_cli import BASIC, table_configs
 
 from ucbfw import harness, policies
-from ucbfw.cli import parse_config_data
+from ucbfw.cli import ConfigError, parse_config_data
 from ucbfw.feedback import ObservationSampler
 from ucbfw.harness import (
     AggregateResult,
@@ -100,7 +101,7 @@ def test_policy_config_validation():
     with pytest.raises(ValueError, match="presampled_ucb_fw policy needs presample"):
         PolicyConfig(kind="presampled_ucb_fw")
     with pytest.raises(ValueError, match="beta"):
-        PolicyConfig(doubling_beta=0.9)
+        PolicyConfig(kind="doubling_ucb_fw", doubling_beta=0.9)
     # a field the kind never reads is refused rather than ignored
     with pytest.raises(ValueError, match="ucb_fw policy takes no weights"):
         PolicyConfig(weights=(0.5, 0.5))
@@ -234,7 +235,9 @@ def test_per_family_answers(kind):
     else:
         assert rep.supported
 
-    assert linear_config(model=cfg).estimator == ("centered_square" if kind == "exp_design" else "mean")
+    assert linear_config(model=cfg, feedback=FeedbackConfig()).estimator == (
+        "centered_square" if kind == "exp_design" else "mean"
+    )
 
 
 # ---------------------------------------------------------------- run_trial
@@ -386,14 +389,6 @@ EXAMPLE_CONFIGS = [
         "horizons": [100],
         "seeds": {"count": 1, "base": 9},
     },
-    {
-        # doubling_beta is accepted for every kind, not only doubling_ucb_fw
-        "experiment": "beta_of_plain_ucb",
-        "model": {"kind": "linear", "mu": [0.1, 0.5]},
-        "policy": {"kind": "ucb_fw", "doubling_beta": 0.3},
-        "horizons": [100],
-        "seeds": {"count": 1, "base": 2},
-    },
 ]
 
 
@@ -431,6 +426,62 @@ def test_every_accepted_config_runs(data):
             gap = float(g @ p - g.min())
             tol = 1e-9 * (1.0 + abs(gap) + abs(error))
             assert -tol <= error <= gap + tol, (t, c, error, gap)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"policy": {"kind": "ucb_fw", "doubling_beta": 0.3}}, "policy: ucb_fw policy takes no doubling_beta"),
+        ({"policy": {"kind": "uniform", "doubling_beta": 0.5}}, "policy: uniform policy takes no doubling_beta"),
+        ({"feedback": {"observation": "bernoulli", "noise_sd": 0.5}}, "feedback: bernoulli feedback takes no noise_sd"),
+        (
+            {"feedback": {"observation": "deterministic", "noise_sd": 0.0}},
+            "feedback: deterministic feedback takes no noise_sd",
+        ),
+        # exp_design draws its sds from the model's sigma2
+        (
+            {"model": {"kind": "exp_design", "sigma2": [1.0, 4.0]}, "feedback": {"noise_sd": 1.0}},
+            "feedback: exp_design feedback takes no noise_sd",
+        ),
+    ],
+    ids=["beta-ucb_fw", "beta-uniform", "noise_sd-bernoulli", "noise_sd-deterministic", "noise_sd-exp_design"],
+)
+def test_fields_the_config_never_reads_are_refused(overrides, message):
+    # a field that the kind or the draws never read is refused by its key,
+    # not silently ignored
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_data({**BASIC, **overrides})
+
+
+@pytest.mark.parametrize("kind", ["oracle_fw", "uniform", "fixed_allocation", "ucb_fw"])
+def test_only_policies_that_observe_draw_observations(kind, monkeypatch):
+    weights = (0.3, 0.7) if kind == "fixed_allocation" else None
+    cfg = linear_config(policy=PolicyConfig(kind=kind, weights=weights), horizons=(50, 100))
+    plain = run_trial(cfg, (1, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an observation sampler was built")
+
+    monkeypatch.setattr(harness, "ObservationSampler", refuse)
+    if kind in policies.OPEN_LOOP_KINDS:
+        assert run_trial(cfg, (1, 2)) == plain
+    else:
+        with pytest.raises(AssertionError, match="sampler was built"):
+            run_trial(cfg, (1, 2))
+
+
+@pytest.mark.parametrize("kind", ["oracle_fw", "uniform", "fixed_allocation"])
+def test_open_loop_kinds_have_no_radius_to_calibrate(kind):
+    # noise above the default sigma2 of 1 is refused for a policy with a
+    # radius (test_subgaussian_declaration_is_enforced), not for one
+    # without, whose records it does not change
+    policy = {"kind": kind, **({"weights": [0.3, 0.7]} if kind == "fixed_allocation" else {})}
+    runs = []
+    for sd in (1.0, 2.0):
+        config = parse_config_data({**BASIC, "policy": policy, "feedback": {"noise_sd": sd}})
+        assert config.policy.sigma2 == 1.0
+        runs.append(run_experiment(config))
+    assert runs[0] == runs[1]
 
 
 def test_epsilon_sums_recorded_when_asked():

@@ -253,19 +253,22 @@ def test_noiseless_ucb_collapses_to_oracle():
     model = QuadraticLoss.build(theta)
     obs_model = ObservationModel(kind="deterministic", means=theta)
 
-    def run(make_policy):
+    def run(policy, observes):
         sampler = ObservationSampler(obs_model, (3,))
-        policy = make_policy()
         occ = OccupationState(3, seeds=1)
         actions = []
         for _ in range(500):
             a = pick(policy, occ)
             actions.append(a)
-            step(policy, occ, a, sampler.draw(a)[0])
+            if observes:
+                step(policy, occ, a, sampler.draw(a)[0])
+            else:
+                occ.apply(np.array([a]))
         return actions
 
-    ucb = run(lambda: UcbFwPolicy(model, FeedbackBlock(1, 3, DeviationSpec(scale=0.0))))
-    oracle = run(lambda: OracleFwPolicy(model))
+    ucb = run(UcbFwPolicy(model, FeedbackBlock(1, 3, DeviationSpec(scale=0.0))), observes=True)
+    # the oracle reads no observation: its actions are applied unobserved
+    oracle = run(OracleFwPolicy(model), observes=False)
     assert ucb == oracle
 
 
